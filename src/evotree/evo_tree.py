@@ -171,22 +171,3 @@ def evolution_tree(alpha, targets, p, mode: str = "auto") -> EvolutionTreeResult
 
     groups = _partition_by_vertex(tree, alpha_vertex, tg)
     return EvolutionTreeResult(beta_meta=al.copy(), partition=groups, tree=tree)
-
-
-def trunk_endpoint(tree: Tree) -> np.ndarray:
-    """First split point or target ahead of terminal 0 along the tree.
-
-    Walks from the current point through pass-through vertices until a
-    vertex of degree >= 3 or a terminal is reached. Used to cross-check the
-    clamp_meta fast path against the full tree solve.
-    """
-    start = tree.terminal_ids[0]
-    deg = tree.degrees()
-    if deg[start] != 1:
-        return tree.vertices[start].copy()
-    terminal_set = set(tree.terminal_ids[1:])
-    prev, cur = start, tree.neighbors(start)[0]
-    while cur not in terminal_set and deg[cur] == 2:
-        nxt = [u for u in tree.neighbors(cur) if u != prev][0]
-        prev, cur = cur, nxt
-    return tree.vertices[cur].copy()

@@ -9,12 +9,16 @@ Steiner solvers:
 * L1 exact: dynamic programming over the Hanan grid graph (the grid induced
   by coordinate hyperplanes through the terminals). Optimal rectilinear
   Steiner points can always be chosen on that grid, so the grid DP is exact.
+  Its operation and byte budgets are checked on the grid size, computed from
+  per-axis distinct coordinates, before any grid or distance matrix is built.
 * L1 heuristic: iterated single-point insertion. Candidates are Hanan grid
-  points (the full grid when small, otherwise coordinate-wise medians of
-  vertex triples, which stay on the grid); the candidate with the largest
-  spanning-tree reduction is inserted until no improvement remains.
+  points (the full grid when it has at most 512 nodes, otherwise
+  coordinate-wise medians of vertex triples, which stay on the grid; a
+  larger grid is never built); the candidate with the largest spanning-tree
+  reduction is inserted until no improvement remains.
 * L2 exact: enumeration of all full topologies (N <= 6) with convex
-  coordinate optimization of the Steiner points, then an exact Fermat-point
+  coordinate optimization of the Steiner points, all topologies solved
+  together as one batch of linear systems, then an exact Fermat-point
   polish so the 120-degree meeting condition holds to high precision.
 * L2 heuristic: same enumeration for N <= 6; for larger N a greedy pass that
   replaces sharp tree corners (< 120 degrees) with local Fermat points,
@@ -38,6 +42,10 @@ MERGE_TOL = 1e-9
 ANGLE_TOL = 1e-6
 # Array-op budget for the exact L1 grid DP (roughly 2^(N-1) * |grid|^2).
 _L1_EXACT_BUDGET = 3e8
+# Byte cap on the exact L1 grid DP's largest temporary, the (v, v, D) float64
+# coordinate differences behind its pairwise grid distances (made once:
+# `_pairwise` takes their absolute values in place).
+_L1_EXACT_MAX_BYTES = 256 * 2**20
 _L2_EXACT_MAX_TERMINALS = 6
 
 
@@ -83,7 +91,7 @@ def lp_distance(a, b, p) -> float:
 def _pairwise(points: np.ndarray, p: int) -> np.ndarray:
     diff = points[:, None, :] - points[None, :, :]
     if p == 1:
-        return np.sum(np.abs(diff), axis=2)
+        return np.sum(np.abs(diff, out=diff), axis=2)
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
@@ -264,37 +272,31 @@ def _fermat3(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> np.ndarray:
     """fermat_point without input validation, for inner loops."""
     verts = (va, vb, vc)
     # opposite side lengths
-    sides = np.array(
-        [
-            np.linalg.norm(vb - vc),
-            np.linalg.norm(vc - va),
-            np.linalg.norm(va - vb),
-        ]
-    )
-    scale = float(np.max(sides))
+    sides = [math.sqrt(d.dot(d)) for d in (vb - vc, vc - va, va - vb)]
+    scale = max(sides)
     if scale <= 0.0:
         return va.copy()
-    if np.min(sides) <= 1e-12 * scale:
+    shortest = min(sides)
+    if shortest <= 1e-12 * scale:
         # two points coincide; the duplicated point is optimal
-        dup = int(np.argmin(sides))
+        dup = sides.index(shortest)
         return verts[(dup + 1) % 3].copy()
     # collinearity: compare longest side against the sum of the others
-    longest = int(np.argmax(sides))
-    others = sides[[i for i in range(3) if i != longest]]
-    if abs(float(np.sum(others)) - float(sides[longest])) <= 1e-12 * scale:
+    longest = sides.index(scale)
+    others = [sides[i] for i in range(3) if i != longest]
+    if abs(others[0] + others[1] - scale) <= 1e-12 * scale:
         return verts[longest].copy()  # opposite the longest side = middle point
-    cosines = np.empty(3)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        cosines[i] = (sides[j] ** 2 + sides[k] ** 2 - sides[i] ** 2) / (
-            2.0 * sides[j] * sides[k]
-        )
-    wide = int(np.argmin(cosines))
-    if cosines[wide] <= -0.5 + 1e-15:
-        return verts[wide].copy()
+    # `s ** 2` (C pow) and `s * s` differ in the last bit on some inputs
+    cosines = [
+        (sides[j] ** 2 + sides[k] ** 2 - sides[i] ** 2) / (2.0 * sides[j] * sides[k])
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ]
+    widest = min(cosines)
+    if widest <= -0.5 + 1e-15:
+        return verts[cosines.index(widest)].copy()
     angles = np.arccos(np.clip(cosines, -1.0, 1.0))
     # barycentric weights of the isogonic center: side_i / sin(angle_i + 60 deg)
-    weights = sides / np.sin(angles + math.pi / 3.0)
+    weights = np.array(sides) / np.sin(angles + math.pi / 3.0)
     weights = weights / np.sum(weights)
     return weights[0] * va + weights[1] * vb + weights[2] * vc
 
@@ -357,6 +359,13 @@ def geometric_median(points, p) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _hanan_size(terminals: np.ndarray) -> int:
+    """Node count of the Hanan grid, without building it."""
+    return math.prod(
+        len(np.unique(terminals[:, d])) for d in range(terminals.shape[1])
+    )
+
+
 def _hanan_grid(terminals: np.ndarray) -> np.ndarray:
     axes = [np.unique(terminals[:, d]) for d in range(terminals.shape[1])]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -365,14 +374,14 @@ def _hanan_grid(terminals: np.ndarray) -> np.ndarray:
 
 def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
     """Optimal L1 Steiner tree via subset DP on the Hanan grid graph."""
-    n = len(terminals)
-    nodes = _hanan_grid(terminals)
-    v = len(nodes)
+    n, dim = terminals.shape
+    v = _hanan_size(terminals)
     budget = (2 ** (n - 1)) * float(v) * float(v)
-    if budget > _L1_EXACT_BUDGET:
+    if budget > _L1_EXACT_BUDGET or v * v * dim * 8 > _L1_EXACT_MAX_BYTES:
         raise BudgetExceededError(
             f"exact L1 grid DP too large ({n} terminals, {v} grid nodes)"
         )
+    nodes = _hanan_grid(terminals)
     dist = _pairwise(nodes, 1)
     # map each terminal onto its grid node
     node_of = []
@@ -518,13 +527,9 @@ def _steiner_l1_insertion(terminals: np.ndarray) -> Tree:
     cur_len = float(sum(dist[i, j] for i, j in edges))
     max_insert = max(0, n - 2)
     inserted = 0
-    grid = _hanan_grid(terminals)
-    use_full_grid = len(grid) <= 512
+    grid = _hanan_grid(terminals) if _hanan_size(terminals) <= 512 else None
     while inserted < max_insert:
-        if use_full_grid:
-            cands = grid
-        else:
-            cands = _triple_medians(pts)
+        cands = grid if grid is not None else _triple_medians(pts)
         best_gain = 1e-12
         best_cand = None
         for cand in cands:
@@ -594,49 +599,71 @@ def _fermat_polish(full: np.ndarray, edges, n_terminals: int, sweeps: int = 4000
     return full
 
 
-def _irls_topology(
-    terminals: np.ndarray, edges, n_s: int, iters: int = 200
-) -> tuple[np.ndarray, float]:
-    """Convex coordinate optimization of a fixed topology.
+def _irls_topologies(
+    terminals: np.ndarray, topologies, iters: int = 120
+) -> tuple[np.ndarray, np.ndarray]:
+    """Convex coordinate optimization of many fixed topologies at once.
 
     Iteratively reweighted least squares: with edge weights 1/length the
     stationarity system is linear in the Steiner coordinates; re-solving it
     drives the configuration to the global optimum of the (convex) total
     length. A small floor on edge lengths keeps degenerate topologies,
     whose Steiner points collapse onto terminals, numerically stable.
+
+    All topologies share the terminals and their edge and Steiner counts, so
+    their systems are stacked and solved by one batched call per iteration.
+    Each topology stops at its own convergence and is not updated after;
+    the per-entry summation order matches a one-topology solve, so every
+    topology gets the bits it would get alone. Returns the (k, n_t + n_s, D)
+    vertex coordinates and the (k,) total lengths.
     """
     n_t, dim = terminals.shape
-    pos = np.vstack([terminals, np.tile(np.mean(terminals, axis=0), (n_s, 1))])
-    eu = np.fromiter((e[0] for e in edges), dtype=int)
-    ev = np.fromiter((e[1] for e in edges), dtype=int)
+    edges = np.array(topologies, dtype=np.intp)  # (k, n_e, 2)
+    k = len(edges)
+    n_s = int(edges.max()) + 1 - n_t
+    pos = np.empty((k, n_t + n_s, dim))
+    pos[:, :n_t] = terminals
+    pos[:, n_t:] = np.mean(terminals, axis=0)
+    eu, ev = edges[..., 0], edges[..., 1]
     u_s = eu >= n_t
     v_s = ev >= n_t
+    iu = eu - n_t
+    iv = ev - n_t
     floor = 1e-14
+    active = np.arange(k)
     for _ in range(iters):
-        diff = pos[eu] - pos[ev]
-        lens = np.sqrt(np.sum(diff * diff, axis=1))
-        w = 1.0 / np.maximum(lens, floor)
-        a_mat = np.zeros((n_s, n_s))
-        rhs = np.zeros((n_s, dim))
-        iu = eu - n_t
-        iv = ev - n_t
-        np.add.at(a_mat, (iu[u_s], iu[u_s]), w[u_s])
-        np.add.at(a_mat, (iv[v_s], iv[v_s]), w[v_s])
-        both = u_s & v_s
-        np.add.at(a_mat, (iu[both], iv[both]), -w[both])
-        np.add.at(a_mat, (iv[both], iu[both]), -w[both])
-        u_only = u_s & ~v_s
-        v_only = v_s & ~u_s
-        np.add.at(rhs, iu[u_only], w[u_only, None] * pos[ev[u_only]])
-        np.add.at(rhs, iv[v_only], w[v_only, None] * pos[eu[v_only]])
-        new_coords = np.linalg.solve(a_mat, rhs)
-        move = float(np.max(np.abs(new_coords - pos[n_t:])))
-        pos[n_t:] = new_coords
-        if move < 1e-11:
+        if not active.size:
             break
-    diff = pos[eu] - pos[ev]
-    length = float(np.sum(np.sqrt(np.sum(diff * diff, axis=1))))
-    return pos, length
+        a = len(active)
+        p = pos[active]
+        e_u, e_v, i_u, i_v = eu[active], ev[active], iu[active], iv[active]
+        m_u, m_v = u_s[active], v_s[active]
+        row = np.broadcast_to(np.arange(a)[:, None], e_u.shape)
+        diff = p[row, e_u] - p[row, e_v]
+        lens = np.sqrt(np.sum(diff * diff, axis=2))
+        w = 1.0 / np.maximum(lens, floor)
+        a_mat = np.zeros((a, n_s, n_s))
+        rhs = np.zeros((a, n_s, dim))
+        np.add.at(a_mat, (row[m_u], i_u[m_u], i_u[m_u]), w[m_u])
+        np.add.at(a_mat, (row[m_v], i_v[m_v], i_v[m_v]), w[m_v])
+        both = m_u & m_v
+        np.add.at(a_mat, (row[both], i_u[both], i_v[both]), -w[both])
+        np.add.at(a_mat, (row[both], i_v[both], i_u[both]), -w[both])
+        u_only = m_u & ~m_v
+        v_only = m_v & ~m_u
+        r = row[u_only]
+        np.add.at(rhs, (r, i_u[u_only]), w[u_only, None] * p[r, e_v[u_only]])
+        r = row[v_only]
+        np.add.at(rhs, (r, i_v[v_only]), w[v_only, None] * p[r, e_u[v_only]])
+        new_coords = np.linalg.solve(a_mat, rhs)
+        move = np.max(np.abs(new_coords - p[:, n_t:]), axis=(1, 2))
+        pos[active, n_t:] = new_coords
+        # a NaN move keeps iterating, as in a one-topology loop
+        active = active[~(move < 1e-11)]
+    row = np.arange(k)[:, None]
+    diff = pos[row, eu] - pos[row, ev]
+    lengths = np.sum(np.sqrt(np.sum(diff * diff, axis=2)), axis=1)
+    return pos, lengths
 
 
 def _steiner_l2_enumerate(terminals: np.ndarray) -> Tree:
@@ -644,10 +671,12 @@ def _steiner_l2_enumerate(terminals: np.ndarray) -> Tree:
     mst = minimum_spanning_tree(terminals, 2)
     best, best_key = mst, _canonical_edges(mst.vertices, mst.edges)[1]
     # cheap convex solve on every topology, exact polish on the leaders only
-    scored = []
-    for topo in _full_topologies(n):
-        full, length = _irls_topology(terminals, topo, n - 2, iters=120)
-        scored.append((length, topo, full))
+    topologies = _full_topologies(n)
+    fulls, lengths = _irls_topologies(terminals, topologies)
+    scored = [
+        (float(length), topo, full)
+        for length, topo, full in zip(lengths, topologies, fulls)
+    ]
     scored.sort(key=lambda t: t[0])
     cutoff = scored[0][0] + 1e-4 if scored else 0.0
     leaders = [s for s in scored[:8] if s[0] <= cutoff] or scored[:1]

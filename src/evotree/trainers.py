@@ -29,8 +29,6 @@ HORIZON = 200
 GOAL_RADIUS = 0.1
 BATCH_SIZE = 12
 LEARNING_RATE = 0.05
-# archival full-scale policy-gradient step size, kept as a named preset
-FULL_SCALE_LEARNING_RATE = 1e-4
 
 # canonical parameter keys the toy trainer expects in an evolution space
 TOY_PARAM_ROLES = {

@@ -46,10 +46,10 @@ class TransferConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.xi <= 0:
-            raise InvalidInputError("xi must be positive")
-        if self.lambda_ < 1.0:
-            raise InvalidInputError("lambda must be >= 1 for convergence")
+        if not (math.isfinite(self.xi) and self.xi > 0):
+            raise InvalidInputError("xi must be positive and finite")
+        if not (math.isfinite(self.lambda_) and self.lambda_ >= 1.0):
+            raise InvalidInputError("lambda must be finite and >= 1 for convergence")
         if self.p_norm not in (1, 2) or self.penalty_norm not in (1, 2):
             raise InvalidInputError("norms must be 1 or 2")
         if not 0.0 < self.success_threshold < 1.0:
@@ -62,6 +62,8 @@ class TransferConfig:
             raise InvalidInputError("shrink_ratio must be in (0, 1]")
         if self.gradient_samples < 0 or self.max_phase_iterations < 1:
             raise InvalidInputError("bad iteration budget")
+        if self.eval_episodes < 1:
+            raise InvalidInputError("eval_episodes must be >= 1")
 
     @property
     def target_gate(self) -> float:

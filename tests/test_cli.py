@@ -138,6 +138,30 @@ class TestTransfer:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "transfer.xi = nan",
+            "transfer.xi = inf",
+            "transfer.lambda = nan",
+            "transfer.lambda = inf",
+            "transfer.eval_episodes = -3",
+        ],
+    )
+    def test_non_finite_or_out_of_range_config(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = run(
+            "transfer",
+            "--robots",
+            *PLANAR,
+            "--config",
+            str(cfg),
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 2
+
     def test_preset_applies(self, tmp_path):
         code = run(
             "transfer",

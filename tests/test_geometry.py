@@ -1,8 +1,13 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
 from evotree import geometry as geo
@@ -52,6 +57,101 @@ def weiszfeld_oracle(points, iters=200000, tol=1e-14):
             break
         x = x_new
     return x
+
+
+def reference_irls_topology(terminals, edges, n_s, iters):
+    """One-topology IRLS loop: the reference the batched solve must equal."""
+    n_t, dim = terminals.shape
+    pos = np.vstack([terminals, np.tile(np.mean(terminals, axis=0), (n_s, 1))])
+    eu = np.fromiter((e[0] for e in edges), dtype=int)
+    ev = np.fromiter((e[1] for e in edges), dtype=int)
+    u_s = eu >= n_t
+    v_s = ev >= n_t
+    for _ in range(iters):
+        diff = pos[eu] - pos[ev]
+        lens = np.sqrt(np.sum(diff * diff, axis=1))
+        w = 1.0 / np.maximum(lens, 1e-14)
+        a_mat = np.zeros((n_s, n_s))
+        rhs = np.zeros((n_s, dim))
+        iu = eu - n_t
+        iv = ev - n_t
+        np.add.at(a_mat, (iu[u_s], iu[u_s]), w[u_s])
+        np.add.at(a_mat, (iv[v_s], iv[v_s]), w[v_s])
+        both = u_s & v_s
+        np.add.at(a_mat, (iu[both], iv[both]), -w[both])
+        np.add.at(a_mat, (iv[both], iu[both]), -w[both])
+        u_only = u_s & ~v_s
+        v_only = v_s & ~u_s
+        np.add.at(rhs, iu[u_only], w[u_only, None] * pos[ev[u_only]])
+        np.add.at(rhs, iv[v_only], w[v_only, None] * pos[eu[v_only]])
+        new_coords = np.linalg.solve(a_mat, rhs)
+        move = float(np.max(np.abs(new_coords - pos[n_t:])))
+        pos[n_t:] = new_coords
+        if move < 1e-11:
+            break
+    diff = pos[eu] - pos[ev]
+    length = float(np.sum(np.sqrt(np.sum(diff * diff, axis=1))))
+    return pos, length
+
+
+def reference_fermat3(va, vb, vc):
+    """Array-based Fermat point: the reference the scalar version must equal."""
+    verts = (va, vb, vc)
+    sides = np.array(
+        [np.linalg.norm(vb - vc), np.linalg.norm(vc - va), np.linalg.norm(va - vb)]
+    )
+    scale = float(np.max(sides))
+    if scale <= 0.0:
+        return va.copy()
+    if np.min(sides) <= 1e-12 * scale:
+        return verts[(int(np.argmin(sides)) + 1) % 3].copy()
+    longest = int(np.argmax(sides))
+    others = sides[[i for i in range(3) if i != longest]]
+    if abs(float(np.sum(others)) - float(sides[longest])) <= 1e-12 * scale:
+        return verts[longest].copy()
+    cosines = np.empty(3)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        cosines[i] = (sides[j] ** 2 + sides[k] ** 2 - sides[i] ** 2) / (
+            2.0 * sides[j] * sides[k]
+        )
+    wide = int(np.argmin(cosines))
+    if cosines[wide] <= -0.5 + 1e-15:
+        return verts[wide].copy()
+    angles = np.arccos(np.clip(cosines, -1.0, 1.0))
+    weights = sides / np.sin(angles + math.pi / 3.0)
+    weights = weights / np.sum(weights)
+    return weights[0] * va + weights[1] * vb + weights[2] * vc
+
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def point_sets(draw, sizes, dims, kinds):
+    """Points in [0, 1]^D of one drawn kind.
+
+    general; coincident (one point duplicated); collinear; equal (all one
+    point); obtuse (the last point near the middle of the first two).
+    """
+    n = draw(sizes)
+    d = draw(dims)
+    pts = np.array(draw(st.lists(st.lists(unit, min_size=d, max_size=d),
+                                 min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "coincident":
+        i, j = draw(st.permutations(range(n)))[:2]
+        pts[j] = pts[i]
+    elif kind == "collinear":
+        ts = draw(st.lists(st.floats(-1.0, 2.0), min_size=n, max_size=n))
+        pts = pts[0] + np.array(ts)[:, None] * (pts[1] - pts[0])
+    elif kind == "equal":
+        pts[:] = pts[0]
+    elif kind == "obtuse":
+        h = draw(st.floats(0.0, 0.3))
+        mid = 0.5 * (pts[0] + pts[1])
+        pts[-1] = mid + h * (pts[-1] - mid)
+    return pts
 
 
 def angle_residuals(tree):
@@ -182,6 +282,59 @@ class TestSteinerL1:
         with pytest.raises(BudgetExceededError):
             geo.steiner_tree(pts, 1, "exact-small")
 
+    def test_hanan_size_counts_distinct_coordinates(self):
+        pts = np.array([(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (2.0, 1.0, 1.0)])
+        assert geo._hanan_size(pts) == len(geo._hanan_grid(pts)) == 4
+
+    def test_large_grid_never_built(self, monkeypatch):
+        # 6 terminals in D=5: 7776 grid nodes, over both the exact budget
+        # and the heuristic's full-grid limit, so no grid is materialized
+        built = []
+        real = geo._hanan_grid
+        monkeypatch.setattr(
+            geo, "_hanan_grid", lambda t: built.append(len(t)) or real(t)
+        )
+        rng = np.random.default_rng(8)
+        geo.steiner_tree(rng.random((6, 5)), 1, "auto")
+        assert built == []
+
+    def test_l1_in_bounded_memory(self):
+        # 3 terminals in D=8: 6561 grid nodes pass the op budget, but the
+        # exact DP's (v, v, D) float64 temporary would take 2.6 GiB. 11
+        # terminals in D=8 span a 2.1e8-node grid (13.7 GB). Under a 1.5 GiB
+        # address-space limit of its own, the child process must refuse the
+        # exact solve before allocating, and the heuristic must answer both
+        # without building the grid.
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+            "import numpy as np\n"
+            "from evotree.errors import BudgetExceededError\n"
+            "from evotree.geometry import steiner_tree\n"
+            "pts = np.random.default_rng(0).random((3, 8))\n"
+            "try:\n"
+            "    steiner_tree(pts, 1, 'exact-small')\n"
+            "    raise SystemExit('exact-small did not refuse')\n"
+            "except BudgetExceededError:\n"
+            "    pass\n"
+            "tree = steiner_tree(pts, 1, 'auto')\n"
+            "assert len(tree.terminal_ids) == 3\n"
+            "pts = np.random.default_rng(1).random((11, 8))\n"
+            "tree = steiner_tree(pts, 1, 'auto')\n"
+            "assert len(tree.terminal_ids) == 11\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(geo.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        res = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+
 
 class TestSteinerL2:
     def test_equilateral_triangle(self):
@@ -205,6 +358,22 @@ class TestSteinerL2:
         t = geo.steiner_tree(pts, 2, "exact-small")
         mst = geo.minimum_spanning_tree(pts, 2)
         assert t.length == pytest.approx(mst.length, abs=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        point_sets(
+            st.integers(3, 6), st.integers(2, 6), ["general", "coincident", "collinear"]
+        )
+    )
+    def test_batched_irls_equals_one_topology_loop(self, pts):
+        n = len(pts)
+        topologies = geo._full_topologies(n)
+        fulls, lengths = geo._irls_topologies(pts, topologies)
+        assert fulls.shape == (len(topologies), 2 * n - 2, pts.shape[1])
+        for topo, full, length in zip(topologies, fulls, lengths):
+            ref_pos, ref_len = reference_irls_topology(pts, topo, n - 2, 120)
+            assert np.array_equal(full, ref_pos)
+            assert float(length) == ref_len
 
 
 class TestSteinerProperties:
@@ -287,6 +456,20 @@ class TestFermatPoint:
     def test_collinear_middle(self):
         f = geo.fermat_point((0.0, 0.0), (2.0, 2.0), (1.0, 1.0))
         assert np.allclose(f, (1.0, 1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        point_sets(
+            st.just(3),
+            st.integers(2, 5),
+            ["general", "coincident", "collinear", "obtuse", "equal"],
+        )
+    )
+    def test_equals_array_reference(self, pts):
+        f = geo._fermat3(*pts)
+        ref = reference_fermat3(*pts)
+        assert f.dtype == ref.dtype
+        assert np.array_equal(f, ref)
 
     def test_random_matches_weiszfeld(self):
         rng = np.random.default_rng(321)
