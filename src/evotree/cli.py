@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -235,6 +236,11 @@ def make_trainer(kind: str, problem: Problem, settings: dict):
 
 
 def make_expert(settings: dict):
+    for key in ("expert_kp", "expert_kd", "expert_std"):
+        if not math.isfinite(settings[key]):
+            raise InvalidInputError(f"trainer.{key} must be finite")
+    if settings["expert_std"] <= 0:
+        raise InvalidInputError("trainer.expert_std must be positive")
     return proportional_policy(
         settings["expert_kp"], settings["expert_kd"], settings["expert_std"]
     )

@@ -55,7 +55,7 @@ class TrainStepResult:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    mean_return: float
+    mean_return: np.ndarray  # (k,), one mean return per probed point
     sim_episodes: int
 
 
@@ -63,14 +63,16 @@ class Trainer(Protocol):
     """Contract used by the transfer engine.
 
     evaluate must be deterministic given (seed, alpha, policy); every
-    train_step reports strictly positive cost.
+    train_step reports strictly positive cost. gradient_probe scores a
+    (k, D) batch of points in one call, every point on the same seeded
+    draws (common random numbers).
     """
 
     def evaluate(self, policy, alpha, episodes: int, seed) -> EvalResult: ...
 
     def train_step(self, policy, alpha, seed) -> TrainStepResult: ...
 
-    def gradient_probe(self, policy, alpha, seed) -> ProbeResult: ...
+    def gradient_probe(self, policy, alphas, seed) -> ProbeResult: ...
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,10 @@ class CostModelTrainer:
 
     sim_episodes_per_step: int = 10
 
+    def __post_init__(self):
+        if self.sim_episodes_per_step < 1:
+            raise InvalidInputError("sim_episodes_per_step must be >= 1")
+
     def evaluate(self, policy, alpha, episodes: int, seed) -> EvalResult:
         return EvalResult(success_rate=1.0, sim_episodes=0)
 
@@ -94,21 +100,13 @@ class CostModelTrainer:
             sim_episodes=self.sim_episodes_per_step,
         )
 
-    def gradient_probe(self, policy, alpha, seed) -> ProbeResult:
-        return ProbeResult(mean_return=0.0, sim_episodes=0)
+    def gradient_probe(self, policy, alphas, seed) -> ProbeResult:
+        return ProbeResult(mean_return=np.zeros(len(alphas)), sim_episodes=0)
 
 
 # ---------------------------------------------------------------------------
 # Toy point-mass MDP
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ToyMdpState:
-    position: np.ndarray
-    velocity: np.ndarray
-    goal: np.ndarray
-    step: int
 
 
 @dataclass
@@ -135,9 +133,6 @@ class LinearGaussianPolicy:
     def copy(self) -> "LinearGaussianPolicy":
         return LinearGaussianPolicy(self.weights.copy(), self.log_std.copy())
 
-    def mean_action(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weights.T
-
 
 def proportional_policy(kp: float, kd: float, std: float) -> LinearGaussianPolicy:
     """P-D controller as a policy: a = kp * (goal - pos) - kd * vel."""
@@ -150,35 +145,14 @@ def proportional_policy(kp: float, kd: float, std: float) -> LinearGaussianPolic
     return LinearGaussianPolicy(weights=w, log_std=np.full(2, np.log(std)))
 
 
-def _theta_roles(theta: np.ndarray, indices: dict[str, int]) -> dict[str, float]:
-    return {role: float(theta[i]) for role, i in indices.items()}
-
-
-def toy_mdp_step(state: ToyMdpState, action, theta: dict[str, float]) -> ToyMdpState:
-    """One explicit-Euler step of the point mass.
+def point_mass_step(pos, vel, action, gain, damping, mass, limit):
+    """One explicit-Euler step of the point mass; returns (position', velocity').
 
     position' = position + velocity * dt
     velocity' = velocity + dt * (gain * clipped_action - damping * velocity) / mass
     """
-    a = np.asarray(action, dtype=float)
-    if not (
-        np.all(np.isfinite(a))
-        and np.all(np.isfinite(state.position))
-        and np.all(np.isfinite(state.velocity))
-    ):
-        raise SimulationError("non-finite state or action")
-    limit = theta["limit"]
-    a = np.clip(a, -limit, limit)
-    gain = np.array([theta["gain_x"], theta["gain_y"]])
-    new_pos = state.position + state.velocity * DT
-    new_vel = state.velocity + DT * (
-        gain * a - theta["damping"] * state.velocity
-    ) / theta["mass"]
-    if not (np.all(np.isfinite(new_pos)) and np.all(np.isfinite(new_vel))):
-        raise SimulationError("non-finite simulation output")
-    return ToyMdpState(
-        position=new_pos, velocity=new_vel, goal=state.goal, step=state.step + 1
-    )
+    a = np.minimum(np.maximum(action, -limit), limit)  # np.clip, minus its overhead
+    return pos + vel * DT, vel + DT * (gain * a - damping * vel) / mass
 
 
 MAX_GRAD_NORM = 25.0
@@ -251,107 +225,101 @@ class ToyMdpTrainer:
     goal_center: tuple[float, float] = (1.0, 1.0)
     goal_jitter: float = 0.45
     start_jitter: float = 0.15
-    _role_index: dict[str, int] = field(init=False, repr=False)
+    _role_cols: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.batch_size < 1 or self.probe_episodes < 1:
+            raise InvalidInputError("batch_size and probe_episodes must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidInputError("learning_rate must be positive and finite")
         keys = list(self.space.parameter_keys)
-        self._role_index = {}
-        for role, key in TOY_PARAM_ROLES.items():
+        for key in TOY_PARAM_ROLES.values():
             if key not in keys:
                 raise InvalidInputError(
                     f"toy trainer needs parameter key {key!r} in the evolution space"
                 )
-            self._role_index[role] = keys.index(key)
+        self._role_cols = [keys.index(key) for key in TOY_PARAM_ROLES.values()]
 
     # -- dynamics ----------------------------------------------------------
 
-    def theta_at(self, alpha) -> dict[str, float]:
-        theta = denormalize(np.asarray(alpha, dtype=float), self.space)
-        return _theta_roles(theta, self._role_index)
+    def theta_at(self, alpha) -> np.ndarray:
+        """(k, 5) toy parameters in TOY_PARAM_ROLES order, one row per point."""
+        points = np.atleast_2d(np.asarray(alpha, dtype=float))
+        return np.array([denormalize(a, self.space) for a in points])[:, self._role_cols]
 
     def _simulate(
-        self, policy: LinearGaussianPolicy, alpha, episodes: int, seed
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        self, policy: LinearGaussianPolicy, alpha, episodes: int, seed, record=False
+    ) -> tuple[np.ndarray, Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
         """Vectorized rollouts truncated at first goal contact.
 
-        Returns (returns, features[T,n,4], actions[T,n,2], success, steps);
-        steps[e] is the number of live steps episode e contributes.
+        alpha is one point (D,) or k points (k, D). Every point runs the same
+        `episodes` seeded draws (common random numbers); episode e of point j
+        sits at index j * episodes + e. Returns (success, history); history
+        is None unless record is set, else (features[T,n,4], actions[T,n,2],
+        steps) with steps[i] the number of live steps episode i contributes.
         """
-        th = self.theta_at(alpha)
-        rng = np.random.default_rng(seed)
-        n = episodes
-        pos = rng.uniform(-self.start_jitter, self.start_jitter, (n, 2))
-        vel = np.zeros((n, 2))
-        goal = np.asarray(self.goal_center) + rng.uniform(
-            -self.goal_jitter, self.goal_jitter, (n, 2)
+        th = np.repeat(self.theta_at(alpha), episodes, axis=0)
+        # (mass, gain_x|gain_y, damping, limit) per-episode columns, copied
+        # contiguous: strided views slow every step down
+        mass, gain, damping, limit = (
+            th[:, i:j].copy() for i, j in ((0, 1), (1, 3), (3, 4), (4, 5))
         )
-        noise = rng.standard_normal((HORIZON, n, 2))
+        k = len(th) // episodes
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(-self.start_jitter, self.start_jitter, (episodes, 2))
+        goal = np.asarray(self.goal_center) + rng.uniform(
+            -self.goal_jitter, self.goal_jitter, (episodes, 2)
+        )
+        noise = np.tile(rng.standard_normal((HORIZON, episodes, 2)), (1, k, 1))
+        pos, goal = np.tile(pos, (k, 1)), np.tile(goal, (k, 1))
+        n = len(th)
+        vel = np.zeros((n, 2))
+        feats = np.empty((n, 4))
+        w_t = policy.weights.T
         std = np.exp(policy.log_std)
-        gain = np.array([th["gain_x"], th["gain_y"]])
         success = np.zeros(n, dtype=bool)
-        steps = np.zeros(n, dtype=int)
-        feats_hist = np.zeros((HORIZON, n, 4))
-        acts_hist = np.zeros((HORIZON, n, 2))
+        live = np.ones((n, 1), dtype=bool)
+        if record:
+            steps = np.full(n, HORIZON)
+            feats_hist = np.zeros((HORIZON, n, 4))
+            acts_hist = np.zeros((HORIZON, n, 2))
         for t in range(HORIZON):
-            live = ~success
-            if not np.any(live):
-                break
-            feats = np.concatenate([goal - pos, vel], axis=1)
-            mu = feats @ policy.weights.T
-            act = mu + std * noise[t]
-            feats_hist[t] = np.where(live[:, None], feats, 0.0)
-            acts_hist[t] = np.where(live[:, None], act, 0.0)
-            steps[live] = t + 1
-            a = np.clip(act, -th["limit"], th["limit"])
-            new_pos = pos + vel * DT
-            new_vel = vel + DT * (gain * a - th["damping"] * vel) / th["mass"]
-            pos = np.where(live[:, None], new_pos, pos)
-            vel = np.where(live[:, None], new_vel, vel)
-            success |= live & (np.linalg.norm(pos - goal, axis=1) < GOAL_RADIUS)
+            np.subtract(goal, pos, out=feats[:, :2])
+            feats[:, 2:] = vel
+            act = feats @ w_t + std * noise[t]
+            if record:
+                np.copyto(feats_hist[t], feats, where=live)
+                np.copyto(acts_hist[t], act, where=live)
+            new_pos, new_vel = point_mass_step(pos, vel, act, gain, damping, mass, limit)
+            np.copyto(pos, new_pos, where=live)
+            np.copyto(vel, new_vel, where=live)
+            d = pos - goal
+            # the same arithmetic as np.linalg.norm(d, axis=1)
+            hit = live[:, 0] & (np.sqrt(np.add.reduce(d * d, axis=1)) < GOAL_RADIUS)
+            if np.count_nonzero(hit):
+                success |= hit
+                if record:
+                    steps[hit] = t + 1
+                if success.all():
+                    break
+                live = ~success[:, None]
         if not np.all(np.isfinite(pos)):
             raise SimulationError("rollout produced non-finite positions")
-        returns = success.astype(float)
-        return returns, feats_hist, acts_hist, success, steps
-
-    def rollout(
-        self, policy: LinearGaussianPolicy, alpha, seed
-    ) -> tuple[float, bool, list[ToyMdpState]]:
-        """Single seeded episode with its full state trace."""
-        th = self.theta_at(alpha)
-        rng = np.random.default_rng(seed)
-        pos = rng.uniform(-self.start_jitter, self.start_jitter, 2)
-        goal = np.asarray(self.goal_center) + rng.uniform(
-            -self.goal_jitter, self.goal_jitter, 2
-        )
-        noise = rng.standard_normal((HORIZON, 2))
-        state = ToyMdpState(position=pos, velocity=np.zeros(2), goal=goal, step=0)
-        episode = [state]
-        std = np.exp(policy.log_std)
-        success = False
-        for t in range(HORIZON):
-            feats = np.concatenate(
-                [state.goal - state.position, state.velocity]
-            )
-            action = policy.mean_action(feats) + std * noise[t]
-            state = toy_mdp_step(state, action, th)
-            episode.append(state)
-            if np.linalg.norm(state.position - state.goal) < GOAL_RADIUS:
-                success = True
-                break
-        return (1.0 if success else 0.0), success, episode
+        return success, (feats_hist, acts_hist, steps) if record else None
 
     # -- trainer contract ---------------------------------------------------
 
     def evaluate(self, policy, alpha, episodes: int, seed) -> EvalResult:
-        _, _, _, success, _ = self._simulate(policy, alpha, episodes, seed)
+        success, _ = self._simulate(policy, alpha, episodes, seed)
         return EvalResult(
             success_rate=float(np.mean(success)), sim_episodes=episodes
         )
 
     def train_step(self, policy, alpha, seed) -> TrainStepResult:
-        returns, feats, acts, _, steps = self._simulate(
-            policy, alpha, self.batch_size, seed
+        success, (feats, acts, steps) = self._simulate(
+            policy, alpha, self.batch_size, seed, record=True
         )
+        returns = success.astype(float)
         batch = [
             (feats[: steps[e], e, :], acts[: steps[e], e, :], float(returns[e]))
             for e in range(self.batch_size)
@@ -373,12 +341,11 @@ class ToyMdpTrainer:
             sim_episodes=self.batch_size,
         )
 
-    def gradient_probe(self, policy, alpha, seed) -> ProbeResult:
-        returns, _, _, _, _ = self._simulate(
-            policy, alpha, self.probe_episodes, seed
-        )
+    def gradient_probe(self, policy, alphas, seed) -> ProbeResult:
+        success, _ = self._simulate(policy, alphas, self.probe_episodes, seed)
+        mean_return = success.reshape(-1, self.probe_episodes).mean(axis=1)
         return ProbeResult(
-            mean_return=float(np.mean(returns)), sim_episodes=self.probe_episodes
+            mean_return=mean_return, sim_episodes=success.size
         )
 
 

@@ -207,8 +207,9 @@ def estimate_reward_gradient(
     """Least-squares fit of return differences against coordinate perturbations.
 
     gradient_samples perturbations of radius xi/2 (projected back into
-    [0, 1]^D) are each probed with a seed shared with the baseline probe so
-    common noise cancels. gradient_samples=0 disables the estimate.
+    [0, 1]^D) are probed in one batch with the base point as row 0, all on
+    one shared seed so common noise cancels. gradient_samples=0 disables
+    the estimate.
     """
     al = np.asarray(alpha, dtype=float)
     d = len(al)
@@ -221,31 +222,22 @@ def estimate_reward_gradient(
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 0x6E5D, *map(int, seed_material)])
     )
-    episodes = 0
-    base = trainer.gradient_probe(policy, al, seed=[cfg.seed, 0x6E5D, 0])
-    episodes += base.sim_episodes
-    deltas = []
-    values = []
-    for j in range(cfg.gradient_samples):
+    points = [al]
+    for _ in range(cfg.gradient_samples):
         direction = rng.standard_normal(d)
         direction /= max(float(np.linalg.norm(direction)), 1e-12)
-        probe_alpha = np.clip(al + (cfg.xi / 2.0) * direction, 0.0, 1.0)
-        delta = probe_alpha - al
-        try:
-            out = trainer.gradient_probe(
-                policy, probe_alpha, seed=[cfg.seed, 0x6E5D, 0]
-            )
-        except Exception as exc:
-            raise PhaseFailureError(
-                f"gradient probe failed at perturbation {j}: {exc}"
-            ) from exc
-        episodes += out.sim_episodes
-        deltas.append(delta)
-        values.append(out.mean_return - base.mean_return)
-    a_mat = np.asarray(deltas)
-    b_vec = np.asarray(values)
-    grad, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    return GradientEstimate(grad, episodes)
+        points.append(np.clip(al + (cfg.xi / 2.0) * direction, 0.0, 1.0))
+    points = np.asarray(points)
+    try:
+        out = trainer.gradient_probe(policy, points, seed=[cfg.seed, 0x6E5D, 0])
+    except Exception as exc:
+        raise PhaseFailureError(
+            f"gradient probe failed on the base point or one of its "
+            f"{cfg.gradient_samples} perturbations: {exc}"
+        ) from exc
+    returns = np.asarray(out.mean_return)
+    grad, *_ = np.linalg.lstsq(points[1:] - al, returns[1:] - returns[0], rcond=None)
+    return GradientEstimate(grad, out.sim_episodes)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,45 @@ class TestTransfer:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "trainer, line",
+        [
+            ("cost", "trainer.cost_episodes = -3"),
+            ("cost", "trainer.cost_episodes = 0"),
+            ("toymdp", "trainer.batch_size = 0"),
+            ("toymdp", "trainer.learning_rate = nan"),
+            ("toymdp", "trainer.learning_rate = inf"),
+            ("toymdp", "trainer.learning_rate = -0.1"),
+            ("toymdp", "trainer.learning_rate = 0"),
+            ("cost", "trainer.expert_kp = nan"),
+            ("cost", "trainer.expert_kd = inf"),
+            ("toymdp", "trainer.expert_std = -1"),
+            ("toymdp", "trainer.expert_std = 0"),
+            ("cost", "trainer.expert_std = nan"),
+        ],
+    )
+    def test_bad_trainer_setting(self, tmp_path, capsys, trainer, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        robots = PLANAR if trainer == "cost" else TOY
+        code = run(
+            "transfer",
+            "--robots",
+            *robots,
+            "--trainer",
+            trainer,
+            "--config",
+            str(cfg),
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 2
+        assert not (tmp_path / "report.json").exists()
+        # the message names the setting (the cost trainer's own field name)
+        name = line.split(" = ")[0].split(".")[1]
+        name = {"cost_episodes": "sim_episodes_per_step"}.get(name, name)
+        assert name in capsys.readouterr().err
+
     def test_preset_applies(self, tmp_path):
         code = run(
             "transfer",

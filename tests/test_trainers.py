@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evotree import trainers as tr
 from evotree import transfer as tx
@@ -54,80 +56,70 @@ class TestCostModel:
         assert ev.success_rate == 1.0 and ev.sim_episodes == 0
 
 
+def step(pos, vel, action, theta):
+    """One point_mass_step on a single 2-D state with THETA-style parameters."""
+    gain = np.array([theta["gain_x"], theta["gain_y"]])
+    return tr.point_mass_step(
+        pos, vel, action, gain, theta["damping"], theta["mass"], theta["limit"]
+    )
+
+
+def one_episode(trainer, policy, alpha, seed):
+    """One recorded kernel episode: (success, features[T,4], live steps)."""
+    success, (feats, _, steps) = trainer._simulate(
+        policy, alpha, 1, seed, record=True
+    )
+    return bool(success[0]), feats[: steps[0], 0], int(steps[0])
+
+
 class TestToyMdpStep:
     def test_zero_action_zero_velocity_fixed_point(self):
-        s = tr.ToyMdpState(
-            position=np.array([0.3, 0.4]),
-            velocity=np.zeros(2),
-            goal=np.array([1.0, 1.0]),
-            step=0,
-        )
-        s2 = tr.toy_mdp_step(s, np.zeros(2), THETA)
-        assert np.array_equal(s2.position, s.position)
-        assert np.array_equal(s2.velocity, s.velocity)
-        assert s2.step == 1
+        pos = np.array([0.3, 0.4])
+        pos2, vel2 = step(pos, np.zeros(2), np.zeros(2), THETA)
+        assert np.array_equal(pos2, pos)
+        assert np.array_equal(vel2, np.zeros(2))
 
     def test_doubling_mass_halves_velocity_increment(self):
-        s = tr.ToyMdpState(
-            position=np.zeros(2),
-            velocity=np.zeros(2),
-            goal=np.ones(2),
-            step=0,
-        )
         a = np.array([1.0, 0.5])
-        light = tr.toy_mdp_step(s, a, THETA)
-        heavy = tr.toy_mdp_step(s, a, {**THETA, "mass": 2.0})
-        assert np.allclose(heavy.velocity, light.velocity / 2)
+        _, light = step(np.zeros(2), np.zeros(2), a, THETA)
+        _, heavy = step(np.zeros(2), np.zeros(2), a, {**THETA, "mass": 2.0})
+        assert np.allclose(heavy, light / 2)
 
     def test_damping_monotone(self):
-        s = tr.ToyMdpState(
-            position=np.zeros(2),
-            velocity=np.array([1.0, -1.0]),
-            goal=np.ones(2),
-            step=0,
-        )
-        a = np.zeros(2)
+        vel = np.array([1.0, -1.0])
         speeds = []
         for c in [0.2, 0.6, 1.2, 2.0]:
-            nxt = tr.toy_mdp_step(s, a, {**THETA, "damping": c})
-            speeds.append(float(np.linalg.norm(nxt.velocity)))
+            _, nxt = step(np.zeros(2), vel, np.zeros(2), {**THETA, "damping": c})
+            speeds.append(float(np.linalg.norm(nxt)))
         assert all(x > y for x, y in zip(speeds, speeds[1:]))
 
     def test_action_clipped_to_limit(self):
-        s = tr.ToyMdpState(
-            position=np.zeros(2),
-            velocity=np.zeros(2),
-            goal=np.ones(2),
-            step=0,
+        _, big = step(np.zeros(2), np.zeros(2), np.array([50.0, 0.0]), THETA)
+        _, capped = step(
+            np.zeros(2), np.zeros(2), np.array([THETA["limit"], 0.0]), THETA
         )
-        big = tr.toy_mdp_step(s, np.array([50.0, 0.0]), THETA)
-        capped = tr.toy_mdp_step(s, np.array([THETA["limit"], 0.0]), THETA)
-        assert np.allclose(big.velocity, capped.velocity)
+        assert np.allclose(big, capped)
 
     def test_non_finite_rejected(self):
-        s = tr.ToyMdpState(
-            position=np.zeros(2),
-            velocity=np.zeros(2),
-            goal=np.ones(2),
-            step=0,
-        )
-        with pytest.raises(SimulationError):
-            tr.toy_mdp_step(s, np.array([np.nan, 0.0]), THETA)
+        # a non-finite action (here from a policy corrupted after validation)
+        # makes the kernel raise instead of returning a result
+        t = make_trainer()
+        a = alpha_for(t, **dict(THETA, limit=2.0))
+        pol = tr.proportional_policy(1.2, 0.8, 0.12)
+        pol.weights[0, 0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(SimulationError):
+            t._simulate(pol, a, 1, seed=0)
 
     def test_continuity_in_theta(self):
-        s = tr.ToyMdpState(
-            position=np.array([0.1, 0.2]),
-            velocity=np.array([0.4, -0.1]),
-            goal=np.ones(2),
-            step=0,
-        )
+        pos = np.array([0.1, 0.2])
+        vel = np.array([0.4, -0.1])
         a = np.array([0.6, 0.3])
-        base = tr.toy_mdp_step(s, a, THETA)
+        base_pos, base_vel = step(pos, vel, a, THETA)
         for eps in [1e-2, 1e-4, 1e-6]:
             th = {k: v + eps for k, v in THETA.items()}
-            nxt = tr.toy_mdp_step(s, a, th)
-            delta = np.linalg.norm(nxt.velocity - base.velocity) + np.linalg.norm(
-                nxt.position - base.position
+            nxt_pos, nxt_vel = step(pos, vel, a, th)
+            delta = np.linalg.norm(nxt_vel - base_vel) + np.linalg.norm(
+                nxt_pos - base_pos
             )
             assert delta < 10 * eps
 
@@ -137,25 +129,23 @@ class TestRollout:
         t = make_trainer()
         a = alpha_for(t, mass=1.0, gain_x=1.2, gain_y=1.2, damping=0.5, limit=2.4)
         pol = tr.proportional_policy(1.2, 0.8, 0.12)
-        r1, s1, ep1 = t.rollout(pol, a, seed=123)
-        r2, s2, ep2 = t.rollout(pol, a, seed=123)
-        assert r1 == r2 and s1 == s2 and len(ep1) == len(ep2)
-        for x, y in zip(ep1, ep2):
-            assert np.array_equal(x.position, y.position)
-            assert np.array_equal(x.velocity, y.velocity)
+        s1, ep1, n1 = one_episode(t, pol, a, seed=123)
+        s2, ep2, n2 = one_episode(t, pol, a, seed=123)
+        assert s1 == s2 and n1 == n2
+        assert np.array_equal(ep1, ep2)
 
     def test_zero_policy_fails(self):
         t = make_trainer()
         a = alpha_for(t, **dict(THETA, limit=2.0))
         dead = tr.LinearGaussianPolicy(np.zeros((2, 4)), np.full(2, np.log(0.01)))
-        ret, success, _ = t.rollout(dead, a, seed=5)
-        assert ret == 0.0 and not success
+        success, _, _ = one_episode(t, dead, a, seed=5)
+        assert not success
 
     def test_controller_reaches_goal_on_source(self):
         t = make_trainer()
         a = alpha_for(t, mass=1.0, gain_x=1.2, gain_y=1.2, damping=0.5, limit=2.4)
         pol = tr.proportional_policy(1.2, 0.8, 0.12)
-        wins = sum(t.rollout(pol, a, seed=s)[1] for s in range(100))
+        wins = sum(one_episode(t, pol, a, seed=s)[0] for s in range(100))
         assert wins >= 95
 
     def test_evaluate_matches_mean_success(self):
@@ -305,6 +295,106 @@ class TestGradientSign:
             if oracle_sign != 0 and np.sign(est.gradient[gain_dim]) == oracle_sign:
                 agree += 1
         assert agree >= trials - 1
+
+
+def random_policy(rng, spread):
+    """The expert controller with its weights perturbed by `spread`."""
+    pol = tr.proportional_policy(1.2, 0.8, 0.12)
+    return tr.LinearGaussianPolicy(
+        pol.weights + spread * rng.standard_normal((2, 4)),
+        rng.uniform(*tr.LOG_STD_BOUNDS, 2),
+    )
+
+
+def box_points(rng, k, d, face_share):
+    """k points in [0, 1]^d, a face_share of their coordinates on a face."""
+    pts = rng.random((k, d))
+    on_face = rng.random((k, d)) < face_share
+    pts[on_face] = rng.integers(0, 2, int(on_face.sum()))
+    return pts
+
+
+def per_probe_gradient(trainer, alpha, policy, cfg, seed_material):
+    """The per-probe estimator loop, one gradient_probe call per point."""
+    al = np.asarray(alpha, dtype=float)
+    rng = np.random.default_rng(
+        np.random.SeedSequence([cfg.seed, 0x6E5D, *map(int, seed_material)])
+    )
+
+    def probe(a):
+        out = trainer.gradient_probe(policy, a[None], seed=[cfg.seed, 0x6E5D, 0])
+        return float(out.mean_return[0])
+
+    base = probe(al)
+    deltas, values = [], []
+    for _ in range(cfg.gradient_samples):
+        direction = rng.standard_normal(len(al))
+        direction /= max(float(np.linalg.norm(direction)), 1e-12)
+        probe_alpha = np.clip(al + (cfg.xi / 2.0) * direction, 0.0, 1.0)
+        deltas.append(probe_alpha - al)
+        values.append(probe(probe_alpha) - base)
+    grad, *_ = np.linalg.lstsq(np.asarray(deltas), np.asarray(values), rcond=None)
+    return grad
+
+
+class TestBatchedProbe:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        k=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([0.0, 0.3, 3.0]),
+        face_share=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_rows_equal_one_point_calls(self, k, seed, spread, face_share):
+        t = make_trainer()
+        rng = np.random.default_rng(seed)
+        pol = random_policy(rng, spread)
+        pts = box_points(rng, k, 5, face_share)
+        out = t.gradient_probe(pol, pts, seed=[seed, 1])
+        assert out.mean_return.shape == (k,)
+        assert out.sim_episodes == k * t.probe_episodes
+        success, (feats, acts, steps) = t._simulate(
+            pol, pts, t.probe_episodes, [seed, 1], record=True
+        )
+        n = t.probe_episodes
+        for j in range(k):
+            one = t.gradient_probe(pol, pts[j : j + 1], seed=[seed, 1])
+            assert np.array_equal(out.mean_return[j : j + 1], one.mean_return)
+            s1, (f1, a1, st1) = t._simulate(pol, pts[j], n, [seed, 1], record=True)
+            rows = slice(j * n, (j + 1) * n)
+            assert np.array_equal(success[rows], s1)
+            assert np.array_equal(steps[rows], st1)
+            assert np.array_equal(feats[:, rows], f1)
+            assert np.array_equal(acts[:, rows], a1)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        samples=st.integers(6, 40),
+        xi=st.sampled_from([0.03, 0.12, 0.5]),
+        face_share=st.sampled_from([0.0, 0.4]),
+    )
+    def test_estimate_is_one_call_equal_to_per_probe_loop(
+        self, seed, samples, xi, face_share
+    ):
+        t = make_trainer()
+        rng = np.random.default_rng(seed)
+        pol = random_policy(rng, 0.3)
+        alpha = box_points(rng, 1, 5, face_share)[0]
+        cfg = tx.TransferConfig(xi=xi, gradient_samples=samples, seed=seed % 1000)
+        calls = []
+        simulate = t._simulate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        t._simulate = counted
+        est = tx.estimate_reward_gradient(t, alpha, pol, cfg, seed_material=[seed, 3])
+        assert len(calls) == 1
+        assert est.sim_episodes == (samples + 1) * t.probe_episodes
+        expected = per_probe_gradient(t, alpha, pol, cfg, [seed, 3])
+        assert np.array_equal(est.gradient, expected)
 
 
 class TestPolicyValidation:

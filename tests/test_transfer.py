@@ -130,8 +130,8 @@ class ScheduleTrainer:
         self.samples.append(np.asarray(alpha, float))
         return TrainStepResult(policy=policy, train_iterations=1, sim_episodes=5)
 
-    def gradient_probe(self, policy, alpha, seed):
-        return ProbeResult(mean_return=0.0, sim_episodes=0)
+    def gradient_probe(self, policy, alphas, seed):
+        return ProbeResult(mean_return=np.zeros(len(alphas)), sim_episodes=0)
 
 
 class TestPhaseTrain:
@@ -207,8 +207,8 @@ class TestGradientEstimate:
             def train_step(self, policy, alpha, seed):
                 return TrainStepResult(policy, 1, 1)
 
-            def gradient_probe(self, policy, alpha, seed):
-                return ProbeResult(float(self.coef @ np.asarray(alpha)), 0)
+            def gradient_probe(self, policy, alphas, seed):
+                return ProbeResult(np.asarray(alphas) @ self.coef, 0)
 
         coef = np.array([0.8, -0.4, 0.1])
         cfg = replace(COST_CFG, gradient_samples=12, xi=0.05)
@@ -384,18 +384,24 @@ class TestGeomMedianBaseline:
             def train_step(self, policy, alpha, seed):
                 return TrainStepResult(policy, 1, 1)
 
-            def gradient_probe(self, policy, alpha, seed):
-                if np.asarray(alpha)[0] != 0.5:  # perturbed probes blow up
-                    raise RuntimeError("sim crashed")
-                return ProbeResult(0.0, 0)
+            def gradient_probe(self, policy, alphas, seed):
+                pts = np.asarray(alphas)
+                self.batches.append(pts)
+                perturbed = np.flatnonzero(np.any(pts != 0.5, axis=1))
+                if len(perturbed):  # perturbed probes blow up
+                    raise RuntimeError(f"sim crashed at row {perturbed[0]}")
+                return ProbeResult(np.zeros(len(pts)), 0)
 
         from evotree.errors import PhaseFailureError
 
         cfg = replace(COST_CFG, gradient_samples=8)
-        with pytest.raises(PhaseFailureError, match="perturbation"):
-            tx.estimate_reward_gradient(
-                ExplodingProbe(), np.full(3, 0.5), object(), cfg
-            )
+        probe = ExplodingProbe()
+        probe.batches = []
+        with pytest.raises(PhaseFailureError, match="perturbation.*row 1"):
+            tx.estimate_reward_gradient(probe, np.full(3, 0.5), object(), cfg)
+        # one batch: the base point in row 0, then the 8 perturbations
+        assert len(probe.batches) == 1 and probe.batches[0].shape == (9, 3)
+        assert np.all(probe.batches[0][0] == 0.5)
 
     def test_median_star_at_least_steiner(self):
         rng = np.random.default_rng(13)
@@ -428,8 +434,8 @@ class TestBudgetExhaustion:
             def train_step(self, policy, alpha, seed):
                 return TrainStepResult(policy, 1, 10)
 
-            def gradient_probe(self, policy, alpha, seed):
-                return ProbeResult(0.0, 0)
+            def gradient_probe(self, policy, alphas, seed):
+                return ProbeResult(np.zeros(len(alphas)), 0)
 
         cfg = replace(COST_CFG, max_phase_iterations=3)
         src = (0.5, 0.45)
