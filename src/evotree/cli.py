@@ -130,26 +130,42 @@ def build_transfer_config(
     return dataclasses.replace(cfg, **updates)
 
 
+def _at_least_one(v) -> bool:
+    return v >= 1
+
+
+def _positive(v) -> bool:
+    return math.isfinite(v) and v > 0
+
+
+# trainer.* keys: (cast, check, requirement). Every value given is checked,
+# whichever trainer runs, so a setting the chosen trainer ignores cannot
+# carry a bad value into a report.
+_TRAINER_KEYS = {
+    "cost_episodes": (int, _at_least_one, "must be >= 1"),
+    "batch_size": (int, _at_least_one, "must be >= 1"),
+    "learning_rate": (float, _positive, "must be positive and finite"),
+    "expert_std": (float, _positive, "must be positive and finite"),
+    "expert_kp": (float, math.isfinite, "must be finite"),
+    "expert_kd": (float, math.isfinite, "must be finite"),
+}
+
+
 def trainer_settings(file_values: dict[str, str]) -> dict:
     out = dict(TRAINER_DEFAULTS)
-    casts = {
-        "cost_episodes": int,
-        "learning_rate": float,
-        "batch_size": int,
-        "expert_kp": float,
-        "expert_kd": float,
-        "expert_std": float,
-    }
     for key, value in file_values.items():
         if not key.startswith("trainer."):
             continue
         name = key.split(".", 1)[1]
-        if name not in casts:
+        if name not in _TRAINER_KEYS:
             raise InvalidInputError(f"unknown config key {key!r}")
+        cast, check, requirement = _TRAINER_KEYS[name]
         try:
-            out[name] = casts[name](value)
+            out[name] = cast(value)
         except ValueError as exc:
             raise InvalidInputError(f"bad value for {key!r}: {value!r}") from exc
+        if not check(out[name]):
+            raise InvalidInputError(f"{key} {requirement}, got {value!r}")
     return out
 
 
@@ -236,11 +252,6 @@ def make_trainer(kind: str, problem: Problem, settings: dict):
 
 
 def make_expert(settings: dict):
-    for key in ("expert_kp", "expert_kd", "expert_std"):
-        if not math.isfinite(settings[key]):
-            raise InvalidInputError(f"trainer.{key} must be finite")
-    if settings["expert_std"] <= 0:
-        raise InvalidInputError("trainer.expert_std must be positive")
     return proportional_policy(
         settings["expert_kp"], settings["expert_kd"], settings["expert_std"]
     )

@@ -496,15 +496,16 @@ def normalize(theta, space: EvolutionSpace) -> np.ndarray:
 
 
 def denormalize(alpha, space: EvolutionSpace) -> np.ndarray:
-    """Map evolution coordinates back to a parameter vector."""
+    """Map evolution coordinates (..., D) back to parameter vectors (..., D)."""
     al = np.asarray(alpha, dtype=float)
-    if al.shape != (space.dimension,):
+    if al.ndim == 0 or al.shape[-1] != space.dimension:
         raise InvalidInputError(
             f"alpha has dimension {al.shape}, space expects {space.dimension}"
         )
     if np.any(al < -_BOUNDS_TOL) or np.any(al > 1.0 + _BOUNDS_TOL):
-        bad = int(np.argmax(np.maximum(-al, al - 1.0)))
-        raise OutOfHullError(f"alpha[{bad}] = {al[bad]} outside [0, 1]")
+        bad = np.unravel_index(np.argmax(np.maximum(-al, al - 1.0)), al.shape)
+        where = ", ".join(str(int(i)) for i in bad)
+        raise OutOfHullError(f"alpha[{where}] = {al[bad]} outside [0, 1]")
     al = np.clip(al, 0.0, 1.0)
     return (1.0 - al) * space.theta_lower + al * space.theta_upper
 

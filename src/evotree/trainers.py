@@ -145,14 +145,43 @@ def proportional_policy(kp: float, kd: float, std: float) -> LinearGaussianPolic
     return LinearGaussianPolicy(weights=w, log_std=np.full(2, np.log(std)))
 
 
-def point_mass_step(pos, vel, action, gain, damping, mass, limit):
-    """One explicit-Euler step of the point mass; returns (position', velocity').
+def point_mass_step(state, action, gain, damping, mass, limits, delta):
+    """One explicit-Euler step of point masses, in place on state.
 
-    position' = position + velocity * dt
+    state is (4, n) with rows vx, vy, x, y and one column per episode; gain,
+    damping and mass are (2, n) rows (or broadcast to them). action (2, n) is
+    clipped in place to limits = (-limit, limit), and delta (4, n) is scratch.
+
     velocity' = velocity + dt * (gain * clipped_action - damping * velocity) / mass
+    position' = position + velocity * dt
     """
-    a = np.minimum(np.maximum(action, -limit), limit)  # np.clip, minus its overhead
-    return pos + vel * DT, vel + DT * (gain * a - damping * vel) / mass
+    vel, dvel, dpos = state[:2], delta[:2], delta[2:]
+    np.minimum(np.maximum(action, limits[0], out=action), limits[1], out=action)
+    np.multiply(gain, action, out=dpos)
+    np.multiply(damping, vel, out=dvel)
+    np.subtract(dpos, dvel, out=dvel)
+    np.multiply(DT, dvel, out=dvel)
+    np.divide(dvel, mass, out=dvel)
+    np.multiply(vel, DT, out=dpos)
+    state += delta
+
+
+def _smallest_square_reaching(r: float) -> float:
+    """Smallest double x with sqrt(x) >= r.
+
+    sqrt is correctly rounded and monotone, so for every double x,
+    sqrt(x) < r exactly when x < this value.
+    """
+    x = r * r
+    while math.sqrt(x) < r:
+        x = math.nextafter(x, math.inf)
+    while math.sqrt(math.nextafter(x, 0.0)) >= r:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+# the goal test without a square root; 0.01 here, one ulp below 0.1 * 0.1
+GOAL_R2 = _smallest_square_reaching(GOAL_RADIUS)
 
 
 MAX_GRAD_NORM = 25.0
@@ -245,67 +274,87 @@ class ToyMdpTrainer:
     def theta_at(self, alpha) -> np.ndarray:
         """(k, 5) toy parameters in TOY_PARAM_ROLES order, one row per point."""
         points = np.atleast_2d(np.asarray(alpha, dtype=float))
-        return np.array([denormalize(a, self.space) for a in points])[:, self._role_cols]
+        return denormalize(points, self.space)[:, self._role_cols]
 
     def _simulate(
         self, policy: LinearGaussianPolicy, alpha, episodes: int, seed, record=False
     ) -> tuple[np.ndarray, Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-        """Vectorized rollouts truncated at first goal contact.
+        """Vectorized rollouts that score each episode at its first goal contact.
 
         alpha is one point (D,) or k points (k, D). Every point runs the same
         `episodes` seeded draws (common random numbers); episode e of point j
         sits at index j * episodes + e. Returns (success, history); history
         is None unless record is set, else (features[T,n,4], actions[T,n,2],
         steps) with steps[i] the number of live steps episode i contributes.
+
+        All per-episode data are columns: one (6, n) buffer holds the rows
+        goal-x, goal-y, vx, vy, x, y, so rows 0:4 are the policy features and
+        rows 2:6 the state, and step t's scaled noise is one (2, n) block.
+        An episode keeps integrating after its first hit, since nothing
+        reads it; history is zeroed from step steps[i] on, after the loop.
         """
-        th = np.repeat(self.theta_at(alpha), episodes, axis=0)
-        # (mass, gain_x|gain_y, damping, limit) per-episode columns, copied
-        # contiguous: strided views slow every step down
-        mass, gain, damping, limit = (
-            th[:, i:j].copy() for i, j in ((0, 1), (1, 3), (3, 4), (4, 5))
+        # mass, gain_x|gain_y, damping and limit as (2, n) rows: operands of
+        # one shape, since broadcasting a (1, n) row slows every step down
+        th = np.repeat(
+            self.theta_at(alpha)[:, [0, 0, 1, 2, 3, 3, 4, 4]].T, episodes, axis=1
         )
-        k = len(th) // episodes
+        mass, gain, damping, limit = th[0:2], th[2:4], th[4:6], th[6:8]
+        limits = (-limit, limit)
+        n = th.shape[1]
+        k = n // episodes
         rng = np.random.default_rng(seed)
-        pos = rng.uniform(-self.start_jitter, self.start_jitter, (episodes, 2))
+        start = rng.uniform(-self.start_jitter, self.start_jitter, (episodes, 2))
         goal = np.asarray(self.goal_center) + rng.uniform(
             -self.goal_jitter, self.goal_jitter, (episodes, 2)
         )
-        noise = np.tile(rng.standard_normal((HORIZON, episodes, 2)), (1, k, 1))
-        pos, goal = np.tile(pos, (k, 1)), np.tile(goal, (k, 1))
-        n = len(th)
-        vel = np.zeros((n, 2))
-        feats = np.empty((n, 4))
-        w_t = policy.weights.T
-        std = np.exp(policy.log_std)
+        noise = rng.standard_normal((HORIZON, episodes, 2))
+        scaled_noise = np.tile(
+            (np.exp(policy.log_std) * noise).transpose(0, 2, 1), (1, 1, k)
+        )
+        goal = np.tile(goal.T, (1, k))
+        buf = np.zeros((6, n))
+        to_goal, feats, state, pos = buf[0:2], buf[0:4], buf[2:6], buf[4:6]
+        pos[...] = np.tile(start.T, (1, k))
+        np.subtract(goal, pos, out=to_goal)
+        act = np.empty((2, n))
+        delta = np.empty((4, n))
+        sq = np.empty((2, n))
+        d2 = np.empty(n)
+        hit = np.empty(n, dtype=bool)
         success = np.zeros(n, dtype=bool)
-        live = np.ones((n, 1), dtype=bool)
+        # squared goal radius per episode, 0 once it has hit: d2 < 0 never
+        # holds, so a hit test against it finds first hits only
+        reach = np.full(n, GOAL_R2)
         if record:
             steps = np.full(n, HORIZON)
             feats_hist = np.zeros((HORIZON, n, 4))
             acts_hist = np.zeros((HORIZON, n, 2))
         for t in range(HORIZON):
-            np.subtract(goal, pos, out=feats[:, :2])
-            feats[:, 2:] = vel
-            act = feats @ w_t + std * noise[t]
+            np.matmul(policy.weights, feats, out=act)
+            act += scaled_noise[t]
             if record:
-                np.copyto(feats_hist[t], feats, where=live)
-                np.copyto(acts_hist[t], act, where=live)
-            new_pos, new_vel = point_mass_step(pos, vel, act, gain, damping, mass, limit)
-            np.copyto(pos, new_pos, where=live)
-            np.copyto(vel, new_vel, where=live)
-            d = pos - goal
-            # the same arithmetic as np.linalg.norm(d, axis=1)
-            hit = live[:, 0] & (np.sqrt(np.add.reduce(d * d, axis=1)) < GOAL_RADIUS)
+                feats_hist[t] = feats.T
+                acts_hist[t] = act.T
+            point_mass_step(state, act, gain, damping, mass, limits, delta)
+            np.subtract(goal, pos, out=to_goal)
+            np.multiply(to_goal, to_goal, out=sq)
+            np.add(sq[0], sq[1], out=d2)
+            np.less(d2, reach, out=hit)
             if np.count_nonzero(hit):
                 success |= hit
+                reach[hit] = 0.0
                 if record:
                     steps[hit] = t + 1
                 if success.all():
                     break
-                live = ~success[:, None]
-        if not np.all(np.isfinite(pos)):
+        if not np.all(np.isfinite(pos[:, ~success])):
             raise SimulationError("rollout produced non-finite positions")
-        return success, (feats_hist, acts_hist, steps) if record else None
+        if not record:
+            return success, None
+        dead = np.arange(HORIZON)[:, None] >= steps
+        feats_hist[dead] = 0.0
+        acts_hist[dead] = 0.0
+        return success, (feats_hist, acts_hist, steps)
 
     # -- trainer contract ---------------------------------------------------
 

@@ -64,6 +64,8 @@ class TransferConfig:
             raise InvalidInputError("bad iteration budget")
         if self.eval_episodes < 1:
             raise InvalidInputError("eval_episodes must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
 
     @property
     def target_gate(self) -> float:

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from evotree import cli
 from evotree.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -72,6 +78,47 @@ class TestPlan:
     def test_too_few_robots(self, tmp_path):
         code = run("plan", "--robots", PLANAR[0], "--out", str(tmp_path))
         assert code == 2
+
+
+CONFIG_KEYS = sorted(
+    [f"trainer.{k}" for k in cli._TRAINER_KEYS]
+    + [f"transfer.{k}" for k in cli._TRANSFER_KEYS]
+)
+CONFIG_VALUES = [
+    "nan", "inf", "-inf", "0", "-1", "-0.5", "1e400", "junk", "0x10",
+    "0.5", "1", "2", "3",
+]
+
+
+class TestExitCodeContract:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.dictionaries(
+            st.sampled_from(CONFIG_KEYS),
+            st.sampled_from(CONFIG_VALUES),
+            min_size=1,
+            max_size=3,
+        ),
+        command=st.sampled_from(["transfer", "compare"]),
+    )
+    @example(values={"transfer.seed": "-1"}, command="transfer")
+    def test_config_values_keep_exit_contract(self, values, command):
+        # 0 = success, 2 = invalid input, 3 = budget exhausted; any other
+        # outcome (an exception escaping main) fails the test
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.write("".join(f"{k} = {v}\n" for k, v in values.items()))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(
+                    [command, "--robots", *PLANAR[:3], "--trainer", "cost",
+                     "--config", cfg, "--out", tmp]
+                )
+        assert code in (0, 2, 3), (code, err.getvalue())
+        if code != 0:
+            assert err.getvalue().startswith("error: ")
 
 
 class TestTransfer:
@@ -177,6 +224,10 @@ class TestTransfer:
             ("toymdp", "trainer.expert_std = -1"),
             ("toymdp", "trainer.expert_std = 0"),
             ("cost", "trainer.expert_std = nan"),
+            # settings the chosen trainer does not read are checked too
+            ("cost", "trainer.learning_rate = nan"),
+            ("cost", "trainer.batch_size = 0"),
+            ("toymdp", "trainer.cost_episodes = 0"),
         ],
     )
     def test_bad_trainer_setting(self, tmp_path, capsys, trainer, line):
@@ -196,10 +247,8 @@ class TestTransfer:
         )
         assert code == 2
         assert not (tmp_path / "report.json").exists()
-        # the message names the setting (the cost trainer's own field name)
-        name = line.split(" = ")[0].split(".")[1]
-        name = {"cost_episodes": "sim_episodes_per_step"}.get(name, name)
-        assert name in capsys.readouterr().err
+        # the message names the config key as written
+        assert line.split(" = ")[0] in capsys.readouterr().err
 
     def test_preset_applies(self, tmp_path):
         code = run(

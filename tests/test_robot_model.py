@@ -6,6 +6,7 @@ import pytest
 from evotree import robot_model as rm
 from evotree.errors import (
     CorrespondenceConflictError,
+    InvalidInputError,
     OutOfHullError,
     SpecValidationError,
 )
@@ -197,6 +198,18 @@ class TestNormalize:
             rm.normalize(np.array([2.0, 0.0, 2.0]), space)
         with pytest.raises(OutOfHullError):
             rm.denormalize(np.array([0.5, 1.5, 0.0]), space)
+
+    def test_batch_equals_rows(self, space):
+        rng = np.random.default_rng(7)
+        batch = rng.random((6, 3))
+        batch[2, 1] = 1.0
+        rows = np.array([rm.denormalize(a, space) for a in batch])
+        assert np.array_equal(rm.denormalize(batch, space), rows)
+        batch[4, 2] = -0.5
+        with pytest.raises(OutOfHullError, match=r"alpha\[4, 2\] = -0.5 outside"):
+            rm.denormalize(batch, space)
+        with pytest.raises(InvalidInputError):
+            rm.denormalize(batch[:, :2], space)
 
 
 class TestInstantiate:

@@ -57,11 +57,21 @@ class TestCostModel:
 
 
 def step(pos, vel, action, theta):
-    """One point_mass_step on a single 2-D state with THETA-style parameters."""
-    gain = np.array([theta["gain_x"], theta["gain_y"]])
-    return tr.point_mass_step(
-        pos, vel, action, gain, theta["damping"], theta["mass"], theta["limit"]
+    """One point_mass_step on a single 2-D state with THETA-style parameters;
+    returns (position', velocity')."""
+    state = np.concatenate([vel, pos])[:, None]
+    gain = np.array([[theta["gain_x"]], [theta["gain_y"]]])
+    limits = (-theta["limit"], theta["limit"])
+    tr.point_mass_step(
+        state,
+        np.array(action, dtype=float)[:, None],
+        gain,
+        theta["damping"],
+        theta["mass"],
+        limits,
+        np.empty((4, 1)),
     )
+    return state[2:, 0], state[:2, 0]
 
 
 def one_episode(trainer, policy, alpha, seed):
@@ -395,6 +405,84 @@ class TestBatchedProbe:
         assert est.sim_episodes == (samples + 1) * t.probe_episodes
         expected = per_probe_gradient(t, alpha, pol, cfg, [seed, 3])
         assert np.array_equal(est.gradient, expected)
+
+
+def masked_copy_kernel(trainer, policy, alpha, episodes, seed):
+    """Reference rollouts: the (n, 2) state kernel that freezes each episode
+    at its first hit with np.copyto(where=live) and tests the goal by a
+    square root. Returns (success, features, actions, steps)."""
+    th = np.repeat(trainer.theta_at(alpha), episodes, axis=0)
+    mass, gain, damping, limit = (
+        th[:, i:j].copy() for i, j in ((0, 1), (1, 3), (3, 4), (4, 5))
+    )
+    k = len(th) // episodes
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(-trainer.start_jitter, trainer.start_jitter, (episodes, 2))
+    goal = np.asarray(trainer.goal_center) + rng.uniform(
+        -trainer.goal_jitter, trainer.goal_jitter, (episodes, 2)
+    )
+    noise = np.tile(rng.standard_normal((tr.HORIZON, episodes, 2)), (1, k, 1))
+    pos, goal = np.tile(pos, (k, 1)), np.tile(goal, (k, 1))
+    n = len(th)
+    vel = np.zeros((n, 2))
+    std = np.exp(policy.log_std)
+    success = np.zeros(n, dtype=bool)
+    live = np.ones((n, 1), dtype=bool)
+    steps = np.full(n, tr.HORIZON)
+    feats_hist = np.zeros((tr.HORIZON, n, 4))
+    acts_hist = np.zeros((tr.HORIZON, n, 2))
+    for t in range(tr.HORIZON):
+        feats = np.concatenate([goal - pos, vel], axis=1)
+        act = feats @ policy.weights.T + std * noise[t]
+        np.copyto(feats_hist[t], feats, where=live)
+        np.copyto(acts_hist[t], act, where=live)
+        a = np.minimum(np.maximum(act, -limit), limit)
+        new_pos = pos + vel * tr.DT
+        new_vel = vel + tr.DT * (gain * a - damping * vel) / mass
+        np.copyto(pos, new_pos, where=live)
+        np.copyto(vel, new_vel, where=live)
+        d = pos - goal
+        hit = live[:, 0] & (np.linalg.norm(d, axis=1) < tr.GOAL_RADIUS)
+        if hit.any():
+            success |= hit
+            steps[hit] = t + 1
+            if success.all():
+                break
+            live = ~success[:, None]
+    return success, feats_hist, acts_hist, steps
+
+
+class TestKernelEqualsMaskedCopy:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        episodes=st.integers(1, 90),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([0.0, 0.3, 3.0, 300.0]),
+        face_share=st.sampled_from([0.0, 0.3, 1.0]),
+        one_point=st.booleans(),
+    )
+    def test_bit_equal(self, k, episodes, seed, spread, face_share, one_point):
+        # spread 300 saturates the actions at the limit on nearly every step
+        t = make_trainer()
+        rng = np.random.default_rng(seed)
+        pol = random_policy(rng, spread)
+        pts = box_points(rng, k, 5, face_share)
+        alpha = pts[0] if one_point else pts
+        success, feats, acts, steps = masked_copy_kernel(t, pol, alpha, episodes, seed)
+        plain, history = t._simulate(pol, alpha, episodes, seed)
+        assert history is None
+        assert np.array_equal(plain, success)
+        rec, (f, a, s) = t._simulate(pol, alpha, episodes, seed, record=True)
+        assert np.array_equal(rec, success)
+        assert np.array_equal(s, steps)
+        assert np.array_equal(f, feats)
+        assert np.array_equal(a, acts)
+
+    def test_goal_r2_is_the_exact_square_root_threshold(self):
+        r2 = tr.GOAL_R2
+        assert math.sqrt(r2) >= tr.GOAL_RADIUS > math.sqrt(math.nextafter(r2, 0.0))
+        assert r2 < tr.GOAL_RADIUS * tr.GOAL_RADIUS
 
 
 class TestPolicyValidation:
