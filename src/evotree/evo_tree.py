@@ -1,10 +1,14 @@
 """Meta-robot selection and target partitioning from the evolution Steiner tree.
 
-Greedy re-planning: build the p-Steiner tree over {current point} union
+evolution_tree builds the p-Steiner tree over {current point} union
 targets. When the current point has a single tree neighbor, that neighbor
 is the next meta point and all targets stay grouped; when it has several
 (it sits on a split vertex), the current point itself is the meta point and
 the targets partition by the subtree hanging off each neighbor.
+
+An exact L2 tree is solved once and walked: each group carries the edge it
+walks next, and follow_edge answers from that tree while the point stays on
+the edge. A point off the edge, or a heuristic tree, takes a new solve.
 
 Under the L1 norm the first meta point ahead of the current point has a
 closed form: the elementwise clamp of the current point to the bounding box
@@ -15,6 +19,7 @@ phase and falls back to the full tree solve at splits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +30,9 @@ from .geometry import Tree, lp_distance, steiner_tree
 # at the current point itself.
 SPLIT_TOL = 1e-6
 _COINCIDE_TOL = 1e-9
+# The edge a target group walks next: (tree, tail, head), from vertex tail
+# toward vertex head of an exact L2 tree.
+Edge = tuple[Tree, int, int]
 
 
 @dataclass(frozen=True)
@@ -32,6 +40,7 @@ class EvolutionTreeResult:
     beta_meta: np.ndarray
     partition: tuple[tuple[int, ...], ...]  # disjoint target-index groups
     tree: Tree
+    edges: tuple[Optional[Edge], ...]  # per group; None: next phase re-solves
 
     @property
     def split(self) -> bool:
@@ -46,17 +55,19 @@ def _nearest_vertex(tree: Tree, point: np.ndarray) -> int | None:
 
 
 def _partition_by_vertex(
-    tree: Tree, meta_vertex: int, targets: np.ndarray
-) -> tuple[tuple[int, ...], ...]:
+    tree: Tree, meta_vertex: int, targets: np.ndarray, exclude: int | None = None
+) -> tuple[tuple[tuple[int, ...], int | None], ...]:
+    """Sorted (group, neighbor) pairs: the targets behind each neighbor but
+    `exclude`, then each target on meta_vertex alone, with neighbor None."""
     target_vertex = []
     for t in targets:
         v = _nearest_vertex(tree, np.asarray(t, dtype=float))
         if v is None:
             raise InvalidInputError("target is not a vertex of the tree")
         target_vertex.append(v)
-    groups: list[tuple[int, ...]] = []
+    groups: list[tuple[tuple[int, ...], Optional[int]]] = []
     taken: set[int] = set()
-    for nb in tree.neighbors(meta_vertex):
+    for nb in [u for u in tree.neighbors(meta_vertex) if u != exclude]:
         seen = {meta_vertex, nb}
         stack = [nb]
         while stack:
@@ -73,15 +84,15 @@ def _partition_by_vertex(
         )
         if found:
             taken.update(found)
-            groups.append(found)
+            groups.append((found, nb))
     # targets sitting exactly on the meta vertex form singleton groups
     for i, tv in enumerate(target_vertex):
         if i not in taken and tv == meta_vertex:
-            groups.append((i,))
+            groups.append(((i,), None))
             taken.add(i)
     if len(taken) != len(targets):
         raise InvalidInputError("partition failed to cover every target")
-    return tuple(sorted(groups))
+    return tuple(sorted(groups, key=lambda g: g[0]))
 
 
 def partition_targets(tree: Tree, meta) -> tuple[tuple[int, ...], ...]:
@@ -95,7 +106,7 @@ def partition_targets(tree: Tree, meta) -> tuple[tuple[int, ...], ...]:
     if meta_vertex is None:
         raise InvalidInputError("meta point is not a vertex of the tree")
     targets = tree.vertices[list(tree.terminal_ids[1:])]
-    return _partition_by_vertex(tree, meta_vertex, targets)
+    return tuple(g for g, _ in _partition_by_vertex(tree, meta_vertex, targets))
 
 
 def clamp_meta(alpha, targets) -> np.ndarray:
@@ -135,39 +146,62 @@ def evolution_tree(alpha, targets, p, mode: str = "auto") -> EvolutionTreeResult
         if trunk_len > _COINCIDE_TOL:
             sub = steiner_tree(np.vstack([cm[None, :], tg]), 1, mode)
             if trunk_len + sub.length <= tree.length + 1e-9:
-                return EvolutionTreeResult(
-                    beta_meta=cm,
-                    partition=(tuple(range(len(tg))),),
-                    tree=tree,
-                )
+                return EvolutionTreeResult(cm, (tuple(range(len(tg))),), tree, (None,))
+    return _meta_at(tree, _nearest_vertex(tree, al), None, al, tg)
 
-    alpha_vertex = _nearest_vertex(tree, al)
-    neighbors = tree.neighbors(alpha_vertex)
 
-    if len(neighbors) == 0:
-        # every target coincides with alpha
-        return EvolutionTreeResult(
-            beta_meta=al.copy(),
-            partition=tuple((i,) for i in range(len(tg))),
-            tree=tree,
-        )
+def follow_edge(edge: Edge, alpha, targets) -> Optional[EvolutionTreeResult]:
+    """evolution_tree's answer read off a held tree, or None off its edge.
 
-    if len(neighbors) == 1:
-        nb = neighbors[0]
-        nb_point = tree.vertices[nb]
-        is_terminal = nb in tree.terminal_ids
-        if not is_terminal and lp_distance(al, nb_point, p) <= SPLIT_TOL:
-            # a Steiner vertex sits on the current point: split here
+    `edge` = (tree, tail, head) comes from an earlier result, with the
+    targets ahead of it. Every branch cut off an optimal Steiner tree at a
+    vertex is optimal for its own terminals (Gilbert and Pollak, 1968), so
+    while the point lies on the segment tail -> head, head stays the meta
+    point, and at head the branches ahead give the next edge or the split.
+    """
+    tree, tail, head = edge
+    al = np.asarray(alpha, dtype=float)
+    start, end = tree.vertices[tail], tree.vertices[head]
+    if lp_distance(al, end, 2) <= _COINCIDE_TOL:
+        return _meta_at(tree, head, tail, al, np.asarray(targets, dtype=float))
+    along = end - start
+    t = float(np.dot(al - start, along) / np.dot(along, along))
+    if not 0.0 <= t <= 1.0 or lp_distance(al, start + t * along, 2) > _COINCIDE_TOL:
+        return None
+    return EvolutionTreeResult(end.copy(), (tuple(range(len(targets))),), tree, (edge,))
+
+
+def _meta_at(
+    tree: Tree, vertex: int, came_from: int | None, al: np.ndarray, tg: np.ndarray
+) -> EvolutionTreeResult:
+    """Meta point and partition for the point al at `vertex`, facing away
+    from `came_from`.
+
+    With one neighbor ahead, that neighbor is the meta point and all targets
+    stay grouped; with several, al itself is the meta point and the targets
+    partition by the subtree behind each. Groups get the edge they walk next
+    only on exact L2 trees: L1 optimal trees tie, and a heuristic tree's
+    branches need not be optimal.
+    """
+    walk = tree.exact and tree.norm == 2
+    ahead = [nb for nb in tree.neighbors(vertex) if nb != came_from]
+    if len(ahead) == 1:
+        nb, groups = ahead[0], ()
+        tip = tree.vertices[nb]
+        if nb not in tree.terminal_ids and lp_distance(al, tip, tree.norm) <= SPLIT_TOL:
+            # a Steiner vertex sits on the current point: split there
             groups = _partition_by_vertex(tree, nb, tg)
-            if len(groups) > 1:
-                return EvolutionTreeResult(
-                    beta_meta=al.copy(), partition=groups, tree=tree
-                )
-        return EvolutionTreeResult(
-            beta_meta=nb_point.copy(),
-            partition=(tuple(range(len(tg))),),
-            tree=tree,
-        )
-
-    groups = _partition_by_vertex(tree, alpha_vertex, tg)
-    return EvolutionTreeResult(beta_meta=al.copy(), partition=groups, tree=tree)
+        if len(groups) < 2:
+            edge = (tree, vertex, nb) if walk else None
+            return EvolutionTreeResult(
+                tip.copy(), (tuple(range(len(tg))),), tree, (edge,)
+            )
+        vertex = nb
+    elif ahead:
+        groups = _partition_by_vertex(tree, vertex, tg, exclude=came_from)
+    else:  # every target coincides with al
+        groups = tuple(((i,), None) for i in range(len(tg)))
+    edges = tuple(
+        (tree, vertex, nb) if walk and nb is not None else None for _, nb in groups
+    )
+    return EvolutionTreeResult(al.copy(), tuple(g for g, _ in groups), tree, edges)

@@ -18,8 +18,9 @@ Steiner solvers:
   reduction is inserted until no improvement remains.
 * L2 exact: enumeration of all full topologies (N <= 6) with convex
   coordinate optimization of the Steiner points, all topologies solved
-  together as one batch of linear systems, then an exact Fermat-point
-  polish so the 120-degree meeting condition holds to high precision.
+  together as one batch of linear systems (three terminals: their Fermat
+  point), then an exact Fermat-point polish so the 120-degree meeting
+  condition holds to high precision.
 * L2 heuristic: same enumeration for N <= 6; for larger N a greedy pass that
   replaces sharp tree corners (< 120 degrees) with local Fermat points,
   followed by the same polish.
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -101,7 +102,7 @@ class Tree:
 
     vertices holds terminals first (in input order) followed by any Steiner
     points. edges are index pairs (i < j). length is the total Lp edge
-    length under `norm`.
+    length under `norm`. exact: `steiner_tree` solved it without heuristics.
     """
 
     vertices: np.ndarray
@@ -109,6 +110,7 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
     norm: int
     length: float
+    exact: bool = False
 
     @property
     def steiner_ids(self) -> tuple[int, ...]:
@@ -140,20 +142,19 @@ def tree_length(t: Tree) -> float:
     return total
 
 
-def _canonical_edges(vertices: np.ndarray, edges: Iterable[tuple[int, int]]):
-    norm_edges = tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
-    key = tuple(
+def _tree_key(t: Tree):
+    """Coordinate key of a tree's edge set, for tie-breaks between equal lengths."""
+    return tuple(
         sorted(
-            tuple(sorted((tuple(vertices[i]), tuple(vertices[j]))))
-            for i, j in norm_edges
+            tuple(sorted((tuple(t.vertices[i]), tuple(t.vertices[j]))))
+            for i, j in t.edges
         )
     )
-    return norm_edges, key
 
 
 def _make_tree(vertices: np.ndarray, terminal_ids, edges, p: int) -> Tree:
     vertices = np.asarray(vertices, dtype=float)
-    norm_edges, _ = _canonical_edges(vertices, edges)
+    norm_edges = tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
     length = sum(
         lp_distance(vertices[i], vertices[j], p) for i, j in norm_edges
     )
@@ -241,12 +242,6 @@ def minimum_spanning_tree(terminals, p) -> Tree:
     dist = _pairwise(pts, p)
     edges = _mst_edges(dist)
     return _make_tree(pts, range(len(pts)), edges, p)
-
-
-def _mst_length(points: np.ndarray, p: int) -> float:
-    dist = _pairwise(points, p)
-    edges = _mst_edges(dist)
-    return float(sum(dist[i, j] for i, j in edges))
 
 
 # ---------------------------------------------------------------------------
@@ -669,23 +664,28 @@ def _irls_topologies(
 def _steiner_l2_enumerate(terminals: np.ndarray) -> Tree:
     n = len(terminals)
     mst = minimum_spanning_tree(terminals, 2)
-    best, best_key = mst, _canonical_edges(mst.vertices, mst.edges)[1]
+    best, best_key = mst, _tree_key(mst)
     # cheap convex solve on every topology, exact polish on the leaders only
     topologies = _full_topologies(n)
-    fulls, lengths = _irls_topologies(terminals, topologies)
+    if n == 3:
+        # one topology, and the polish's first sweep overwrites any start
+        fulls, lengths = [np.vstack([terminals, _fermat3(*terminals)])], [0.0]
+    else:
+        fulls, lengths = _irls_topologies(terminals, topologies)
     scored = [
         (float(length), topo, full)
         for length, topo, full in zip(lengths, topologies, fulls)
     ]
     scored.sort(key=lambda t: t[0])
-    cutoff = scored[0][0] + 1e-4 if scored else 0.0
+    # IRLS may stop 1e-3 long on the optimal topology; walked trees need it
+    cutoff = scored[0][0] + 1e-2 if scored else 0.0
     leaders = [s for s in scored[:8] if s[0] <= cutoff] or scored[:1]
     for _, topo, full in leaders:
         full = _fermat_polish(full, topo, n)
         tree = _finalize_steiner(full, terminals, list(range(n)), list(topo), 2)
         if tree is None:
             continue
-        key = _canonical_edges(tree.vertices, tree.edges)[1]
+        key = _tree_key(tree)
         if tree.length < best.length - 1e-12 or (
             abs(tree.length - best.length) <= 1e-12 and key < best_key
         ):
@@ -903,31 +903,29 @@ def steiner_tree(terminals, p, mode: str = "auto") -> Tree:
     mode selects the solver: "exact-small" enumerates within a budget and is
     limited to N <= 6 terminals; "heuristic" always runs the bounded
     heuristics; "auto" uses the exact solver when it fits the budget and
-    falls back to the heuristic.
+    falls back to the heuristic; `exact` tells which ran (L2 always
+    enumerates up to 6 terminals).
     """
     p = _check_norm(p)
     if mode not in ("exact-small", "heuristic", "auto"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     pts = _as_points(terminals, "terminals")
     n = len(pts)
-    if n == 1:
-        return _make_tree(pts, [0], [], p)
-    if n == 2:
-        return _make_tree(pts, [0, 1], [(0, 1)], p)
+    if n <= 2:
+        return replace(_make_tree(pts, range(n), [(0, 1)][: n - 1], p), exact=True)
     if mode == "exact-small" and n > _L2_EXACT_MAX_TERMINALS:
         raise BudgetExceededError(
             f"exact-small mode supports at most {_L2_EXACT_MAX_TERMINALS} terminals, got {n}"
         )
 
     if p == 1:
-        if mode == "exact-small":
-            return _steiner_l1_exact(pts)
-        if mode == "auto" and n <= _L2_EXACT_MAX_TERMINALS:
+        if mode == "exact-small" or (mode == "auto" and n <= _L2_EXACT_MAX_TERMINALS):
             try:
-                return _steiner_l1_exact(pts)
+                return replace(_steiner_l1_exact(pts), exact=True)
             except BudgetExceededError:
-                pass
+                if mode == "exact-small":
+                    raise
         return _steiner_l1_insertion(pts)
     if mode == "exact-small" or n <= _L2_EXACT_MAX_TERMINALS:
-        return _steiner_l2_enumerate(pts)
+        return replace(_steiner_l2_enumerate(pts), exact=True)
     return _steiner_l2_greedy(pts)

@@ -298,6 +298,11 @@ class ToyMdpTrainer:
         th = np.repeat(
             self.theta_at(alpha)[:, [0, 0, 1, 2, 3, 3, 4, 4]].T, episodes, axis=1
         )
+        out = th.shape[1]
+        if out == 1:
+            # a one-column matmul takes another BLAS path than a wider one:
+            # run a lone episode twice so its bits match its row in a batch
+            th = np.repeat(th, 2, axis=1)
         mass, gain, damping, limit = th[0:2], th[2:4], th[4:6], th[6:8]
         limits = (-limit, limit)
         n = th.shape[1]
@@ -350,11 +355,11 @@ class ToyMdpTrainer:
         if not np.all(np.isfinite(pos[:, ~success])):
             raise SimulationError("rollout produced non-finite positions")
         if not record:
-            return success, None
+            return success[:out], None
         dead = np.arange(HORIZON)[:, None] >= steps
         feats_hist[dead] = 0.0
         acts_hist[dead] = 0.0
-        return success, (feats_hist, acts_hist, steps)
+        return success[:out], (feats_hist[:, :out], acts_hist[:, :out], steps[:out])
 
     # -- trainer contract ---------------------------------------------------
 

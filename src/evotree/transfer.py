@@ -3,10 +3,12 @@
 The engine walks the current point through evolution space in steps of
 p-norm length xi, retraining the policy each phase until it clears the
 success gate on the phase's end robot. The meta point is re-derived every
-phase (elementwise clamp under L1, full tree solve under L2); reaching a
-split point forks the recursion with independent policy copies and RNG
-streams per subtree. Trunk phases are recorded once and shared by every
-report whose path runs through them.
+phase: under L1 by the elementwise clamp, under L2 from the held edge of
+an exact tree while the point stays on it (a new solve when a gradient step
+leaves the edge, and every phase of a heuristic tree). Reaching a split
+point forks the recursion with independent policy copies and RNG streams
+per subtree, each walking its own branch. Trunk phases are recorded once
+and shared by every report whose path runs through them.
 
 Baselines: independent per-target walks (no sharing), and a single shared
 meta robot at the geometric median of {source} union targets.
@@ -22,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateDirectionError, InvalidInputError, PhaseFailureError
-from .evo_tree import clamp_meta, evolution_tree
+from .evo_tree import Edge, clamp_meta, evolution_tree, follow_edge
 from .geometry import geometric_median, lp_distance
 from .trainers import Trainer
 
@@ -318,18 +320,23 @@ class _Engine:
 
     # -- planning ----------------------------------------------------------
 
-    def plan(self, alpha: np.ndarray, indices: list[int]):
-        """(beta_meta, partition of `indices`) for the current point."""
+    def plan(self, alpha: np.ndarray, indices: list[int], edge: Optional[Edge]):
+        """(beta_meta, [(group of `indices`, edge it walks next)]) for alpha.
+
+        While alpha stays on the held `edge`, its tree answers unsolved.
+        """
         tg = self.targets[indices]
         if len(indices) == 1:
-            return self.targets[indices[0]].copy(), [indices]
+            return self.targets[indices[0]].copy(), [(indices, None)]
         if self.cfg.p_norm == 1:
             beta = clamp_meta(alpha, tg)
             if lp_distance(alpha, beta, 1) > ARRIVAL_TOL:
-                return beta, [indices]
-        res = evolution_tree(alpha, tg, self.cfg.p_norm)
-        partition = [[indices[i] for i in group] for group in res.partition]
-        return res.beta_meta, partition
+                return beta, [(indices, None)]
+        res = (edge and follow_edge(edge, alpha, tg)) or evolution_tree(
+            alpha, tg, self.cfg.p_norm
+        )
+        groups = [[indices[i] for i in group] for group in res.partition]
+        return res.beta_meta, list(zip(groups, res.edges))
 
     # -- phases ------------------------------------------------------------
 
@@ -425,6 +432,7 @@ class _Engine:
         stream: tuple[int, ...],
         prefix: list[PhaseRecord],
         plan_fn: Optional[Callable] = None,
+        edge: Optional[Edge] = None,
     ) -> None:
         alpha = alpha.copy()
         local_index = 0
@@ -439,14 +447,14 @@ class _Engine:
             indices = live
             if not indices:
                 return
-            beta, partition = plan(alpha, indices)
+            beta, partition = plan(alpha, indices, edge)
             if lp_distance(alpha, beta, self.cfg.p_norm) <= ARRIVAL_TOL:
                 if len(partition) <= 1:
                     raise PhaseFailureError(
                         "planner stalled: split point with a single group"
                     )
-                # split point: fork one subtree per partition group
-                for k, group in enumerate(partition):
+                # split point: fork one subtree per group, on its own branch
+                for k, (group, branch) in enumerate(partition):
                     child_policy = copy.deepcopy(policy)
                     self.transfer(
                         alpha,
@@ -455,8 +463,10 @@ class _Engine:
                         stream + (k,),
                         list(prefix),
                         plan_fn,
+                        branch,
                     )
                 return
+            edge = partition[0][1]
             nxt, grad_episodes = self.step_toward(
                 alpha, beta, policy, stream, local_index
             )
@@ -520,6 +530,11 @@ def meta_evolve(
     return _sorted_reports(engine, len(tg))
 
 
+def _plan_to(target: np.ndarray) -> Callable:
+    """Planner whose meta point is always `target`."""
+    return lambda alpha, indices, edge: (target.copy(), [(indices, None)])
+
+
 def herd_baseline(
     source, targets, expert_policy, trainer: Trainer, cfg: TransferConfig
 ) -> list[TransferReport]:
@@ -527,11 +542,8 @@ def herd_baseline(
     src, tg = _prepare(source, targets)
     engine = _Engine(tg, trainer, cfg)
     for i in range(len(tg)):
-        def plan_single(alpha, indices, _i=i):
-            return tg[_i].copy(), [indices]
-
         engine.transfer(
-            src, copy.deepcopy(expert_policy), [i], (i,), [], plan_fn=plan_single
+            src, copy.deepcopy(expert_policy), [i], (i,), [], plan_fn=_plan_to(tg[i])
         )
     return _sorted_reports(engine, len(tg))
 
@@ -565,15 +577,12 @@ def geom_median_baseline(
             engine.emit(i, trunk_prefix, "budget-exhausted", copy.deepcopy(policy))
         return _sorted_reports(engine, len(tg))
     for i in range(len(tg)):
-        def plan_single(a, indices, _i=i):
-            return tg[_i].copy(), [indices]
-
         engine.transfer(
             alpha,
             copy.deepcopy(policy),
             [i],
             (i + 1,),
             list(trunk_prefix),
-            plan_fn=plan_single,
+            plan_fn=_plan_to(tg[i]),
         )
     return _sorted_reports(engine, len(tg))

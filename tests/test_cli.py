@@ -121,6 +121,105 @@ class TestExitCodeContract:
             assert err.getvalue().startswith("error: ")
 
 
+def load_fixture(kind):
+    out = []
+    for path in PLANAR if kind == "planar" else TOY:
+        with open(path) as fh:
+            out.append(json.load(fh))
+    return out
+
+
+SPEC_MUTATIONS = [
+    "nan", "inf", "negative", "junk", "null", "unit", "drop_param",
+    "extra_param", "bad_parent", "self_parent", "second_root", "add_joint",
+    "bad_joint_kind", "inverted_joint", "malformed_joint", "duplicate_body",
+    "bad_correspondence", "unknown_correspondence", "same_as_source",
+]
+
+
+def mutate(specs, kind, robot, pick):
+    """Apply one named mutation to robot `robot` of a spec list, in place."""
+    spec = specs[robot]
+    key = sorted(spec["params"])[pick % len(spec["params"])] if spec["params"] else None
+    body = spec["bodies"][pick % len(spec["bodies"])]
+    values = {"nan": float("nan"), "inf": float("inf"), "negative": -1.0,
+              "junk": "junk", "null": None}
+    joints = {
+        "add_joint": {"name": "j", "kind": "revolute", "range": [-1.0, 1.0]},
+        "bad_joint_kind": {"name": "j", "kind": "warp", "range": [0.0, 1.0]},
+        "inverted_joint": {"name": "j", "kind": "revolute", "range": [1.0, -1.0]},
+        "malformed_joint": {"kind": "revolute"},
+    }
+    if kind in values and key:
+        spec["params"][key]["value"] = values[kind]
+    elif kind == "unit" and key:
+        spec["params"][key]["unit"] = "furlong"
+    elif kind == "drop_param" and key:
+        del spec["params"][key]
+    elif kind == "extra_param":
+        spec["params"]["body.extra.size"] = {"value": 0.5, "unit": "m"}
+    elif kind == "bad_parent":
+        body["parent"] = "nowhere"
+    elif kind == "self_parent":
+        body["parent"] = body["id"]
+    elif kind == "second_root":
+        body["parent"] = None
+    elif kind in joints:
+        body.setdefault("joints", []).append(dict(joints[kind]))
+    elif kind == "duplicate_body":
+        spec["bodies"].append(json.loads(json.dumps(body)))
+    elif kind == "bad_correspondence":
+        spec["correspondence"] = {body["id"]: 7}
+    elif kind == "unknown_correspondence":
+        spec["correspondence"] = {"nowhere": "x"}
+    elif kind == "same_as_source":
+        specs[max(robot, 1)] = dict(json.loads(json.dumps(specs[0])), name="twin")
+
+
+class TestSpecExitCodeContract:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fixture=st.sampled_from(["planar", "toy"]),
+        mutations=st.lists(
+            st.tuples(
+                st.sampled_from(SPEC_MUTATIONS), st.integers(0, 3), st.integers(0, 7)
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        norm=st.sampled_from(["l1", "l2"]),
+        command=st.sampled_from(["plan", "transfer"]),
+    )
+    @example(fixture="toy", mutations=[("drop_param", 2, 0)], norm="l2", command="transfer")
+    @example(fixture="planar", mutations=[("same_as_source", 1, 0)], norm="l2", command="transfer")
+    def test_mutated_specs_keep_exit_contract(self, fixture, mutations, norm, command):
+        # the toy set runs the toymdp trainer (which needs its five
+        # parameters), on a coarse, short schedule; exit 3 is allowed
+        specs = load_fixture(fixture)
+        for kind, robot, pick in mutations:
+            mutate(specs, kind, robot, pick)
+        with tempfile.TemporaryDirectory() as tmp:
+            robots = []
+            for i, spec in enumerate(specs):
+                robots.append(os.path.join(tmp, f"robot{i}.json"))
+                with open(robots[-1], "w") as fh:
+                    json.dump(spec, fh)
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.write("transfer.xi = 0.25\ntransfer.max_phase_iterations = 3\n")
+            argv = [command, "--robots", *robots, "--norm", norm, "--out", tmp]
+            if command == "transfer":
+                trainer = "toymdp" if fixture == "toy" else "cost"
+                argv += ["--trainer", trainer, "--config", cfg]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3), (code, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+
+
 class TestTransfer:
     def test_cost_transfer_totals(self, tmp_path, fast_config):
         code = run(

@@ -376,6 +376,37 @@ class TestSteinerL2:
             assert float(length) == ref_len
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        point_sets(
+            st.just(3),
+            st.integers(2, 8),
+            ["general", "coincident", "collinear", "equal", "obtuse"],
+        )
+    )
+    def test_three_terminals_closed_form_equals_irls_path(self, pts):
+        # the former 3-terminal path: IRLS start, polish, finalize, then the
+        # spanning tree tie-break
+        topo = geo._full_topologies(3)[0]
+        fulls, _ = geo._irls_topologies(pts, [topo])
+        full = geo._fermat_polish(fulls[0], topo, 3)
+        best = geo.minimum_spanning_tree(pts, 2)
+        tree = geo._finalize_steiner(full, pts, [0, 1, 2], list(topo), 2)
+        if tree is not None and (
+            tree.length < best.length - 1e-12
+            or (
+                abs(tree.length - best.length) <= 1e-12
+                and geo._tree_key(tree) < geo._tree_key(best)
+            )
+        ):
+            best = tree
+        got = geo._steiner_l2_enumerate(pts)
+        assert np.array_equal(got.vertices, best.vertices)
+        assert got.terminal_ids == best.terminal_ids
+        assert got.edges == best.edges
+        assert got.length == best.length
+
+
 class TestSteinerProperties:
     @pytest.mark.parametrize("p", [1, 2])
     def test_bounds_and_structure(self, p):

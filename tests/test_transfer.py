@@ -3,9 +3,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
+from evotree import evo_tree
 from evotree import transfer as tx
+from evotree.evo_tree import evolution_tree
 from evotree.errors import DegenerateDirectionError, InvalidInputError
 from evotree.trainers import (
     CostModelTrainer,
@@ -466,3 +470,140 @@ class TestDeterminism:
         for ra, rb in zip(a, b):
             assert ra.phases == rb.phases
             assert ra.outcome == rb.outcome
+
+
+@dataclass(frozen=True)
+class SlopedCostTrainer(CostModelTrainer):
+    """Cost trainer whose probes read a linear reward, so every gradient
+    step pulls the point off the tree edge it was walking. The slope is
+    small against the attraction at a distance of xi (>= 0.05), so walks
+    still converge."""
+
+    slope: tuple = (0.018, -0.012, 0.008, 0.006, -0.004, 0.014)
+
+    def gradient_probe(self, policy, alphas, seed):
+        pts = np.asarray(alphas)
+        return ProbeResult(pts @ np.asarray(self.slope[: pts.shape[1]]), 0)
+
+
+def resolve_every_phase(engine):
+    """The planner before trees were walked: a fresh evolution_tree solve on
+    every multi-target phase (L2)."""
+
+    def plan(alpha, indices, edge):
+        if len(indices) == 1:
+            return engine.targets[indices[0]].copy(), [(indices, None)]
+        res = evolution_tree(alpha, engine.targets[indices], 2)
+        return res.beta_meta, [([indices[i] for i in g], None) for g in res.partition]
+
+    return plan
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = evo_tree.steiner_tree
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(evo_tree, "steiner_tree", counted)
+    return calls
+
+
+def run_meta(src, tgts, trainer, cfg, plan_fn=None):
+    src, tg = tx._prepare(src, tgts)
+    engine = tx._Engine(tg, trainer, cfg)
+    engine.transfer(src, object(), list(range(len(tg))), (), [], plan_fn and plan_fn(engine))
+    return tx._sorted_reports(engine, len(tg))
+
+
+def segment_counts(reports):
+    """{segment: (phase count, targets whose path runs through it)}"""
+    phases, members = {}, {}
+    for rep in reports:
+        for ph in rep.phases:
+            phases.setdefault(ph.segment, set()).add(ph.phase_id)
+            members.setdefault(ph.segment, set()).add(rep.target_index)
+    return {seg: (len(phases[seg]), members[seg]) for seg in phases}
+
+
+class TestTreeWalk:
+    L2_CFG = tx.TransferConfig(xi=0.05, p_norm=2, gradient_samples=0)
+
+    def test_one_solve_for_one_to_four(self, monkeypatch):
+        src = (0.1, 0.2, 0.1)
+        tgts = [(0.9, 0.8, 0.7), (0.8, 0.95, 0.3), (0.2, 0.9, 0.9), (0.95, 0.3, 0.9)]
+        calls = count_solves(monkeypatch)
+        reports = tx.meta_evolve(src, tgts, object(), CostModelTrainer(), self.L2_CFG)
+        assert len(calls) == 1
+        assert all(r.outcome == "success" for r in reports)
+        # three splits, two of them with a group of two or three walking on
+        segments = segment_counts(reports)
+        assert len(segments) == 7
+        resolved = run_meta(src, tgts, CostModelTrainer(), self.L2_CFG, resolve_every_phase)
+        assert segments == segment_counts(resolved)
+        # that planner solves on each multi-target phase and at each split
+        assert len(calls) - 1 == (16 + 7 + 5) + 3
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 5),
+        d=st.integers(2, 6),
+        xi=st.sampled_from([0.05, 0.1, 0.2]),
+        probes=st.booleans(),
+    )
+    def test_walk_equals_resolving_every_phase(self, seed, n, d, xi, probes):
+        rng = np.random.default_rng(seed)
+        src, tgts = rng.random(d), rng.random((n, d))
+        cfg = replace(self.L2_CFG, xi=xi, gradient_samples=(d + 1) * probes)
+        trainer = SlopedCostTrainer()
+        with pytest.MonkeyPatch.context() as mp:
+            walked_solves = count_solves(mp)
+            walked = run_meta(src, tgts, trainer, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            resolved_solves = count_solves(mp)
+            resolved = run_meta(src, tgts, trainer, cfg, resolve_every_phase)
+        assert segment_counts(walked) == segment_counts(resolved)
+        assert tx.aggregate_totals(walked) == tx.aggregate_totals(resolved)
+        for a, b in zip(walked, resolved):
+            assert a.outcome == b.outcome
+            assert [(p.segment, p.phase_index) for p in a.phases] == [
+                (p.segment, p.phase_index) for p in b.phases
+            ]
+            for p, q in zip(a.phases, b.phases):
+                assert np.allclose(p.alpha_from, q.alpha_from, rtol=0, atol=1e-9)
+                assert np.allclose(p.alpha_to, q.alpha_to, rtol=0, atol=1e-9)
+        assert len(walked_solves) <= len(resolved_solves)
+        if not probes and n > 1:
+            assert len(walked_solves) == 1
+
+    def test_gradient_step_off_the_edge_resolves(self, monkeypatch):
+        src = np.array([0.1, 0.2, 0.1])
+        tgts = np.array([(0.9, 0.8, 0.7), (0.8, 0.95, 0.3), (0.2, 0.9, 0.9)])
+        cfg = replace(self.L2_CFG, gradient_samples=4)
+        engine = tx._Engine(tgts, SlopedCostTrainer(), cfg)
+        group = [0, 1, 2]
+        beta, [(_, edge)] = engine.plan(src, group, None)
+        assert edge is not None and np.array_equal(edge[0].vertices[edge[2]], beta)
+        calls = count_solves(monkeypatch)
+        # a pure attraction step stays on the edge: the held tree answers
+        along = src + cfg.xi * (beta - src) / np.linalg.norm(beta - src)
+        beta_along, [(_, edge_along)] = engine.plan(along, group, edge)
+        assert not calls and edge_along == edge and np.array_equal(beta_along, beta)
+        # a gradient step leaves it: the next plan is a fresh solve
+        off, _ = engine.step_toward(src, beta, object(), (), 0)
+        assert np.linalg.norm(np.cross(off - src, beta - src)) > 1e-6
+        beta_off, partition = engine.plan(off, group, edge)
+        assert len(calls) == 1
+        fresh = evolution_tree(off, tgts, 2)
+        assert np.array_equal(beta_off, fresh.beta_meta)
+        assert partition[0][1][0] is not edge[0]
+
+    def test_heuristic_tree_is_not_walked(self):
+        rng = np.random.default_rng(4)
+        res = evolution_tree(rng.random(3), rng.random((6, 3)), 2)
+        assert not res.tree.exact and res.edges == (None,) * len(res.partition)
+        small = evolution_tree(rng.random(3), rng.random((5, 3)), 2)
+        assert small.tree.exact and all(e is not None for e in small.edges)
