@@ -65,7 +65,7 @@ def _partition_by_vertex(
         if v is None:
             raise InvalidInputError("target is not a vertex of the tree")
         target_vertex.append(v)
-    groups: list[tuple[tuple[int, ...], Optional[int]]] = []
+    groups: list[tuple[tuple[int, ...], int | None]] = []
     taken: set[int] = set()
     for nb in [u for u in tree.neighbors(meta_vertex) if u != exclude]:
         seen = {meta_vertex, nb}

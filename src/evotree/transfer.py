@@ -323,7 +323,7 @@ class _Engine:
     def plan(self, alpha: np.ndarray, indices: list[int], edge: Optional[Edge]):
         """(beta_meta, [(group of `indices`, edge it walks next)]) for alpha.
 
-        While alpha stays on the held `edge`, its tree answers unsolved.
+        While alpha stays on the held `edge`, its tree answers without a new solve.
         """
         tg = self.targets[indices]
         if len(indices) == 1:
