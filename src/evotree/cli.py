@@ -432,7 +432,9 @@ def _check_expert(problem: Problem, trainer, expert, cfg) -> None:
         )
 
 
-def cmd_transfer(args) -> int:
+def _transfer_setup(args):
+    """(problem, transfer config, trainer, expert) of a transfer or compare
+    command, once the expert has passed its check on the source robot."""
     problem = load_problem(args.robots)
     file_values = parse_config_file(args.config) if args.config else {}
     cfg = build_transfer_config(args.preset, file_values, args.norm, args.seed)
@@ -440,6 +442,11 @@ def cmd_transfer(args) -> int:
     trainer = make_trainer(args.trainer, problem, settings)
     expert = make_expert(settings)
     _check_expert(problem, trainer, expert, cfg)
+    return problem, cfg, trainer, expert
+
+
+def cmd_transfer(args) -> int:
+    problem, cfg, trainer, expert = _transfer_setup(args)
     reports = _run_method("meta", problem, trainer, expert, cfg)
     payload = report_payload("meta", reports, cfg, problem, args.trainer)
     write_json(os.path.join(args.out, "report.json"), payload)
@@ -469,13 +476,7 @@ def cmd_compare(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}")
-    problem = load_problem(args.robots)
-    file_values = parse_config_file(args.config) if args.config else {}
-    cfg = build_transfer_config(args.preset, file_values, args.norm, args.seed)
-    settings = trainer_settings(file_values)
-    trainer = make_trainer(args.trainer, problem, settings)
-    expert = make_expert(settings)
-    _check_expert(problem, trainer, expert, cfg)
+    problem, cfg, trainer, expert = _transfer_setup(args)
     totals = {}
     failed = False
     for method in methods:

@@ -167,6 +167,14 @@ def _make_tree(vertices: np.ndarray, terminal_ids, edges, p: int) -> Tree:
     )
 
 
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def validate_tree(t: Tree, rtol: float = 1e-9) -> None:
     """Raise InvalidInputError when a tree violates its structural contract."""
     n = len(t.vertices)
@@ -179,18 +187,12 @@ def validate_tree(t: Tree, rtol: float = 1e-9) -> None:
     # connectivity via union-find
     parent = list(range(n))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for i, j in t.edges:
-        ri, rj = find(i), find(j)
+        ri, rj = _find(parent, i), _find(parent, j)
         if ri == rj:
             raise InvalidInputError("tree contains a cycle")
         parent[ri] = rj
-    if n > 1 and len({find(i) for i in range(n)}) != 1:
+    if n > 1 and len({_find(parent, i) for i in range(n)}) != 1:
         raise InvalidInputError("tree is not connected")
     expected = tree_length(t)
     if abs(expected - t.length) > rtol * max(1.0, abs(expected)):
@@ -456,15 +458,9 @@ def _restrict_mst(dist: np.ndarray, edges: list[tuple[int, int]]):
     n = dist.shape[0]
     parent = list(range(n))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     out = []
     for i, j in sorted(set(edges), key=lambda e: (dist[e[0], e[1]], e)):
-        ri, rj = find(i), find(j)
+        ri, rj = _find(parent, i), _find(parent, j)
         if ri != rj:
             parent[ri] = rj
             out.append((i, j))
@@ -485,16 +481,10 @@ def _incremental_mst_length(
     candidate_edges.sort()
     parent = list(range(n + 1))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     total = 0.0
     picked = 0
     for w, i, j in candidate_edges:
-        ri, rj = find(i), find(j)
+        ri, rj = _find(parent, i), _find(parent, j)
         if ri != rj:
             parent[ri] = rj
             total += w
@@ -783,16 +773,10 @@ def _finalize_steiner(
     n_vert = len(vertices)
     parent = list(range(n_vert))
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     terminal_set = set(int(t) for t in terminal_ids)
 
     def union(a, b):
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra == rb:
             return
         # keep terminal representatives so merges fold into terminals
@@ -815,18 +799,18 @@ def _finalize_steiner(
 
     contracted = {}
     for i in range(n_vert):
-        contracted.setdefault(find(i), len(contracted))
+        contracted.setdefault(_find(parent, i), len(contracted))
     new_edges = set()
     for i, j in edges:
-        a, b = contracted[find(i)], contracted[find(j)]
+        a, b = contracted[_find(parent, i)], contracted[_find(parent, j)]
         if a != b:
             new_edges.add((min(a, b), max(a, b)))
     coords = np.zeros((len(contracted), vertices.shape[1]))
-    for old, root in ((i, find(i)) for i in range(n_vert)):
+    for old, root in ((i, _find(parent, i)) for i in range(n_vert)):
         coords[contracted[root]] = vertices[root]
     new_terminal = {}
     for t in terminal_ids:
-        new_terminal[contracted[find(int(t))]] = True
+        new_terminal[contracted[_find(parent, int(t))]] = True
 
     # splice non-terminal vertices of degree <= 2
     changed = True
@@ -867,7 +851,7 @@ def _finalize_steiner(
     term_order = []
     seen = set()
     for t in terminal_ids:
-        ci = contracted[find(int(t))]
+        ci = contracted[_find(parent, int(t))]
         if ci in remap and ci not in seen:
             term_order.append(remap[ci])
             seen.add(ci)

@@ -108,10 +108,6 @@ class EvolutionSpace:
     def dimension(self) -> int:
         return len(self.parameter_keys)
 
-    @property
-    def zero_width(self) -> np.ndarray:
-        return self.theta_upper - self.theta_lower <= 0.0
-
 
 # ---------------------------------------------------------------------------
 # Spec validation and file loading

@@ -1,17 +1,22 @@
 """One-to-many policy transfer along evolution trees.
 
-The engine walks the current point through evolution space in steps of
-p-norm length xi, retraining the policy each phase until it clears the
-success gate on the phase's end robot. The meta point is re-derived every
-phase: under L1 by the elementwise clamp, under L2 from the held edge of
-an exact tree while the point stays on it (a new solve when a gradient step
-leaves the edge, and every phase of a heuristic tree). Reaching a split
-point forks the recursion with independent policy copies and RNG streams
-per subtree, each walking its own branch. Trunk phases are recorded once
-and shared by every report whose path runs through them.
+The engine walks a point through evolution space in steps of p-norm length
+xi, retraining the policy each phase until it clears the success gate on the
+phase's end robot. The meta point is re-derived every phase: under L1 by the
+elementwise clamp, under L2 from the held edge of an exact tree while the
+point stays on it (a new solve when a gradient step leaves the edge, and
+every phase of a heuristic tree).
 
-Baselines: independent per-target walks (no sharing), and a single shared
-meta robot at the geometric median of {source} union targets.
+Every walk is a stream on one LIFO work list: its point, policy, live
+targets, held edge and the phases behind it. A stream runs phases until its
+targets are done, or until it stands on its meta point; there it splits into
+one child stream per group, each with its own policy copy and RNG streams.
+Children run depth-first, so phase ids follow (segment, phase_index) order.
+Trunk phases are recorded once and shared by every report through them.
+
+The baselines run on the same walk: herd as one stream per target (no
+sharing), geom-median as one trunk to the geometric median of {source} union
+targets that then splits into one stream per target.
 """
 
 from __future__ import annotations
@@ -119,17 +124,8 @@ class TransferReport:
 
 def aggregate_totals(reports: Sequence[TransferReport]) -> tuple[int, int]:
     """Totals across reports with shared (trunk) phases counted once."""
-    seen: set[int] = set()
-    train = 0
-    sim = 0
-    for rep in reports:
-        for ph in rep.phases:
-            if ph.phase_id in seen:
-                continue
-            seen.add(ph.phase_id)
-            train += ph.train_iterations
-            sim += ph.sim_episodes
-    return train, sim
+    phases = {ph.phase_id: ph for rep in reports for ph in rep.phases}.values()
+    return sum(p.train_iterations for p in phases), sum(p.sim_episodes for p in phases)
 
 
 @dataclass(frozen=True)
@@ -306,6 +302,28 @@ def phase_train(
 # Engine
 # ---------------------------------------------------------------------------
 
+# runs whose phase guard would allow this many phases are refused up front
+MAX_PHASE_GUARD = 10**7
+
+
+@dataclass
+class _Stream:
+    """One walk on the engine's work list: where it stands, the targets still
+    ahead of it and the phases behind it (shared with its parent's paths)."""
+
+    segment: tuple[int, ...]
+    alpha: np.ndarray
+    policy: object
+    indices: list[int]
+    prefix: list[PhaseRecord]
+    edge: Optional[Edge] = None  # tree edge the stream walks, if any
+    phase_index: int = 0
+
+    def fork(self, segment: tuple[int, ...], indices, edge=None) -> _Stream:
+        """A stream starting where this one stands, on its own policy copy."""
+        policy, prefix = copy.deepcopy(self.policy), list(self.prefix)
+        return _Stream(segment, self.alpha, policy, list(indices), prefix, edge)
+
 
 class _Engine:
     def __init__(self, targets: np.ndarray, trainer: Trainer, cfg: TransferConfig):
@@ -316,7 +334,13 @@ class _Engine:
         self.reports: dict[int, TransferReport] = {}
         # generous global guard against re-planning livelock
         total_span = float(len(targets) + 1) * targets.shape[1]
-        self.max_phases = int(4 * total_span / cfg.xi) + 256
+        guard = 4 * total_span / cfg.xi
+        if not guard < MAX_PHASE_GUARD:
+            raise InvalidInputError(
+                f"xi = {cfg.xi!r} is too small: the phase guard would allow "
+                f"{guard:.3g} phases, limit {MAX_PHASE_GUARD:.0e}"
+            )
+        self.max_phases = int(guard) + 256
 
     # -- planning ----------------------------------------------------------
 
@@ -340,160 +364,110 @@ class _Engine:
 
     # -- phases ------------------------------------------------------------
 
-    def step_toward(
-        self,
-        alpha: np.ndarray,
-        beta: np.ndarray,
-        policy,
-        stream: tuple[int, ...],
-        local_index: int,
-    ) -> tuple[np.ndarray, int]:
-        """Next phase endpoint toward beta, plus gradient-probe episode cost."""
-        if lp_distance(alpha, beta, self.cfg.p_norm) < self.cfg.xi:
+    def step_toward(self, s: _Stream, beta: np.ndarray) -> tuple[np.ndarray, int]:
+        """Next phase endpoint from s toward beta, plus gradient-probe episode cost."""
+        if lp_distance(s.alpha, beta, self.cfg.p_norm) < self.cfg.xi:
             return beta.copy(), 0
-        grad = np.zeros(len(alpha))
-        grad_episodes = 0
+        est = GradientEstimate(np.zeros(len(s.alpha)), 0)
         if self.cfg.gradient_samples > 0:
             est = estimate_reward_gradient(
-                self.trainer,
-                alpha,
-                policy,
-                self.cfg,
-                seed_material=[*stream, local_index],
+                self.trainer, s.alpha, s.policy, self.cfg, [*s.segment, s.phase_index]
             )
-            grad = est.gradient
-            grad_episodes = est.sim_episodes
         try:
-            step = evolution_step(alpha, beta, grad, self.cfg)
+            step = evolution_step(s.alpha, beta, est.gradient, self.cfg)
         except DegenerateDirectionError:
-            step = evolution_step(alpha, beta, np.zeros(len(alpha)), self.cfg)
-        return alpha + step, grad_episodes
+            step = evolution_step(s.alpha, beta, np.zeros(len(s.alpha)), self.cfg)
+        return s.alpha + step, est.sim_episodes
 
-    def run_phase(
-        self,
-        alpha: np.ndarray,
-        nxt: np.ndarray,
-        policy,
-        stream: tuple[int, ...],
-        local_index: int,
-        prefix: list[PhaseRecord],
-        gate: Optional[float],
-        extra_episodes: int = 0,
-    ) -> tuple[np.ndarray, object, bool]:
-        if self.phase_counter >= self.max_phases:
-            raise PhaseFailureError("phase budget guard tripped (re-plan livelock?)")
-        phase_id = self.phase_counter
-        self.phase_counter += 1
-        policy, iters, episodes, success, reached = phase_train(
-            self.trainer,
-            alpha,
-            nxt,
-            policy,
-            self.cfg,
-            gate=gate,
-            seed_material=[*stream, local_index],
-            extra_episodes=extra_episodes,
-        )
-        record = PhaseRecord(
-            phase_id=phase_id,
-            segment=stream,
-            phase_index=local_index,
-            alpha_from=tuple(float(x) for x in alpha),
-            alpha_to=tuple(float(x) for x in nxt),
-            train_iterations=iters,
-            sim_episodes=episodes,
-            final_success_rate=success,
-            reached=reached,
-        )
-        prefix.append(record)
-        return nxt, policy, reached
+    def walk(self, s: _Stream, plan: Callable) -> Optional[list]:
+        """Run s's phases until its targets are done (None) or it stands on
+        its meta point (the planner's partition there)."""
+        p = self.cfg.p_norm
+        while True:
+            arrived = [
+                i for i in s.indices
+                if lp_distance(s.alpha, self.targets[i], p) <= ARRIVAL_TOL
+            ]
+            self.emit(s, arrived, "success")
+            s.indices = [i for i in s.indices if i not in arrived]
+            if not s.indices:
+                return None
+            beta, partition = plan(s.alpha, s.indices, s.edge)
+            if lp_distance(s.alpha, beta, p) <= ARRIVAL_TOL:
+                return partition
+            s.edge = partition[0][1]
+            nxt, grad_episodes = self.step_toward(s, beta)
+            # a phase ending on a target robot trains to the arrival gate
+            arriving = any(
+                lp_distance(nxt, self.targets[i], p) <= ARRIVAL_TOL for i in s.indices
+            )
+            if self.phase_counter >= self.max_phases:
+                raise PhaseFailureError(
+                    "phase budget guard tripped (re-plan livelock?)"
+                )
+            phase_id = self.phase_counter
+            self.phase_counter += 1
+            s.policy, iters, episodes, success, reached = phase_train(
+                self.trainer,
+                s.alpha,
+                nxt,
+                s.policy,
+                self.cfg,
+                gate=self.cfg.target_gate if arriving else None,
+                seed_material=[*s.segment, s.phase_index],
+                extra_episodes=grad_episodes,
+            )
+            s.prefix.append(
+                PhaseRecord(
+                    phase_id=phase_id,
+                    segment=s.segment,
+                    phase_index=s.phase_index,
+                    alpha_from=tuple(float(x) for x in s.alpha),
+                    alpha_to=tuple(float(x) for x in nxt),
+                    train_iterations=iters,
+                    sim_episodes=episodes,
+                    final_success_rate=success,
+                    reached=reached,
+                )
+            )
+            s.alpha = nxt
+            s.phase_index += 1
+            if not reached:
+                self.emit(s, s.indices, "budget-exhausted")
+                return None
+
+    def run(self, streams: list[_Stream]) -> list[TransferReport]:
+        """Walk the streams depth-first on the engine's own planner; a stream
+        on its meta point splits into one child per group, child 0 first.
+        Returns every target's report, in target order."""
+        work = streams[::-1]
+        while work:
+            s = work.pop()
+            partition = self.walk(s, self.plan)
+            if partition is None:
+                continue
+            if len(partition) <= 1:
+                raise PhaseFailureError(
+                    "planner stalled: split point with a single group"
+                )
+            for k, (group, branch) in reversed(list(enumerate(partition))):
+                work.append(s.fork(s.segment + (k,), group, branch))
+        return [self.reports[i] for i in range(len(self.targets))]
 
     # -- reporting ---------------------------------------------------------
 
-    def emit(self, index: int, prefix: list[PhaseRecord], outcome: str, policy):
-        phases = tuple(prefix)
-        self.reports[index] = TransferReport(
-            target_index=index,
-            target=tuple(float(x) for x in self.targets[index]),
-            phases=phases,
-            outcome=outcome,
-            train_iterations=sum(p.train_iterations for p in phases),
-            sim_episodes=sum(p.sim_episodes for p in phases),
-            policy=policy,
-        )
-
-    # -- recursion ---------------------------------------------------------
-
-    def transfer(
-        self,
-        alpha: np.ndarray,
-        policy,
-        indices: list[int],
-        stream: tuple[int, ...],
-        prefix: list[PhaseRecord],
-        plan_fn: Optional[Callable] = None,
-        edge: Optional[Edge] = None,
-    ) -> None:
-        alpha = alpha.copy()
-        local_index = 0
-        plan = plan_fn or self.plan
-        while True:
-            live = []
-            for i in indices:
-                if lp_distance(alpha, self.targets[i], self.cfg.p_norm) <= ARRIVAL_TOL:
-                    self.emit(i, prefix, "success", copy.deepcopy(policy))
-                else:
-                    live.append(i)
-            indices = live
-            if not indices:
-                return
-            beta, partition = plan(alpha, indices, edge)
-            if lp_distance(alpha, beta, self.cfg.p_norm) <= ARRIVAL_TOL:
-                if len(partition) <= 1:
-                    raise PhaseFailureError(
-                        "planner stalled: split point with a single group"
-                    )
-                # split point: fork one subtree per group, on its own branch
-                for k, (group, branch) in enumerate(partition):
-                    child_policy = copy.deepcopy(policy)
-                    self.transfer(
-                        alpha,
-                        child_policy,
-                        list(group),
-                        stream + (k,),
-                        list(prefix),
-                        plan_fn,
-                        branch,
-                    )
-                return
-            edge = partition[0][1]
-            nxt, grad_episodes = self.step_toward(
-                alpha, beta, policy, stream, local_index
+    def emit(self, s: _Stream, indices: list[int], outcome: str):
+        for i in indices:
+            phases = tuple(s.prefix)
+            self.reports[i] = TransferReport(
+                target_index=i,
+                target=tuple(float(x) for x in self.targets[i]),
+                phases=phases,
+                outcome=outcome,
+                train_iterations=sum(p.train_iterations for p in phases),
+                sim_episodes=sum(p.sim_episodes for p in phases),
+                policy=copy.deepcopy(s.policy),
             )
-            # a phase ending on a target robot trains to the arrival gate
-            gate = None
-            for i in indices:
-                if (
-                    lp_distance(nxt, self.targets[i], self.cfg.p_norm)
-                    <= ARRIVAL_TOL
-                ):
-                    gate = self.cfg.target_gate
-                    break
-            alpha, policy, reached = self.run_phase(
-                alpha,
-                nxt,
-                policy,
-                stream,
-                local_index,
-                prefix,
-                gate,
-                extra_episodes=grad_episodes,
-            )
-            local_index += 1
-            if not reached:
-                for i in indices:
-                    self.emit(i, prefix, "budget-exhausted", copy.deepcopy(policy))
-                return
 
 
 def _as_alpha(point, name: str) -> np.ndarray:
@@ -505,7 +479,9 @@ def _as_alpha(point, name: str) -> np.ndarray:
     return np.clip(arr, 0.0, 1.0)
 
 
-def _prepare(source, targets) -> tuple[np.ndarray, np.ndarray]:
+def _start(source, targets, expert_policy, trainer, cfg) -> tuple[_Engine, _Stream]:
+    """An engine over the targets, and a stream of all of them standing on the
+    source with the expert policy (not a copy: walks fork from it)."""
     src = _as_alpha(source, "source")
     tg = np.asarray(targets, dtype=float)
     if tg.ndim == 1:
@@ -513,76 +489,37 @@ def _prepare(source, targets) -> tuple[np.ndarray, np.ndarray]:
     if tg.shape[0] < 1 or tg.shape[1] != len(src):
         raise InvalidInputError("targets must be non-empty and match source dimension")
     tg = np.vstack([_as_alpha(t, "target") for t in tg])
-    return src, tg
-
-
-def _sorted_reports(engine: _Engine, n: int) -> list[TransferReport]:
-    return [engine.reports[i] for i in range(n)]
+    engine = _Engine(tg, trainer, cfg)
+    return engine, _Stream((), src, expert_policy, list(range(len(tg))), [])
 
 
 def meta_evolve(
     source, targets, expert_policy, trainer: Trainer, cfg: TransferConfig
 ) -> list[TransferReport]:
-    """Recursive one-to-many transfer along the evolution tree (path sharing)."""
-    src, tg = _prepare(source, targets)
-    engine = _Engine(tg, trainer, cfg)
-    engine.transfer(src, copy.deepcopy(expert_policy), list(range(len(tg))), (), [])
-    return _sorted_reports(engine, len(tg))
-
-
-def _plan_to(target: np.ndarray) -> Callable:
-    """Planner whose meta point is always `target`."""
-    return lambda alpha, indices, edge: (target.copy(), [(indices, None)])
+    """One-to-many transfer along the evolution tree (path sharing)."""
+    engine, start = _start(source, targets, expert_policy, trainer, cfg)
+    return engine.run([start.fork((), start.indices)])
 
 
 def herd_baseline(
     source, targets, expert_policy, trainer: Trainer, cfg: TransferConfig
 ) -> list[TransferReport]:
     """Independent one-to-one transfers: the meta point is always the target."""
-    src, tg = _prepare(source, targets)
-    engine = _Engine(tg, trainer, cfg)
-    for i in range(len(tg)):
-        engine.transfer(
-            src, copy.deepcopy(expert_policy), [i], (i,), [], plan_fn=_plan_to(tg[i])
-        )
-    return _sorted_reports(engine, len(tg))
+    engine, start = _start(source, targets, expert_policy, trainer, cfg)
+    return engine.run([start.fork((i,), [i]) for i in start.indices])
 
 
 def geom_median_baseline(
     source, targets, expert_policy, trainer: Trainer, cfg: TransferConfig
 ) -> list[TransferReport]:
     """One shared meta robot at the geometric median of {source} union targets."""
-    src, tg = _prepare(source, targets)
-    engine = _Engine(tg, trainer, cfg)
-    median = geometric_median(np.vstack([src[None, :], tg]), cfg.p_norm)
-    median = np.clip(median, 0.0, 1.0)
-
-    trunk_prefix: list[PhaseRecord] = []
-    policy = copy.deepcopy(expert_policy)
-    alpha = src.copy()
-    trunk_ok = True
-    local = 0
-    while lp_distance(alpha, median, cfg.p_norm) > ARRIVAL_TOL:
-        nxt, grad_episodes = engine.step_toward(alpha, median, policy, (), local)
-        alpha, policy, reached = engine.run_phase(
-            alpha, nxt, policy, (), local, trunk_prefix, None,
-            extra_episodes=grad_episodes,
-        )
-        local += 1
-        if not reached:
-            trunk_ok = False
-            break
-    if not trunk_ok:
-        for i in range(len(tg)):
-            engine.emit(i, trunk_prefix, "budget-exhausted", copy.deepcopy(policy))
-        return _sorted_reports(engine, len(tg))
-    for i in range(len(tg)):
-        engine.transfer(
-            alpha,
-            copy.deepcopy(policy),
-            [i],
-            (i + 1,),
-            list(trunk_prefix),
-            plan_fn=_plan_to(tg[i]),
-        )
-    return _sorted_reports(engine, len(tg))
+    engine, start = _start(source, targets, expert_policy, trainer, cfg)
+    points = np.vstack([start.alpha[None, :], engine.targets])
+    median = np.clip(geometric_median(points, cfg.p_norm), 0.0, 1.0)
+    # the trunk walks to the median on a fixed meta point, then splits into singletons
+    trunk = start.fork((), start.indices)
+    on_median = engine.walk(
+        trunk, lambda alpha, indices, edge: (median, [(indices, None)])
+    )
+    singles = trunk.indices if on_median else []
+    return engine.run([trunk.fork((i + 1,), [i]) for i in singles])

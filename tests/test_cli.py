@@ -102,6 +102,8 @@ class TestExitCodeContract:
         command=st.sampled_from(["transfer", "compare"]),
     )
     @example(values={"transfer.seed": "-1"}, command="transfer")
+    @example(values={"transfer.xi": "5e-324"}, command="transfer")
+    @example(values={"transfer.xi": "1e-300"}, command="transfer")
     def test_config_values_keep_exit_contract(self, values, command):
         # 0 = success, 2 = invalid input, 3 = budget exhausted; any other
         # outcome (an exception escaping main) fails the test

@@ -427,20 +427,118 @@ class TestGeomMedianBaseline:
             assert ms <= gs + edges * 0.5
 
 
+    def test_trunk_out_of_budget_exhausts_every_target(self):
+        cfg = replace(COST_CFG, xi=0.05, max_phase_iterations=3)
+        src = (0.5, 0.1)
+        tgts = [(0.1, 0.9), (0.9, 0.9), (0.5, 0.95)]
+        res = tx.geom_median_baseline(src, tgts, object(), RegionTrainer(), cfg)
+        trunk = res[0].phases
+        assert trunk and all(p.segment == () for p in trunk)
+        assert [p.reached for p in trunk] == [True] * (len(trunk) - 1) + [False]
+        assert trunk[-1].alpha_to[1] >= 0.5 > trunk[-1].alpha_from[1]
+        for r in res:
+            assert r.outcome == "budget-exhausted" and r.phases == trunk
+
+    def test_target_at_source_arrives_without_phases(self):
+        cfg = replace(COST_CFG, xi=0.05, p_norm=2)
+        tgts = [(0.0, 0.0), (1.0, 1.0), (1.0, 0.9), (0.9, 1.0)]
+        res = tx.geom_median_baseline((0.0, 0.0), tgts, object(), CostModelTrainer(), cfg)
+        assert res[0].outcome == "success" and res[0].phases == ()
+        trunks = {tuple(p for p in r.phases if p.segment == ()) for r in res[1:]}
+        assert len(trunks) == 1 and len(next(iter(trunks))) > 0
+        assert len(distinct_phases(res)) == 34
+
+    def test_trunk_ending_on_a_target_uses_the_arrival_gate(self):
+        class CountingTrainer(CostModelTrainer):
+            def evaluate(self, policy, alpha, episodes, seed):
+                return EvalResult(success_rate=1.0, sim_episodes=episodes)
+
+        cfg = replace(COST_CFG, xi=0.05)
+        tgts = [(0.5, 0.5), (1.0, 0.6), (0.6, 1.0)]  # the L1 median is target 0
+        res = tx.geom_median_baseline((0.0, 0.0), tgts, object(), CountingTrainer(), cfg)
+        *trunk, last = res[0].phases
+        assert last.segment == () and last.alpha_to == pytest.approx(tgts[0], abs=1e-9)
+        # one train step of 10 episodes, then a triple-size evaluation
+        assert last.sim_episodes == 10 + 3 * cfg.eval_episodes
+        assert all(p.sim_episodes == 10 + cfg.eval_episodes for p in trunk)
+        assert tx.aggregate_totals(res)[1] == 1940
+
+
+@dataclass
+class RegionTrainer:
+    """Stub: every robot with alpha[1] >= 0.5 fails its gate."""
+
+    def evaluate(self, policy, alpha, episodes, seed):
+        ok = 1.0 if np.asarray(alpha)[1] < 0.5 else 0.0
+        return EvalResult(success_rate=ok, sim_episodes=0)
+
+    def train_step(self, policy, alpha, seed):
+        return TrainStepResult(policy, 1, 10)
+
+    def gradient_probe(self, policy, alphas, seed):
+        return ProbeResult(np.zeros(len(alphas)), 0)
+
+
+METHODS = {
+    "meta": tx.meta_evolve,
+    "herd": tx.herd_baseline,
+    "geom-median": tx.geom_median_baseline,
+}
+
+
+def distinct_phases(reports):
+    return list({p.phase_id: p for r in reports for p in r.phases}.values())
+
+
+class TestEngineContract:
+    """Phase numbering and segment labels shared by all three methods."""
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ids_follow_segment_order(self, method, p_norm, n):
+        rng = np.random.default_rng([n, p_norm])
+        src, tgts = rng.random(3), rng.random((n, 3))
+        cfg = replace(COST_CFG, xi=0.05, p_norm=p_norm)
+        reports = METHODS[method](src, tgts, object(), CostModelTrainer(), cfg)
+        phases = distinct_phases(reports)
+        by_id = sorted(phases, key=lambda p: p.phase_id)
+        assert [p.phase_id for p in by_id] == list(range(len(phases)))
+        assert by_id == sorted(phases, key=lambda p: (p.segment, p.phase_index))
+        for r in reports:
+            assert r.outcome == "success"
+            segments = [p.segment for p in r.phases]
+            assert [p.phase_index for p in r.phases if p.segment == segments[-1]] == list(
+                range(segments.count(segments[-1]))
+            )
+            i = r.target_index
+            if method == "herd":
+                assert set(segments) == {(i,)}
+            elif method == "geom-median":
+                trunk = segments.count(())
+                assert segments == [()] * trunk + [(i + 1,)] * (len(segments) - trunk)
+
+    @pytest.mark.parametrize(
+        "method,p_norm,segments",
+        [
+            ("meta", 1, [()]),
+            ("meta", 2, [()]),
+            ("herd", 1, [(0,)]),
+            ("herd", 2, [(0,)]),
+            ("geom-median", 1, [(), (1,)]),
+            # two points: the L2 median is the source, so no trunk
+            ("geom-median", 2, [(1,)]),
+        ],
+    )
+    def test_one_target_labels(self, method, p_norm, segments):
+        cfg = replace(COST_CFG, xi=0.05, p_norm=p_norm)
+        [rep] = METHODS[method]((0.2, 0.8), [(0.8, 0.2)], object(), CostModelTrainer(), cfg)
+        assert rep.outcome == "success"
+        assert list(dict.fromkeys(p.segment for p in rep.phases)) == segments
+
+
 class TestBudgetExhaustion:
     def test_failed_subtree_does_not_poison_siblings(self):
-        @dataclass
-        class RegionTrainer:
-            def evaluate(self, policy, alpha, episodes, seed):
-                ok = 1.0 if np.asarray(alpha)[1] < 0.5 else 0.0
-                return EvalResult(success_rate=ok, sim_episodes=0)
-
-            def train_step(self, policy, alpha, seed):
-                return TrainStepResult(policy, 1, 10)
-
-            def gradient_probe(self, policy, alphas, seed):
-                return ProbeResult(np.zeros(len(alphas)), 0)
-
         cfg = replace(COST_CFG, max_phase_iterations=3)
         src = (0.5, 0.45)
         tgts = [(0.0, 0.45), (1.0, 0.45), (0.5, 0.95)]
@@ -512,10 +610,10 @@ def count_solves(monkeypatch):
 
 
 def run_meta(src, tgts, trainer, cfg, plan_fn=None):
-    src, tg = tx._prepare(src, tgts)
-    engine = tx._Engine(tg, trainer, cfg)
-    engine.transfer(src, object(), list(range(len(tg))), (), [], plan_fn and plan_fn(engine))
-    return tx._sorted_reports(engine, len(tg))
+    engine, start = tx._start(src, tgts, object(), trainer, cfg)
+    if plan_fn:
+        engine.plan = plan_fn(engine)
+    return engine.run([start])
 
 
 def segment_counts(reports):
@@ -593,7 +691,7 @@ class TestTreeWalk:
         beta_along, [(_, edge_along)] = engine.plan(along, group, edge)
         assert not calls and edge_along is edge and np.array_equal(beta_along, beta)
         # a gradient step leaves it: the next plan is a fresh solve
-        off, _ = engine.step_toward(src, beta, object(), (), 0)
+        off, _ = engine.step_toward(tx._Stream((), src, object(), group, []), beta)
         assert np.linalg.norm(np.cross(off - src, beta - src)) > 1e-6
         beta_off, partition = engine.plan(off, group, edge)
         assert len(calls) == 1
