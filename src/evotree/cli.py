@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -79,23 +79,18 @@ def parse_config_file(path: str) -> dict[str, str]:
                         " (use transfer.* or trainer.*)"
                     )
                 out[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
     return out
 
 
+# TransferConfig field -> its config-file and report key
+_ALIAS = {"lambda_": "lambda"}
+_HINTS = get_type_hints(transfer.TransferConfig)
+# transfer.* key -> (TransferConfig field, cast); Optional[float] casts as float
 _TRANSFER_KEYS = {
-    "xi": float,
-    "lambda": float,
-    "p_norm": int,
-    "penalty_norm": int,
-    "success_threshold": float,
-    "final_success_threshold": float,
-    "shrink_ratio": float,
-    "gradient_samples": int,
-    "max_phase_iterations": int,
-    "eval_episodes": int,
-    "seed": int,
+    _ALIAS.get(f.name, f.name): (f.name, int if _HINTS[f.name] is int else float)
+    for f in dataclasses.fields(transfer.TransferConfig)
 }
 
 
@@ -118,9 +113,9 @@ def build_transfer_config(
         name = key.split(".", 1)[1]
         if name not in _TRANSFER_KEYS:
             raise InvalidInputError(f"unknown config key {key!r}")
-        caster = _TRANSFER_KEYS[name]
+        field, cast = _TRANSFER_KEYS[name]
         try:
-            updates[name if name != "lambda" else "lambda_"] = caster(value)
+            updates[field] = cast(value)
         except ValueError as exc:
             raise InvalidInputError(f"bad value for {key!r}: {value!r}") from exc
     if norm is not None:
@@ -176,8 +171,11 @@ def trainer_settings(file_values: dict[str, str]) -> dict:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -293,8 +291,7 @@ def report_payload(
         if all(r.outcome == "success" for r in reports)
         else "budget-exhausted"
     )
-    cfg_dict = dataclasses.asdict(cfg)
-    cfg_dict["lambda"] = cfg_dict.pop("lambda_")
+    cfg_dict = {_ALIAS.get(k, k): v for k, v in dataclasses.asdict(cfg).items()}
     return {
         "schema": SCHEMA_VERSION,
         "method": method,
@@ -416,11 +413,6 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _run_method(method: str, problem: Problem, trainer, expert, cfg):
-    fn = _METHOD_FN[method]
-    return fn(problem.source_alpha, problem.target_alphas, expert, trainer, cfg)
-
-
 def _check_expert(problem: Problem, trainer, expert, cfg) -> None:
     ev = trainer.evaluate(
         expert, problem.source_alpha, cfg.eval_episodes, seed=[cfg.seed, 0xE0]
@@ -447,7 +439,9 @@ def _transfer_setup(args):
 
 def cmd_transfer(args) -> int:
     problem, cfg, trainer, expert = _transfer_setup(args)
-    reports = _run_method("meta", problem, trainer, expert, cfg)
+    reports = transfer.meta_evolve(
+        problem.source_alpha, problem.target_alphas, expert, trainer, cfg
+    )
     payload = report_payload("meta", reports, cfg, problem, args.trainer)
     write_json(os.path.join(args.out, "report.json"), payload)
     dim = problem.space.dimension
@@ -480,7 +474,9 @@ def cmd_compare(args) -> int:
     totals = {}
     failed = False
     for method in methods:
-        reports = _run_method(method, problem, trainer, expert, cfg)
+        reports = _METHOD_FN[method](
+            problem.source_alpha, problem.target_alphas, expert, trainer, cfg
+        )
         train, sim = transfer.aggregate_totals(reports)
         ok = all(r.outcome == "success" for r in reports)
         failed = failed or not ok
@@ -512,6 +508,43 @@ def cmd_compare(args) -> int:
     return EXIT_BUDGET if failed else EXIT_OK
 
 
+_NUMBER = (int, float)
+# the keys and types each kind of `report` input is read through
+_PLAN_SHAPE = {"tree": {"vertices": [[_NUMBER]], "length": _NUMBER},
+               "mst_length": _NUMBER, "independent_total": _NUMBER}
+_REPORT_SHAPE = {
+    "phases": [{"phase_id": int, "segment": [int], "phase_index": int,
+                "alpha_from": [_NUMBER], "alpha_to": [_NUMBER]}],
+    "paths": [{"phase_ids": [int], "target_index": int, "target_name": str,
+               "train_iterations": int, "sim_episodes": int, "outcome": str}],
+    "totals": {"train_iterations": int, "sim_episodes": int},
+    "outcome": str,
+}
+
+
+def _check_shape(value, shape, where: str) -> None:
+    """Raise InvalidInputError unless value has shape: an object with the
+    keys of a dict, a list whose items have the shape of a one-item list,
+    or an instance of a type (a _NUMBER within float range)."""
+    kind = type(shape) if isinstance(shape, (dict, list)) else shape
+    if not isinstance(value, kind) or (
+        kind is _NUMBER and abs(value) > sys.float_info.max
+    ):
+        raise InvalidInputError(f"{where} is malformed")
+    for key, sub in shape.items() if isinstance(shape, dict) else ():
+        if key not in value:
+            raise InvalidInputError(f"{where} has no {key!r}")
+        _check_shape(value[key], sub, f"{where}.{key}")
+    for i, item in enumerate(value) if isinstance(shape, list) else ():
+        _check_shape(item, shape[0], f"{where}[{i}]")
+
+
+def _coordinates(rows: list, where: str) -> np.ndarray:
+    if not rows or not rows[0] or len({len(r) for r in rows}) != 1:
+        raise InvalidInputError(f"{where} must be non-empty rows of one length")
+    return np.array(rows, dtype=float)
+
+
 def _projection_axes(points: np.ndarray) -> tuple[int, int]:
     if points.shape[1] < 2:
         return 0, 0
@@ -525,27 +558,31 @@ def cmd_report(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise InvalidInputError(f"cannot parse report {args.report}: {exc}") from exc
+    _check_shape(payload, {}, args.report)
     if payload.get("schema") != SCHEMA_VERSION:
         raise InvalidInputError("unsupported or missing schema version")
     rows = []
     if "tree" in payload and "phases" not in payload:
-        vertices = np.array(payload["tree"]["vertices"], dtype=float)
+        _check_shape(payload, _PLAN_SHAPE, args.report)
+        vertices = _coordinates(payload["tree"]["vertices"], "tree vertices")
         ax0, ax1 = _projection_axes(vertices)
         for v in vertices:
             rows.append(["vertex", "", "", 1, repr(float(v[ax0])), repr(float(v[ax1]))])
+        totals_header = ["quantity", "value"]
         totals_rows = [
             ["tree_length", repr(float(payload["tree"]["length"]))],
             ["mst_length", repr(float(payload["mst_length"]))],
             ["independent_total", repr(float(payload["independent_total"]))],
         ]
     elif "phases" in payload:
+        _check_shape(payload, _REPORT_SHAPE, args.report)
         phase_by_id = {p["phase_id"]: p for p in payload["phases"]}
-        pts = np.array(
+        pts = _coordinates(
             [p["alpha_to"] for p in payload["phases"]]
             + [p["alpha_from"] for p in payload["phases"]],
-            dtype=float,
+            "phase alphas",
         )
         ax0, ax1 = _projection_axes(pts)
         multiplicity: dict[int, int] = {}
@@ -584,6 +621,7 @@ def cmd_report(args) -> int:
                     repr(float(ph["alpha_to"][ax1])),
                 ]
             )
+        totals_header = ["path_id", "target_name", "train_iterations", "sim_episodes", "outcome"]
         totals_rows = [
             [
                 p["target_index"],
@@ -607,10 +645,6 @@ def cmd_report(args) -> int:
         raise InvalidInputError("input is neither a plan nor a transfer report")
     header = ["row_kind", "path_ids", "phase_id", "multiplicity", f"alpha_{ax0}", f"alpha_{ax1}"]
     write_csv(os.path.join(args.out, "paths.csv"), header, rows)
-    if "phases" in payload:
-        totals_header = ["path_id", "target_name", "train_iterations", "sim_episodes", "outcome"]
-    else:
-        totals_header = ["quantity", "value"]
     write_csv(os.path.join(args.out, "totals.csv"), totals_header, totals_rows)
     print(f"wrote {os.path.join(args.out, 'paths.csv')}")
     return EXIT_OK

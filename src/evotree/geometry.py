@@ -83,7 +83,12 @@ def lp_distance(a, b, p) -> float:
         raise InvalidInputError(
             f"dimension mismatch: {va.size} vs {vb.size}"
         )
-    d = va - vb
+    return _lp(va, vb, p)
+
+
+def _lp(a: np.ndarray, b: np.ndarray, p: int) -> float:
+    """lp_distance without input checks, for float arrays the caller built."""
+    d = a - b
     if p == 1:
         return float(np.sum(np.abs(d)))
     return float(np.sqrt(np.sum(d * d)))
@@ -118,20 +123,11 @@ class Tree:
         return tuple(i for i in range(len(self.vertices)) if i not in terminal)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(len(self.vertices), dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        ends = np.asarray(self.edges, dtype=int).ravel()
+        return np.bincount(ends, minlength=len(self.vertices))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = []
-        for i, j in self.edges:
-            if i == v:
-                out.append(j)
-            elif j == v:
-                out.append(i)
-        return tuple(sorted(out))
+        return tuple(sorted(_adjacency(self.edges).get(v, ())))
 
 
 def tree_length(t: Tree) -> float:
@@ -154,10 +150,8 @@ def _tree_key(t: Tree):
 
 def _make_tree(vertices: np.ndarray, terminal_ids, edges, p: int) -> Tree:
     vertices = np.asarray(vertices, dtype=float)
-    norm_edges = tuple(sorted((min(i, j), max(i, j)) for i, j in edges))
-    length = sum(
-        lp_distance(vertices[i], vertices[j], p) for i, j in norm_edges
-    )
+    norm_edges = tuple(sorted(_edge(i, j) for i, j in edges))
+    length = sum(_lp(vertices[i], vertices[j], p) for i, j in norm_edges)
     return Tree(
         vertices=vertices,
         terminal_ids=tuple(terminal_ids),
@@ -167,12 +161,54 @@ def _make_tree(vertices: np.ndarray, terminal_ids, edges, p: int) -> Tree:
     )
 
 
+def _edge(u: int, v: int) -> tuple[int, int]:
+    return (u, v) if u < v else (v, u)
+
+
+def _adjacency(edges) -> dict[int, list[int]]:
+    """Neighbour lists of the vertices that have edges, in edge order."""
+    nbrs: dict[int, list[int]] = {}
+    for u, v in edges:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    return nbrs
+
+
+def _splice(edges: set, keep) -> None:
+    """Drop the leaves and bridge the degree-2 vertices outside `keep`, in
+    place, lowest vertex first, until every vertex outside it has degree 3+."""
+    while True:
+        nbrs = _adjacency(edges)
+        v = next((v for v in sorted(nbrs) if v not in keep and len(nbrs[v]) <= 2), None)
+        if v is None:
+            return
+        for u in nbrs[v]:
+            edges.discard(_edge(u, v))
+        if len(nbrs[v]) == 2:
+            edges.add(_edge(*nbrs[v]))
+
+
 def _find(parent: list[int], x: int) -> int:
     """Union-find root of x, halving the path on the way up."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def _kruskal(n: int, weighted_edges) -> list[tuple]:
+    """Kruskal's spanning forest of n vertices from (weight, i, j) triples,
+    in pick order; ties go to the smaller (i, j)."""
+    parent = list(range(n))
+    out = []
+    for w, i, j in sorted(weighted_edges):
+        ri, rj = _find(parent, i), _find(parent, j)
+        if ri != rj:
+            parent[ri] = rj
+            out.append((w, i, j))
+            if len(out) == n - 1:
+                break
+    return out
 
 
 def validate_tree(t: Tree, rtol: float = 1e-9) -> None:
@@ -392,16 +428,11 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
         return _make_tree(terminals, range(n), [], 1)
 
     full = (1 << k) - 1
-    dp = {}
-    split_at = {}  # (mask, v) resolution happens via stored arrays
+    dp = {1 << i: dist[others[i]] for i in range(k)}
+    split_at = {}
     relay = {}
-    for i in range(k):
-        dp[1 << i] = dist[others[i]].copy()
     for mask in range(1, full + 1):
-        if mask in dp and mask.bit_count() == 1:
-            # still needs relay bookkeeping for backtracking
-            relay[mask] = None
-            split_at[mask] = None
+        if mask.bit_count() == 1:
             continue
         low = mask & (-mask)
         best = None
@@ -431,11 +462,11 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
         if mask.bit_count() == 1:
             i = mask.bit_length() - 1
             if others[i] != node:
-                edges_out.add((min(others[i], node), max(others[i], node)))
+                edges_out.add(_edge(others[i], node))
             return
         u = int(relay[mask][node])
         if u != node:
-            edges_out.add((min(u, node), max(u, node)))
+            edges_out.add(_edge(u, node))
         sub = int(split_at[mask][u])
         backtrack(sub, u)
         backtrack(mask ^ sub, u)
@@ -448,23 +479,10 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
     edge_list = [(remap[i], remap[j]) for i, j in edges_out]
     # drop possible duplicates/cycles from tie backtracks, then normalize
     sub_dist = _pairwise(verts, 1)
-    edge_list = _restrict_mst(sub_dist, edge_list)
+    weighted = {(sub_dist[i, j], i, j) for i, j in edge_list}
+    edge_list = [(i, j) for _, i, j in _kruskal(len(verts), weighted)]
     terminal_ids = [remap[node_of_i] for node_of_i in node_of]
-    return _finalize_steiner(verts, terminals, terminal_ids, edge_list, 1)
-
-
-def _restrict_mst(dist: np.ndarray, edges: list[tuple[int, int]]):
-    """Kruskal on the given edge subset (used to clean tie backtracks)."""
-    n = dist.shape[0]
-    parent = list(range(n))
-
-    out = []
-    for i, j in sorted(set(edges), key=lambda e: (dist[e[0], e[1]], e)):
-        ri, rj = _find(parent, i), _find(parent, j)
-        if ri != rj:
-            parent[ri] = rj
-            out.append((i, j))
-    return out
+    return _finalize_steiner(verts, terminal_ids, edge_list, 1)
 
 
 def _incremental_mst_length(
@@ -474,23 +492,12 @@ def _incremental_mst_length(
     n = len(base_points)
     d_cand = np.sum(np.abs(base_points - cand), axis=1)
     candidate_edges = [
-        (float(np.sum(np.abs(base_points[i] - base_points[j]))), i, j)
-        for i, j in base_edges
+        (_lp(base_points[i], base_points[j], 1), i, j) for i, j in base_edges
     ]
     candidate_edges += [(float(d_cand[i]), i, n) for i in range(n)]
-    candidate_edges.sort()
-    parent = list(range(n + 1))
-
     total = 0.0
-    picked = 0
-    for w, i, j in candidate_edges:
-        ri, rj = _find(parent, i), _find(parent, j)
-        if ri != rj:
-            parent[ri] = rj
-            total += w
-            picked += 1
-            if picked == n:
-                break
+    for w, _, _ in _kruskal(n + 1, candidate_edges):
+        total += w
     return total
 
 
@@ -507,13 +514,13 @@ def _steiner_l1_insertion(terminals: np.ndarray) -> Tree:
     """Iterated single-point insertion over Hanan grid candidates."""
     n = len(terminals)
     pts = terminals.copy()
-    dist = _pairwise(pts, 1)
-    edges = _mst_edges(dist)
-    cur_len = float(sum(dist[i, j] for i, j in edges))
-    max_insert = max(0, n - 2)
-    inserted = 0
     grid = _hanan_grid(terminals) if _hanan_size(terminals) <= 512 else None
-    while inserted < max_insert:
+    while True:
+        dist = _pairwise(pts, 1)
+        edges = _mst_edges(dist)
+        cur_len = float(sum(dist[i, j] for i, j in edges))
+        if len(pts) - n >= n - 2:  # N - 2 Steiner points at most
+            break
         cands = grid if grid is not None else _triple_medians(pts)
         best_gain = 1e-12
         best_cand = None
@@ -528,11 +535,7 @@ def _steiner_l1_insertion(terminals: np.ndarray) -> Tree:
         if best_cand is None:
             break
         pts = np.vstack([pts, best_cand])
-        dist = _pairwise(pts, 1)
-        edges = _mst_edges(dist)
-        cur_len = float(sum(dist[i, j] for i, j in edges))
-        inserted += 1
-    return _finalize_steiner(pts, terminals, list(range(n)), edges, 1)
+    return _finalize_steiner(pts, list(range(n)), edges, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +568,10 @@ def _full_topologies(n: int):
 
 def _fermat_polish(full: np.ndarray, edges, n_terminals: int, sweeps: int = 4000):
     """Gauss-Seidel sweeps setting each Steiner vertex to its neighbors' Fermat point."""
-    nbrs = {}
-    for u, v in edges:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    steiner = [i for i in range(n_terminals, len(full))]
+    nbrs = _adjacency(edges)
     for _ in range(sweeps):
         move = 0.0
-        for s in steiner:
+        for s in range(n_terminals, len(full)):
             ns = nbrs.get(s, [])
             if len(ns) != 3:
                 continue
@@ -672,7 +671,7 @@ def _steiner_l2_enumerate(terminals: np.ndarray) -> Tree:
     leaders = [s for s in scored[:8] if s[0] <= cutoff] or scored[:1]
     for _, topo, full in leaders:
         full = _fermat_polish(full, topo, n)
-        tree = _finalize_steiner(full, terminals, list(range(n)), list(topo), 2)
+        tree = _finalize_steiner(full, list(range(n)), list(topo), 2)
         if tree is None:
             continue
         key = _tree_key(tree)
@@ -687,27 +686,14 @@ def _steiner_l2_greedy(terminals: np.ndarray) -> Tree:
     """Greedy corner smoothing: insert Fermat points where edges meet below 120 deg."""
     n = len(terminals)
     pts = [t.copy() for t in terminals]
-    dist = _pairwise(terminals, 2)
-    edges = set()
-    for i, j in _mst_edges(dist):
-        edges.add((min(i, j), max(i, j)))
-    n_steiner = 0
+    edges = {_edge(i, j) for i, j in _mst_edges(_pairwise(terminals, 2))}
     cos_limit = -0.5 + 1e-9
-
-    def neighbor_map():
-        nb = {}
-        for u, v in edges:
-            nb.setdefault(u, []).append(v)
-            nb.setdefault(v, []).append(u)
-        return nb
-
-    while n_steiner < n - 2:
-        nb = neighbor_map()
+    for _ in range(n - 2):
         best = None
-        for v, ns in nb.items():
+        for v, ns in _adjacency(edges).items():
             for a, b in itertools.combinations(sorted(ns), 2):
-                ea = np.asarray(pts[a]) - np.asarray(pts[v])
-                eb = np.asarray(pts[b]) - np.asarray(pts[v])
+                ea = pts[a] - pts[v]
+                eb = pts[b] - pts[v]
                 la, lb = np.linalg.norm(ea), np.linalg.norm(eb)
                 if la <= MERGE_TOL or lb <= MERGE_TOL:
                     continue
@@ -728,29 +714,16 @@ def _steiner_l2_greedy(terminals: np.ndarray) -> Tree:
             break
         _, v, a, b, f = best
         s = len(pts)
-        pts.append(np.asarray(f, dtype=float))
-        edges.discard((min(v, a), max(v, a)))
-        edges.discard((min(v, b), max(v, b)))
-        edges.update(
-            {(min(v, s), max(v, s)), (min(a, s), max(a, s)), (min(b, s), max(b, s))}
-        )
-        n_steiner += 1
-        # splice Steiner vertices left with degree 2
-        nb = neighbor_map()
-        for w in range(n, len(pts)):
-            ns = nb.get(w, [])
-            if len(ns) == 2:
-                x, y = ns
-                edges.discard((min(w, x), max(w, x)))
-                edges.discard((min(w, y), max(w, y)))
-                edges.add((min(x, y), max(x, y)))
-                nb = neighbor_map()
-    all_pts = np.array(pts)
-    all_pts = _fermat_polish(all_pts, list(edges), n)
-    tree = _finalize_steiner(all_pts, terminals, list(range(n)), list(edges), 2)
-    if tree is None:
-        return minimum_spanning_tree(terminals, 2)
-    return tree
+        pts.append(f)
+        # discard and update, not difference_update (which can rehash): the
+        # set's iteration order fixes neighbour order and the polish's bits
+        edges.discard(_edge(v, a))
+        edges.discard(_edge(v, b))
+        edges.update({_edge(v, s), _edge(a, s), _edge(b, s)})
+        _splice(edges, range(n))
+    all_pts = _fermat_polish(np.array(pts), list(edges), n)
+    tree = _finalize_steiner(all_pts, list(range(n)), list(edges), 2)
+    return minimum_spanning_tree(terminals, 2) if tree is None else tree
 
 
 # ---------------------------------------------------------------------------
@@ -760,25 +733,26 @@ def _steiner_l2_greedy(terminals: np.ndarray) -> Tree:
 
 def _finalize_steiner(
     vertices: np.ndarray,
-    terminals: np.ndarray,
     terminal_ids: Sequence[int],
     edges: Sequence[tuple[int, int]],
     p: int,
 ) -> Optional[Tree]:
     """Contract coincident vertices, splice pass-through Steiner points, canonicalize.
 
-    Returns None when contraction leaves an L2 Steiner vertex without
-    degree 3 (the caller then discards this candidate topology).
+    Vertices come out as the terminals in input order, then the Steiner
+    points by coordinates. Returns None when contraction leaves an L2
+    Steiner vertex without degree 3 (the caller then discards this
+    candidate topology).
     """
     n_vert = len(vertices)
     parent = list(range(n_vert))
+    terminal_set = set(terminal_ids)
 
-    terminal_set = set(int(t) for t in terminal_ids)
+    def near(a, b):
+        return _lp(vertices[a], vertices[b], p) <= MERGE_TOL
 
     def union(a, b):
         ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
-            return
         # keep terminal representatives so merges fold into terminals
         if ra in terminal_set:
             parent[rb] = ra
@@ -786,94 +760,35 @@ def _finalize_steiner(
             parent[ra] = rb
 
     for i, j in edges:
-        if lp_distance(vertices[i], vertices[j], p) <= MERGE_TOL:
+        if near(i, j):
             union(i, j)
     # also merge Steiner vertices sitting on terminals without a direct edge
     for s in range(n_vert):
-        if s in terminal_set:
-            continue
-        for t in terminal_set:
-            if lp_distance(vertices[s], vertices[t], p) <= MERGE_TOL:
+        if s not in terminal_set:
+            t = next((t for t in terminal_set if near(s, t)), None)
+            if t is not None:
                 union(s, t)
-                break
 
-    contracted = {}
-    for i in range(n_vert):
-        contracted.setdefault(_find(parent, i), len(contracted))
-    new_edges = set()
-    for i, j in edges:
-        a, b = contracted[_find(parent, i)], contracted[_find(parent, j)]
-        if a != b:
-            new_edges.add((min(a, b), max(a, b)))
-    coords = np.zeros((len(contracted), vertices.shape[1]))
-    for old, root in ((i, _find(parent, i)) for i in range(n_vert)):
-        coords[contracted[root]] = vertices[root]
-    new_terminal = {}
-    for t in terminal_ids:
-        new_terminal[contracted[_find(parent, int(t))]] = True
+    root = [_find(parent, i) for i in range(n_vert)]
+    first = {}
+    for i, r in enumerate(root):
+        first.setdefault(r, i)
+    new_edges = {_edge(root[i], root[j]) for i, j in edges if root[i] != root[j]}
+    terms = list(dict.fromkeys(root[t] for t in terminal_ids))
+    _splice(new_edges, set(terms))
 
-    # splice non-terminal vertices of degree <= 2
-    changed = True
-    while changed:
-        changed = False
-        deg = {}
-        nbr = {}
-        for a, b in new_edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-            nbr.setdefault(a, []).append(b)
-            nbr.setdefault(b, []).append(a)
-        for v_idx in list(deg):
-            if v_idx in new_terminal:
-                continue
-            if deg.get(v_idx, 0) == 1:
-                u = nbr[v_idx][0]
-                new_edges.discard((min(u, v_idx), max(u, v_idx)))
-                changed = True
-                break
-            if deg.get(v_idx, 0) == 2:
-                x, y = nbr[v_idx]
-                new_edges.discard((min(x, v_idx), max(x, v_idx)))
-                new_edges.discard((min(y, v_idx), max(y, v_idx)))
-                if x != y:
-                    new_edges.add((min(x, y), max(x, y)))
-                changed = True
-                break
-
-    used = sorted({i for e in new_edges for i in e} | set(
-        idx for idx, is_t in new_terminal.items() if is_t
-    ))
-    remap = {old: new for new, old in enumerate(used)}
-    final_edges = [(remap[a], remap[b]) for a, b in new_edges]
-    final_coords = coords[used]
-
-    # order: terminals first, in input terminal order, then Steiner by coords
-    term_order = []
-    seen = set()
-    for t in terminal_ids:
-        ci = contracted[_find(parent, int(t))]
-        if ci in remap and ci not in seen:
-            term_order.append(remap[ci])
-            seen.add(ci)
-    steiner_order = sorted(
-        (i for i in range(len(used)) if i not in term_order),
-        key=lambda i: tuple(final_coords[i]),
+    steiner = sorted(
+        {v for e in new_edges for v in e}.difference(terms),
+        key=lambda v: (tuple(vertices[v]), first[v]),
     )
-    order = term_order + steiner_order
-    pos = {old: new for new, old in enumerate(order)}
-    final_coords = final_coords[order]
-    final_edges = [(pos[a], pos[b]) for a, b in final_edges]
-    terminal_ids_out = list(range(len(term_order)))
-
-    if p == 2:
-        deg = np.zeros(len(final_coords), dtype=int)
-        for a, b in final_edges:
-            deg[a] += 1
-            deg[b] += 1
-        for s in range(len(term_order), len(final_coords)):
-            if deg[s] != 3:
-                return None
-    return _make_tree(final_coords, terminal_ids_out, final_edges, p)
+    order = terms + steiner
+    pos = {v: k for k, v in enumerate(order)}
+    tree = _make_tree(
+        vertices[order], range(len(terms)), [(pos[a], pos[b]) for a, b in new_edges], p
+    )
+    if p == 2 and np.any(tree.degrees()[len(terms):] != 3):
+        return None
+    return tree
 
 
 # ---------------------------------------------------------------------------

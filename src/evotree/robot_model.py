@@ -197,7 +197,7 @@ def load_robot_spec(path: str) -> RobotSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise SpecValidationError(f"not valid JSON: {exc}", file=path) from exc
     except OSError as exc:
         raise SpecValidationError(f"cannot read file: {exc}", file=path) from exc

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateDirectionError, InvalidInputError, PhaseFailureError
 from .evo_tree import Edge, clamp_meta, evolution_tree, follow_edge
-from .geometry import geometric_median, lp_distance
+from .geometry import _lp, geometric_median
 from .trainers import Trainer
 
 ARRIVAL_TOL = 1e-9
@@ -354,7 +354,7 @@ class _Engine:
             return self.targets[indices[0]].copy(), [(indices, None)]
         if self.cfg.p_norm == 1:
             beta = clamp_meta(alpha, tg)
-            if lp_distance(alpha, beta, 1) > ARRIVAL_TOL:
+            if _lp(alpha, beta, 1) > ARRIVAL_TOL:
                 return beta, [(indices, None)]
         res = (edge and follow_edge(edge, alpha, tg)) or evolution_tree(
             alpha, tg, self.cfg.p_norm
@@ -366,7 +366,7 @@ class _Engine:
 
     def step_toward(self, s: _Stream, beta: np.ndarray) -> tuple[np.ndarray, int]:
         """Next phase endpoint from s toward beta, plus gradient-probe episode cost."""
-        if lp_distance(s.alpha, beta, self.cfg.p_norm) < self.cfg.xi:
+        if _lp(s.alpha, beta, self.cfg.p_norm) < self.cfg.xi:
             return beta.copy(), 0
         est = GradientEstimate(np.zeros(len(s.alpha)), 0)
         if self.cfg.gradient_samples > 0:
@@ -386,20 +386,20 @@ class _Engine:
         while True:
             arrived = [
                 i for i in s.indices
-                if lp_distance(s.alpha, self.targets[i], p) <= ARRIVAL_TOL
+                if _lp(s.alpha, self.targets[i], p) <= ARRIVAL_TOL
             ]
             self.emit(s, arrived, "success")
             s.indices = [i for i in s.indices if i not in arrived]
             if not s.indices:
                 return None
             beta, partition = plan(s.alpha, s.indices, s.edge)
-            if lp_distance(s.alpha, beta, p) <= ARRIVAL_TOL:
+            if _lp(s.alpha, beta, p) <= ARRIVAL_TOL:
                 return partition
             s.edge = partition[0][1]
             nxt, grad_episodes = self.step_toward(s, beta)
             # a phase ending on a target robot trains to the arrival gate
             arriving = any(
-                lp_distance(nxt, self.targets[i], p) <= ARRIVAL_TOL for i in s.indices
+                _lp(nxt, self.targets[i], p) <= ARRIVAL_TOL for i in s.indices
             )
             if self.phase_counter >= self.max_phases:
                 raise PhaseFailureError(

@@ -1,4 +1,6 @@
 import contextlib
+import copy
+import dataclasses
 import io
 import json
 import os
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from evotree import cli
 from evotree.cli import main
+from evotree.transfer import TransferConfig
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 PLANAR = [
@@ -121,6 +124,26 @@ class TestExitCodeContract:
         assert code in (0, 2, 3), (code, err.getvalue())
         if code != 0:
             assert err.getvalue().startswith("error: ")
+
+
+    @pytest.mark.parametrize("case", ["config", "spec", "out"])
+    def test_unreadable_or_unwritable_path(self, tmp_path, capsys, case):
+        # bytes that are not UTF-8 as a config file or robot spec, and an
+        # --out that names a regular file
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe")
+        robots = list(PLANAR[:3])
+        extra = ["--out", str(tmp_path / "out")]
+        if case == "config":
+            extra += ["--config", str(bad)]
+        elif case == "spec":
+            robots[1] = str(bad)
+        else:
+            extra = ["--out", str(bad)]
+        code = run("transfer", "--robots", *robots, "--trainer", "cost", *extra)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and str(bad) in err
 
 
 def load_fixture(kind):
@@ -394,6 +417,27 @@ class TestTransfer:
         payload = json.loads((tmp_path / "b" / "report.json").read_text())
         assert payload["norm"] == "l1"  # explicit flag overrides the file
 
+    def test_every_config_field_reaches_the_report(self, tmp_path):
+        values = {
+            "xi": 0.05, "lambda": 2.0, "p_norm": 2, "penalty_norm": 1,
+            "success_threshold": 0.6, "final_success_threshold": 0.7,
+            "shrink_ratio": 0.9, "gradient_samples": 3,
+            "max_phase_iterations": 50, "eval_episodes": 20, "seed": 3,
+        }
+        defaults = dataclasses.asdict(TransferConfig())
+        defaults["lambda"] = defaults.pop("lambda_")
+        # a new TransferConfig field needs a value here
+        assert set(values) == set(defaults)
+        assert all(values[k] != defaults[k] for k in values)
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"transfer.{k} = {v}\n" for k, v in values.items()))
+        code = run(
+            "transfer", "--robots", *PLANAR, "--trainer", "cost",
+            "--config", str(cfg), "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert json.loads((tmp_path / "report.json").read_text())["config"] == values
+
     def test_unknown_config_section(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wibble = 1\n")
@@ -446,6 +490,36 @@ class TestCompare:
         assert code == 2
 
 
+def json_paths(value, path=()):
+    """Every position in a JSON value, as key and index paths."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from json_paths(item, path + (key,))
+
+
+def mutate_json(payload, pick, action):
+    """payload with the value at the pick-th position dropped ("drop"),
+    emptied ("empty": [] or {}) or replaced by action; the root is replaced."""
+    paths = list(json_paths(payload))
+    path = paths[pick % len(paths)]
+    if not path:
+        return copy.deepcopy(action) if action not in ("drop", "empty") else []
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "drop":
+        del parent[path[-1]]
+    elif action == "empty":
+        parent[path[-1]] = {} if isinstance(parent[path[-1]], dict) else []
+    else:
+        parent[path[-1]] = copy.deepcopy(action)
+    return payload
+
+
 class TestReport:
     def test_report_from_plan(self, tmp_path):
         run("plan", "--robots", PLANAR[0], PLANAR[1], "--out", str(tmp_path))
@@ -490,6 +564,52 @@ class TestReport:
         # trunk rows carry multiplicity > 1 exactly once each
         multiplicities = [int(ln.split(",")[3]) for ln in phase_rows]
         assert max(multiplicities) == 3  # all three paths share the trunk
+
+    @pytest.fixture(scope="class")
+    def real_outputs(self, tmp_path_factory):
+        """A plan.json and a report.json of the planar fixtures."""
+        out = tmp_path_factory.mktemp("real")
+        cfg = out / "coarse.cfg"
+        cfg.write_text("transfer.xi = 0.1\n")
+        assert run("plan", "--robots", *PLANAR, "--out", str(out)) == 0
+        assert run(
+            "transfer", "--robots", *PLANAR, "--trainer", "cost",
+            "--config", str(cfg), "--out", str(out),
+        ) == 0
+        return {
+            name: json.loads((out / name).read_text())
+            for name in ("plan.json", "report.json")
+        }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["plan.json", "report.json"]),
+        mutations=st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from(["drop", "empty", None, "x", 1.5, -1, True, [], {}]),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @example(name="plan.json", mutations=[(0, [1])])
+    @example(name="report.json", mutations=[(0, {"schema": 1, "phases": []})])
+    def test_mutated_inputs_keep_exit_contract(self, real_outputs, name, mutations):
+        payload = json.loads(json.dumps(real_outputs[name]))
+        for pick, action in mutations:
+            payload = mutate_json(payload, pick, action)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["report", "--report", path, "--out", tmp])
+        assert code in (0, 2), (code, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
 
     def test_malformed_report(self, tmp_path):
         bad = tmp_path / "nope.json"

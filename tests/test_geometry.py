@@ -391,7 +391,7 @@ class TestSteinerL2:
         fulls, _ = geo._irls_topologies(pts, [topo])
         full = geo._fermat_polish(fulls[0], topo, 3)
         best = geo.minimum_spanning_tree(pts, 2)
-        tree = geo._finalize_steiner(full, pts, [0, 1, 2], list(topo), 2)
+        tree = geo._finalize_steiner(full, [0, 1, 2], list(topo), 2)
         if tree is not None and (
             tree.length < best.length - 1e-12
             or (
@@ -405,6 +405,77 @@ class TestSteinerL2:
         assert got.terminal_ids == best.terminal_ids
         assert got.edges == best.edges
         assert got.length == best.length
+
+
+@st.composite
+def spanning_trees(draw):
+    """(vertices, clusters, n_terminals, edges), terminals first.
+
+    Vertices sit in clusters around distinct grid points, each on its
+    cluster's point or moved off it by at most MERGE_TOL / 4 in L1.
+    The edges are a random spanning tree in which every cluster is
+    connected on its own, as a solver's coincident points are joined
+    through each other: two coincident vertices joined only through
+    distant ones would close a cycle when merged.
+    """
+    dim = draw(st.integers(1, 3))
+    n_terminals = draw(st.integers(1, 6))
+    n = n_terminals + draw(st.integers(0, 4))
+    grid = st.lists(st.integers(0, 9), min_size=dim, max_size=dim).map(tuple)
+    bases = draw(st.lists(grid, min_size=n, max_size=n, unique=True))
+    cluster = []
+    for i in range(n):
+        shared = i and draw(st.integers(0, 3)) == 0
+        cluster.append(draw(st.sampled_from(cluster)) if shared else i)
+    verts = []
+    for c in cluster:
+        offset = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+        near = draw(st.booleans())
+        step = near * geo.MERGE_TOL / (4 * dim) * np.array(offset)
+        verts.append(np.array(bases[c]) / 9 + step)
+    used = sorted(set(cluster))
+    members = {c: [i for i in range(n) if cluster[i] == c] for c in used}
+
+    def random_tree(*groups):
+        # each node joins one drawn before it; earlier groups form the core
+        order = [v for g in groups for v in draw(st.permutations(g))]
+        return [(order[k], order[draw(st.integers(0, k - 1))]) for k in range(1, len(order))]
+
+    edges = [e for c in used for e in random_tree(members[c])]
+    inner = [c for c in used if c >= n_terminals]
+    for a, b in random_tree(inner, [c for c in used if c < n_terminals]):
+        edges.append((draw(st.sampled_from(members[a])), draw(st.sampled_from(members[b]))))
+    order = draw(st.permutations(range(len(edges))))
+    edges = [edges[k] if draw(st.booleans()) else edges[k][::-1] for k in order]
+    return np.array(verts), cluster, n_terminals, edges
+
+
+class TestFinalizeSteiner:
+    @settings(max_examples=400, deadline=None)
+    @given(tree=spanning_trees(), p=st.sampled_from([1, 2]))
+    def test_canonical_tree(self, tree, p):
+        verts, cluster, n_terminals, edges = tree
+        out = geo._finalize_steiner(verts, list(range(n_terminals)), edges, p)
+        if out is None:
+            return
+        geo.validate_tree(out)
+        # terminals first, one per cluster, in input order, each at the
+        # input coordinates of a terminal of its cluster
+        firsts = list(dict.fromkeys(cluster[:n_terminals]))
+        k = len(firsts)
+        assert out.terminal_ids == tuple(range(k))
+        for j, c in enumerate(firsts):
+            assert any(
+                np.array_equal(out.vertices[j], verts[t])
+                for t in range(n_terminals)
+                if cluster[t] == c
+            )
+        deg = out.degrees()
+        assert all(d >= 3 for d in deg[k:])
+        if p == 2:
+            assert all(d == 3 for d in deg[k:])
+        steiner = [tuple(v) for v in out.vertices[k:]]
+        assert steiner == sorted(steiner)
 
 
 class TestSteinerProperties:
