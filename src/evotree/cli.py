@@ -186,6 +186,18 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _check_out(path: str) -> None:
+    """Refuse an output directory that cannot be made or written, before
+    any work: its nearest existing ancestor must be a writable directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing) or not os.access(existing, os.W_OK | os.X_OK):
+        raise InvalidInputError(
+            f"cannot write {path}: {existing} is not a writable directory"
+        )
+
+
 def write_json(path: str, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -558,7 +570,7 @@ def cmd_report(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
         raise InvalidInputError(f"cannot parse report {args.report}: {exc}") from exc
     _check_shape(payload, {}, args.report)
     if payload.get("schema") != SCHEMA_VERSION:
@@ -711,6 +723,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except SpecValidationError as exc:
         print(f"error: invalid robot spec: {exc}", file=sys.stderr)

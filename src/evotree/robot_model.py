@@ -197,7 +197,7 @@ def load_robot_spec(path: str) -> RobotSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON, not UTF-8, nested too deep
         raise SpecValidationError(f"not valid JSON: {exc}", file=path) from exc
     except OSError as exc:
         raise SpecValidationError(f"cannot read file: {exc}", file=path) from exc
@@ -222,7 +222,7 @@ def load_robot_spec(path: str) -> RobotSpec:
                         range=(float(j["range"][0]), float(j["range"][1])),
                     )
                 )
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
                 raise SpecValidationError(
                     f"malformed joint: {exc}",
                     file=path,
@@ -244,14 +244,14 @@ def load_robot_spec(path: str) -> RobotSpec:
         if isinstance(val, dict):
             try:
                 params[key] = Param(float(val["value"]), val.get("unit"))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise SpecValidationError(
                     f"malformed parameter: {exc}", file=path, path="params", key=key
                 ) from exc
         else:
             try:
                 params[key] = Param(float(val), None)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise SpecValidationError(
                     "parameter value must be a number",
                     file=path,

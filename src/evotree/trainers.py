@@ -65,7 +65,9 @@ class Trainer(Protocol):
     evaluate must be deterministic given (seed, alpha, policy); every
     train_step reports strictly positive cost. gradient_probe scores a
     (k, D) batch of points in one call, every point on the same seeded
-    draws (common random numbers).
+    draws (common random numbers). train_steps and evaluates take a list of
+    jobs, each the argument tuple of one train_step or evaluate call, and
+    return one result per job, equal to that call's.
     """
 
     def evaluate(self, policy, alpha, episodes: int, seed) -> EvalResult: ...
@@ -74,6 +76,20 @@ class Trainer(Protocol):
 
     def gradient_probe(self, policy, alphas, seed) -> ProbeResult: ...
 
+    def evaluates(self, jobs) -> list[EvalResult]: ...
+
+    def train_steps(self, jobs) -> list[TrainStepResult]: ...
+
+
+class SerialBatches:
+    """The batched trainer forms as a loop over the single calls."""
+
+    def evaluates(self, jobs) -> list[EvalResult]:
+        return [self.evaluate(*job) for job in jobs]
+
+    def train_steps(self, jobs) -> list[TrainStepResult]:
+        return [self.train_step(*job) for job in jobs]
+
 
 # ---------------------------------------------------------------------------
 # Cost-model trainer
@@ -81,7 +97,7 @@ class Trainer(Protocol):
 
 
 @dataclass(frozen=True)
-class CostModelTrainer:
+class CostModelTrainer(SerialBatches):
     """Fixed-cost trainer: one iteration and sim_episodes_per_step per phase."""
 
     sim_episodes_per_step: int = 10
@@ -277,51 +293,66 @@ class ToyMdpTrainer:
         return denormalize(points, self.space)[:, self._role_cols]
 
     def _simulate(
-        self, policy: LinearGaussianPolicy, alpha, episodes: int, seed, record=False
-    ) -> tuple[np.ndarray, Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+        self, jobs, record=False
+    ) -> list[tuple[np.ndarray, Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
         """Vectorized rollouts that score each episode at its first goal contact.
 
-        alpha is one point (D,) or k points (k, D). Every point runs the same
-        `episodes` seeded draws (common random numbers); episode e of point j
-        sits at index j * episodes + e. Returns (success, history); history
-        is None unless record is set, else (features[T,n,4], actions[T,n,2],
-        steps) with steps[i] the number of live steps episode i contributes.
+        A job is (policy, alpha, episodes, seed), with alpha one point (D,)
+        or k points (k, D). Every point of a job runs the job's `episodes`
+        seeded draws (common random numbers); episode e of point j sits at
+        index j * episodes + e. Returns one (success, history) per job;
+        history is None unless record is set, else (features[T,n,4],
+        actions[T,n,2], steps) with steps[i] the number of live steps
+        episode i contributes.
 
-        All per-episode data are columns: one (6, n) buffer holds the rows
-        goal-x, goal-y, vx, vy, x, y, so rows 0:4 are the policy features and
-        rows 2:6 the state, and step t's scaled noise is one (2, n) block.
-        An episode keeps integrating after its first hit, since nothing
-        reads it; history is zeroed from step steps[i] on, after the loop.
+        All per-episode data are columns, and each job is one block of
+        columns: one (6, n) buffer holds the rows goal-x, goal-y, vx, vy, x,
+        y, so rows 0:4 are the policy features and rows 2:6 the state, and
+        step t's scaled noise is one (2, n) block. Each step makes one matmul
+        per job, with its own policy; every other ufunc runs once over all n
+        columns. An episode keeps integrating after its first hit, since
+        nothing reads it; history is zeroed from step steps[i] on, after the
+        loop. A job's results do not depend on the jobs run beside it.
         """
-        # mass, gain_x|gain_y, damping and limit as (2, n) rows: operands of
-        # one shape, since broadcasting a (1, n) row slows every step down
-        th = np.repeat(
-            self.theta_at(alpha)[:, [0, 0, 1, 2, 3, 3, 4, 4]].T, episodes, axis=1
-        )
-        out = th.shape[1]
-        if out == 1:
+        # per job: its columns, the columns it reports and its draws' copies
+        blocks, n = [], 0
+        for _, alpha, episodes, _ in jobs:
+            out = np.atleast_2d(alpha).shape[0] * episodes
             # a one-column matmul takes another BLAS path than a wider one:
             # run a lone episode twice so its bits match its row in a batch
-            th = np.repeat(th, 2, axis=1)
-        mass, gain, damping, limit = th[0:2], th[2:4], th[4:6], th[6:8]
-        limits = (-limit, limit)
-        n = th.shape[1]
-        k = n // episodes
-        rng = np.random.default_rng(seed)
-        start = rng.uniform(-self.start_jitter, self.start_jitter, (episodes, 2))
-        goal = np.asarray(self.goal_center) + rng.uniform(
-            -self.goal_jitter, self.goal_jitter, (episodes, 2)
-        )
-        noise = rng.standard_normal((HORIZON, episodes, 2))
-        scaled_noise = np.tile(
-            (np.exp(policy.log_std) * noise).transpose(0, 2, 1), (1, 1, k)
-        )
-        goal = np.tile(goal.T, (1, k))
+            width = max(out, 2)
+            blocks.append((slice(n, n + width), slice(n, n + out), width // episodes))
+            n += width
+        # mass, gain_x|gain_y, damping and limit as (2, n) rows: operands of
+        # one shape, since broadcasting a (1, n) row slows every step down
+        th = np.empty((8, n))
+        scaled_noise = np.empty((HORIZON, 2, n))
+        goal = np.empty((2, n))
         buf = np.zeros((6, n))
         to_goal, feats, state, pos = buf[0:2], buf[0:4], buf[2:6], buf[4:6]
-        pos[...] = np.tile(start.T, (1, k))
+        for (policy, alpha, episodes, seed), (cols, _, copies) in zip(jobs, blocks):
+            theta = self.theta_at(alpha)[:, [0, 0, 1, 2, 3, 3, 4, 4]]
+            th[:, cols].reshape(8, copies, episodes)[...] = theta.T[:, :, None]
+            rng = np.random.default_rng(seed)
+            start = rng.uniform(-self.start_jitter, self.start_jitter, (episodes, 2))
+            end = np.asarray(self.goal_center) + rng.uniform(
+                -self.goal_jitter, self.goal_jitter, (episodes, 2)
+            )
+            noise = rng.standard_normal((HORIZON, episodes, 2))
+            scaled_noise[:, :, cols].reshape(HORIZON, 2, copies, episodes)[...] = (
+                np.exp(policy.log_std) * noise
+            ).transpose(0, 2, 1)[:, :, None]
+            goal[:, cols].reshape(2, copies, episodes)[...] = end.T[:, None]
+            pos[:, cols].reshape(2, copies, episodes)[...] = start.T[:, None]
+        mass, gain, damping, limit = th[0:2], th[2:4], th[4:6], th[6:8]
+        limits = (-limit, limit)
         np.subtract(goal, pos, out=to_goal)
         act = np.empty((2, n))
+        # one matmul per job: its policy's weights on its block of columns
+        products = [
+            (policy.weights, feats[:, cols], act[:, cols])
+            for (policy, *_), (cols, _, _) in zip(jobs, blocks)
+        ]
         delta = np.empty((4, n))
         sq = np.empty((2, n))
         d2 = np.empty(n)
@@ -335,7 +366,8 @@ class ToyMdpTrainer:
             feats_hist = np.zeros((HORIZON, n, 4))
             acts_hist = np.zeros((HORIZON, n, 2))
         for t in range(HORIZON):
-            np.matmul(policy.weights, feats, out=act)
+            for weights, block_feats, block_act in products:
+                np.matmul(weights, block_feats, out=block_act)
             act += scaled_noise[t]
             if record:
                 feats_hist[t] = feats.T
@@ -352,27 +384,46 @@ class ToyMdpTrainer:
                     steps[hit] = t + 1
                 if success.all():
                     break
-        if not np.all(np.isfinite(pos[:, ~success])):
-            raise SimulationError("rollout produced non-finite positions")
+        for cols, _, _ in blocks:
+            if not np.all(np.isfinite(pos[:, cols][:, ~success[cols]])):
+                raise SimulationError("rollout produced non-finite positions")
         if not record:
-            return success[:out], None
+            return [(success[out], None) for _, out, _ in blocks]
         dead = np.arange(HORIZON)[:, None] >= steps
         feats_hist[dead] = 0.0
         acts_hist[dead] = 0.0
-        return success[:out], (feats_hist[:, :out], acts_hist[:, :out], steps[:out])
+        return [
+            (success[out], (feats_hist[:, out], acts_hist[:, out], steps[out]))
+            for _, out, _ in blocks
+        ]
 
     # -- trainer contract ---------------------------------------------------
 
     def evaluate(self, policy, alpha, episodes: int, seed) -> EvalResult:
-        success, _ = self._simulate(policy, alpha, episodes, seed)
-        return EvalResult(
-            success_rate=float(np.mean(success)), sim_episodes=episodes
-        )
+        return self.evaluates([(policy, alpha, episodes, seed)])[0]
+
+    def evaluates(self, jobs) -> list[EvalResult]:
+        runs = self._simulate(jobs)
+        return [
+            EvalResult(success_rate=float(np.mean(success)), sim_episodes=episodes)
+            for (success, _), (_, _, episodes, _) in zip(runs, jobs)
+        ]
 
     def train_step(self, policy, alpha, seed) -> TrainStepResult:
-        success, (feats, acts, steps) = self._simulate(
-            policy, alpha, self.batch_size, seed, record=True
+        return self.train_steps([(policy, alpha, seed)])[0]
+
+    def train_steps(self, jobs) -> list[TrainStepResult]:
+        runs = self._simulate(
+            [(policy, alpha, self.batch_size, seed) for policy, alpha, seed in jobs],
+            record=True,
         )
+        return [
+            self._policy_update(policy, success, *history)
+            for (policy, _, _), (success, history) in zip(jobs, runs)
+        ]
+
+    def _policy_update(self, policy, success, feats, acts, steps) -> TrainStepResult:
+        """One REINFORCE step on a recorded batch of batch_size episodes."""
         returns = success.astype(float)
         batch = [
             (feats[: steps[e], e, :], acts[: steps[e], e, :], float(returns[e]))
@@ -396,7 +447,7 @@ class ToyMdpTrainer:
         )
 
     def gradient_probe(self, policy, alphas, seed) -> ProbeResult:
-        success, _ = self._simulate(policy, alphas, self.probe_episodes, seed)
+        [(success, _)] = self._simulate([(policy, alphas, self.probe_episodes, seed)])
         mean_return = success.reshape(-1, self.probe_episodes).mean(axis=1)
         return ProbeResult(
             mean_return=mean_return, sim_episodes=success.size

@@ -7,12 +7,15 @@ elementwise clamp, under L2 from the held edge of an exact tree while the
 point stays on it (a new solve when a gradient step leaves the edge, and
 every phase of a heuristic tree).
 
-Every walk is a stream on one LIFO work list: its point, policy, live
-targets, held edge and the phases behind it. A stream runs phases until its
-targets are done, or until it stands on its meta point; there it splits into
-one child stream per group, each with its own policy copy and RNG streams.
-Children run depth-first, so phase ids follow (segment, phase_index) order.
-Trunk phases are recorded once and shared by every report through them.
+Every walk is a stream: its point, policy, live targets, held edge and the
+phases behind it. A stream runs phases until its targets are done, or until
+it stands on its meta point; there it splits into one child stream per
+group, each with its own policy copy and RNG streams. All live streams run
+in lockstep: phase_train is a generator of trainer requests, and each round
+the engine serves every stream's train step in one batched trainer call and
+every stream's evaluation in another. Phase ids are given once the streams
+are done, in (segment, phase_index) order. Trunk phases are recorded once
+and shared by every report through them.
 
 The baselines run on the same walk: herd as one stream per target (no
 sharing), geom-median as one trunk to the geometric median of {source} union
@@ -100,6 +103,13 @@ PRESETS = {
 
 @dataclass(frozen=True)
 class PhaseRecord:
+    """One training phase of a stream.
+
+    The engine makes each record with phase_id -1 while its stream runs and
+    sets the id once, in _Engine.numbered, after every stream is done and
+    before any report leaves the engine; no record is hashed before that.
+    """
+
     phase_id: int
     segment: tuple[int, ...]  # subtree stream this phase belongs to
     phase_index: int  # position within the segment
@@ -245,8 +255,21 @@ def estimate_reward_gradient(
 # ---------------------------------------------------------------------------
 
 
+# requests a phase_train generator yields, each with one job for the trainer
+TRAIN = "train"  # job (policy, alpha, seed) for train_step / train_steps
+EVAL = "eval"  # job (policy, alpha, episodes, seed) for evaluate / evaluates
+
+
+@dataclass(frozen=True)
+class PhaseOutcome:
+    policy: object
+    train_iterations: int
+    sim_episodes: int
+    final_success_rate: float
+    reached: bool
+
+
 def phase_train(
-    trainer: Trainer,
     alpha_from,
     alpha_to,
     policy,
@@ -255,12 +278,14 @@ def phase_train(
     gate: Optional[float] = None,
     seed_material: Sequence[int] = (),
     extra_episodes: int = 0,
-) -> tuple[object, int, int, float, bool]:
+):
     """Train on the shrinking window until the end robot clears the gate.
 
     Samples one robot per iteration uniformly from the trailing window,
-    which contracts toward alpha_to by shrink_ratio per iteration. Returns
-    (policy, train_iterations, sim_episodes, final_success_rate, reached).
+    which contracts toward alpha_to by shrink_ratio per iteration. A
+    generator: each iteration yields (TRAIN, job) and is sent the job's
+    TrainStepResult, then yields (EVAL, job) and is sent its EvalResult.
+    Returns a PhaseOutcome.
     """
     a0 = np.asarray(alpha_from, dtype=float)
     a1 = np.asarray(alpha_to, dtype=float)
@@ -277,25 +302,19 @@ def phase_train(
         start = shrunk_window_start(a0, a1, cfg.shrink_ratio, t)
         u = rng.random()
         sample = a1 + u * (start - a1)
-        out = trainer.train_step(
-            policy, sample, seed=[cfg.seed, 0x9A5E, *map(int, seed_material), t, 0]
-        )
+        seed = [cfg.seed, 0x9A5E, *map(int, seed_material), t]
+        out = yield TRAIN, (policy, sample, [*seed, 0])
         policy = out.policy
         iterations += out.train_iterations
         episodes += out.sim_episodes
-        ev = trainer.evaluate(
-            policy,
-            a1,
-            eval_episodes,
-            seed=[cfg.seed, 0x9A5E, *map(int, seed_material), t, 1],
-        )
+        ev = yield EVAL, (policy, a1, eval_episodes, [*seed, 1])
         episodes += ev.sim_episodes
         success = ev.success_rate
         if not math.isfinite(success):
             raise PhaseFailureError("trainer reported non-finite success rate")
         if success >= threshold:
-            return policy, iterations, episodes, success, True
-    return policy, iterations, episodes, success, False
+            return PhaseOutcome(policy, iterations, episodes, success, True)
+    return PhaseOutcome(policy, iterations, episodes, success, False)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +327,7 @@ MAX_PHASE_GUARD = 10**7
 
 @dataclass
 class _Stream:
-    """One walk on the engine's work list: where it stands, the targets still
+    """One walk of the engine: where it stands, the targets still
     ahead of it and the phases behind it (shared with its parent's paths)."""
 
     segment: tuple[int, ...]
@@ -330,7 +349,7 @@ class _Engine:
         self.targets = targets
         self.trainer = trainer
         self.cfg = cfg
-        self.phase_counter = 0
+        self.phases = 0  # phases started, for the livelock guard
         self.reports: dict[int, TransferReport] = {}
         # generous global guard against re-planning livelock
         total_span = float(len(targets) + 1) * targets.shape[1]
@@ -379,9 +398,10 @@ class _Engine:
             step = evolution_step(s.alpha, beta, np.zeros(len(s.alpha)), self.cfg)
         return s.alpha + step, est.sim_episodes
 
-    def walk(self, s: _Stream, plan: Callable) -> Optional[list]:
+    def walk(self, s: _Stream, plan: Callable):
         """Run s's phases until its targets are done (None) or it stands on
-        its meta point (the planner's partition there)."""
+        its meta point (the planner's partition there). A generator of
+        phase_train's trainer requests."""
         p = self.cfg.p_norm
         while True:
             arrived = [
@@ -401,14 +421,12 @@ class _Engine:
             arriving = any(
                 _lp(nxt, self.targets[i], p) <= ARRIVAL_TOL for i in s.indices
             )
-            if self.phase_counter >= self.max_phases:
+            if self.phases >= self.max_phases:
                 raise PhaseFailureError(
                     "phase budget guard tripped (re-plan livelock?)"
                 )
-            phase_id = self.phase_counter
-            self.phase_counter += 1
-            s.policy, iters, episodes, success, reached = phase_train(
-                self.trainer,
+            self.phases += 1
+            out = yield from phase_train(
                 s.alpha,
                 nxt,
                 s.policy,
@@ -417,42 +435,73 @@ class _Engine:
                 seed_material=[*s.segment, s.phase_index],
                 extra_episodes=grad_episodes,
             )
+            s.policy = out.policy
             s.prefix.append(
                 PhaseRecord(
-                    phase_id=phase_id,
+                    phase_id=-1,  # numbered once every stream is done
                     segment=s.segment,
                     phase_index=s.phase_index,
                     alpha_from=tuple(float(x) for x in s.alpha),
                     alpha_to=tuple(float(x) for x in nxt),
-                    train_iterations=iters,
-                    sim_episodes=episodes,
-                    final_success_rate=success,
-                    reached=reached,
+                    train_iterations=out.train_iterations,
+                    sim_episodes=out.sim_episodes,
+                    final_success_rate=out.final_success_rate,
+                    reached=out.reached,
                 )
             )
             s.alpha = nxt
             s.phase_index += 1
-            if not reached:
+            if not out.reached:
                 self.emit(s, s.indices, "budget-exhausted")
                 return None
 
-    def run(self, streams: list[_Stream]) -> list[TransferReport]:
-        """Walk the streams depth-first on the engine's own planner; a stream
-        on its meta point splits into one child per group, child 0 first.
-        Returns every target's report, in target order."""
-        work = streams[::-1]
-        while work:
-            s = work.pop()
-            partition = self.walk(s, self.plan)
-            if partition is None:
-                continue
-            if len(partition) <= 1:
-                raise PhaseFailureError(
-                    "planner stalled: split point with a single group"
-                )
-            for k, (group, branch) in reversed(list(enumerate(partition))):
-                work.append(s.fork(s.segment + (k,), group, branch))
-        return [self.reports[i] for i in range(len(self.targets))]
+    def subtree(self, s: _Stream):
+        """Walk s on the engine's own planner; return the child streams it
+        splits into on its meta point, one per group (none if it is done)."""
+        partition = yield from self.walk(s, self.plan)
+        if partition is None:
+            return []
+        if len(partition) <= 1:
+            raise PhaseFailureError(
+                "planner stalled: split point with a single group"
+            )
+        return [
+            s.fork(s.segment + (k,), group, branch)
+            for k, (group, branch) in enumerate(partition)
+        ]
+
+    def run(self, walks: list) -> list[TransferReport]:
+        """Drive the walks in lockstep; returns every target's report, in
+        target order.
+
+        A walk yields phase_train's requests and returns the child streams
+        it splits into, which join at once, each as a subtree. Every round
+        sends all pending train requests as one train_steps call, then all
+        pending eval requests as one evaluates call. A stream draws only on
+        its own seeds, so the order streams run in changes no result; phase
+        ids are given at the end, in (segment, phase_index) order.
+        """
+        pending = {}  # walk -> its pending (kind, job)
+
+        def advance(walk, result):
+            try:
+                pending[walk] = walk.send(result)
+            except StopIteration as done:
+                pending.pop(walk, None)
+                for child in done.value:
+                    advance(self.subtree(child), None)
+
+        for walk in walks:
+            advance(walk, None)
+        rounds = ((TRAIN, self.trainer.train_steps), (EVAL, self.trainer.evaluates))
+        while pending:
+            for kind, call in rounds:
+                batch = [(walk, job) for walk, (k, job) in pending.items() if k == kind]
+                if batch:
+                    results = call([job for _, job in batch])
+                    for (walk, _), result in zip(batch, results):
+                        advance(walk, result)
+        return self.numbered()
 
     # -- reporting ---------------------------------------------------------
 
@@ -468,6 +517,19 @@ class _Engine:
                 sim_episodes=sum(p.sim_episodes for p in phases),
                 policy=copy.deepcopy(s.policy),
             )
+
+    def numbered(self) -> list[TransferReport]:
+        """The reports in target order, once every phase has its id, given
+        in (segment, phase_index) order."""
+        phases = {
+            (p.segment, p.phase_index): p
+            for rep in self.reports.values() for p in rep.phases
+        }
+        assert all(p.phase_id == -1 for p in phases.values()), "phases numbered twice"
+        for i, key in enumerate(sorted(phases)):
+            # the one late field of a frozen record, not yet seen outside the engine
+            object.__setattr__(phases[key], "phase_id", i)
+        return [self.reports[i] for i in range(len(self.targets))]
 
 
 def _as_alpha(point, name: str) -> np.ndarray:
@@ -498,7 +560,7 @@ def meta_evolve(
 ) -> list[TransferReport]:
     """One-to-many transfer along the evolution tree (path sharing)."""
     engine, start = _start(source, targets, expert_policy, trainer, cfg)
-    return engine.run([start.fork((), start.indices)])
+    return engine.run([engine.subtree(start.fork((), start.indices))])
 
 
 def herd_baseline(
@@ -506,7 +568,7 @@ def herd_baseline(
 ) -> list[TransferReport]:
     """Independent one-to-one transfers: the meta point is always the target."""
     engine, start = _start(source, targets, expert_policy, trainer, cfg)
-    return engine.run([start.fork((i,), [i]) for i in start.indices])
+    return engine.run([engine.subtree(start.fork((i,), [i])) for i in start.indices])
 
 
 def geom_median_baseline(
@@ -516,10 +578,13 @@ def geom_median_baseline(
     engine, start = _start(source, targets, expert_policy, trainer, cfg)
     points = np.vstack([start.alpha[None, :], engine.targets])
     median = np.clip(geometric_median(points, cfg.p_norm), 0.0, 1.0)
-    # the trunk walks to the median on a fixed meta point, then splits into singletons
     trunk = start.fork((), start.indices)
-    on_median = engine.walk(
-        trunk, lambda alpha, indices, edge: (median, [(indices, None)])
-    )
-    singles = trunk.indices if on_median else []
-    return engine.run([trunk.fork((i + 1,), [i]) for i in singles])
+
+    def walk_trunk():
+        """To the median on a fixed meta point, then one stream per target."""
+        on_median = yield from engine.walk(
+            trunk, lambda alpha, indices, edge: (median, [(indices, None)])
+        )
+        return [trunk.fork((i + 1,), [i]) for i in trunk.indices] if on_median else []
+
+    return engine.run([walk_trunk()])

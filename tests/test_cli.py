@@ -6,12 +6,15 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evotree import cli
+from evotree import cli, transfer
 from evotree.cli import main
+from evotree.errors import SimulationError
+from evotree.trainers import CostModelTrainer
 from evotree.transfer import TransferConfig
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -27,6 +30,27 @@ TOY = [
 
 def run(*argv):
     return main(list(argv))
+
+
+# a JSON value nested 100,000 deep, written in place of DEEP by dump_json
+DEEP = "__nested_100000_deep__"
+
+
+def dump_json(value, path):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(value).replace(f'"{DEEP}"', "[" * 100_000 + "]" * 100_000))
+
+
+@dataclasses.dataclass(frozen=True)
+class CrashNear(CostModelTrainer):
+    """Cost trainer whose train_step raises within L1 distance 0.05 of point."""
+
+    point: tuple = ()
+
+    def train_step(self, policy, alpha, seed):
+        if np.abs(np.asarray(alpha) - self.point).sum() < 0.05:
+            raise SimulationError("simulated crash near the last target")
+        return super().train_step(policy, alpha, seed)
 
 
 @pytest.fixture
@@ -127,9 +151,17 @@ class TestExitCodeContract:
 
 
     @pytest.mark.parametrize("case", ["config", "spec", "out"])
-    def test_unreadable_or_unwritable_path(self, tmp_path, capsys, case):
+    def test_unreadable_or_unwritable_path(self, tmp_path, capsys, monkeypatch, case):
         # bytes that are not UTF-8 as a config file or robot spec, and an
-        # --out that names a regular file
+        # --out that names a regular file, found before any phase runs
+        phases = []
+        phase_train = transfer.phase_train
+
+        def counted(*args, **kwargs):
+            phases.append(args)
+            return phase_train(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "phase_train", counted)
         bad = tmp_path / "bad"
         bad.write_bytes(b"\xff\xfe")
         robots = list(PLANAR[:3])
@@ -144,6 +176,24 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith("error: ") and str(bad) in err
+        assert phases == []
+
+    @pytest.mark.parametrize("command", ["transfer", "compare"])
+    def test_trainer_error_in_one_stream_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # meta's subtrees and herd's streams train side by side; only the
+        # stream toward the last target reaches the region that raises
+        monkeypatch.setattr(
+            cli, "make_trainer",
+            lambda kind, problem, settings: CrashNear(point=tuple(problem.target_alphas[-1])),
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("transfer.xi = 0.01\n")
+        extra = ["--methods", "herd,meta"] if command == "compare" else []
+        code = run(command, "--robots", *PLANAR, "--config", str(cfg),
+                   "--out", str(tmp_path), *extra)
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith("error: transfer failed: simulated crash")
 
 
 def load_fixture(kind):
@@ -159,6 +209,7 @@ SPEC_MUTATIONS = [
     "extra_param", "bad_parent", "self_parent", "second_root", "add_joint",
     "bad_joint_kind", "inverted_joint", "malformed_joint", "duplicate_body",
     "bad_correspondence", "unknown_correspondence", "same_as_source",
+    "huge_int", "deep",
 ]
 
 
@@ -168,7 +219,7 @@ def mutate(specs, kind, robot, pick):
     key = sorted(spec["params"])[pick % len(spec["params"])] if spec["params"] else None
     body = spec["bodies"][pick % len(spec["bodies"])]
     values = {"nan": float("nan"), "inf": float("inf"), "negative": -1.0,
-              "junk": "junk", "null": None}
+              "junk": "junk", "null": None, "huge_int": 10**400, "deep": DEEP}
     joints = {
         "add_joint": {"name": "j", "kind": "revolute", "range": [-1.0, 1.0]},
         "bad_joint_kind": {"name": "j", "kind": "warp", "range": [0.0, 1.0]},
@@ -217,6 +268,8 @@ class TestSpecExitCodeContract:
     )
     @example(fixture="toy", mutations=[("drop_param", 2, 0)], norm="l2", command="transfer")
     @example(fixture="planar", mutations=[("same_as_source", 1, 0)], norm="l2", command="transfer")
+    @example(fixture="planar", mutations=[("huge_int", 0, 0)], norm="l1", command="plan")
+    @example(fixture="planar", mutations=[("deep", 2, 0)], norm="l1", command="plan")
     def test_mutated_specs_keep_exit_contract(self, fixture, mutations, norm, command):
         # the toy set runs the toymdp trainer (which needs its five
         # parameters), on a coarse, short schedule; exit 3 is allowed
@@ -227,8 +280,7 @@ class TestSpecExitCodeContract:
             robots = []
             for i, spec in enumerate(specs):
                 robots.append(os.path.join(tmp, f"robot{i}.json"))
-                with open(robots[-1], "w") as fh:
-                    json.dump(spec, fh)
+                dump_json(spec, robots[-1])
             cfg = os.path.join(tmp, "run.cfg")
             with open(cfg, "w") as fh:
                 fh.write("transfer.xi = 0.25\ntransfer.max_phase_iterations = 3\n")
@@ -243,6 +295,8 @@ class TestSpecExitCodeContract:
         assert code in (0, 2, 3), (code, err.getvalue())
         if code == 2:
             assert err.getvalue().startswith("error: ")
+        if len(mutations) == 1 and mutations[0][0] in ("huge_int", "deep"):
+            assert code == 2 and robots[mutations[0][1]] in err.getvalue()
 
 
 class TestTransfer:
@@ -587,7 +641,8 @@ class TestReport:
         mutations=st.lists(
             st.tuples(
                 st.integers(0, 10**6),
-                st.sampled_from(["drop", "empty", None, "x", 1.5, -1, True, [], {}]),
+                st.sampled_from(["drop", "empty", None, "x", 1.5, -1, True, [], {},
+                                 10**400, DEEP]),
             ),
             min_size=1,
             max_size=3,
@@ -595,14 +650,16 @@ class TestReport:
     )
     @example(name="plan.json", mutations=[(0, [1])])
     @example(name="report.json", mutations=[(0, {"schema": 1, "phases": []})])
+    @example(name="report.json", mutations=[(0, DEEP)])
+    @example(name="plan.json", mutations=[(3, DEEP)])
+    @example(name="report.json", mutations=[(7, 10**400)])
     def test_mutated_inputs_keep_exit_contract(self, real_outputs, name, mutations):
         payload = json.loads(json.dumps(real_outputs[name]))
         for pick, action in mutations:
             payload = mutate_json(payload, pick, action)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "input.json")
-            with open(path, "w") as fh:
-                json.dump(payload, fh)
+            dump_json(payload, path)
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):

@@ -74,11 +74,15 @@ def step(pos, vel, action, theta):
     return state[2:, 0], state[:2, 0]
 
 
+def simulate(trainer, policy, alpha, episodes, seed, record=False):
+    """One job through the kernel: its (success, history)."""
+    [run] = trainer._simulate([(policy, alpha, episodes, seed)], record=record)
+    return run
+
+
 def one_episode(trainer, policy, alpha, seed):
     """One recorded kernel episode: (success, features[T,4], live steps)."""
-    success, (feats, _, steps) = trainer._simulate(
-        policy, alpha, 1, seed, record=True
-    )
+    success, (feats, _, steps) = simulate(trainer, policy, alpha, 1, seed, record=True)
     return bool(success[0]), feats[: steps[0], 0], int(steps[0])
 
 
@@ -118,7 +122,7 @@ class TestToyMdpStep:
         pol = tr.proportional_policy(1.2, 0.8, 0.12)
         pol.weights[0, 0] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(SimulationError):
-            t._simulate(pol, a, 1, seed=0)
+            simulate(t, pol, a, 1, seed=0)
 
     def test_continuity_in_theta(self):
         pos = np.array([0.1, 0.2])
@@ -364,14 +368,14 @@ class TestBatchedProbe:
         out = t.gradient_probe(pol, pts, seed=[seed, 1])
         assert out.mean_return.shape == (k,)
         assert out.sim_episodes == k * t.probe_episodes
-        success, (feats, acts, steps) = t._simulate(
-            pol, pts, t.probe_episodes, [seed, 1], record=True
+        success, (feats, acts, steps) = simulate(
+            t, pol, pts, t.probe_episodes, [seed, 1], record=True
         )
         n = t.probe_episodes
         for j in range(k):
             one = t.gradient_probe(pol, pts[j : j + 1], seed=[seed, 1])
             assert np.array_equal(out.mean_return[j : j + 1], one.mean_return)
-            s1, (f1, a1, st1) = t._simulate(pol, pts[j], n, [seed, 1], record=True)
+            s1, (f1, a1, st1) = simulate(t, pol, pts[j], n, [seed, 1], record=True)
             rows = slice(j * n, (j + 1) * n)
             assert np.array_equal(success[rows], s1)
             assert np.array_equal(steps[rows], st1)
@@ -474,14 +478,57 @@ class TestKernelEqualsMaskedCopy:
         pts = box_points(rng, k, 5, face_share)
         alpha = pts[0] if one_point else pts
         success, feats, acts, steps = masked_copy_kernel(t, pol, alpha, episodes, seed)
-        plain, history = t._simulate(pol, alpha, episodes, seed)
+        plain, history = simulate(t, pol, alpha, episodes, seed)
         assert history is None
         assert np.array_equal(plain, success)
-        rec, (f, a, s) = t._simulate(pol, alpha, episodes, seed, record=True)
+        rec, (f, a, s) = simulate(t, pol, alpha, episodes, seed, record=True)
         assert np.array_equal(rec, success)
         assert np.array_equal(s, steps)
         assert np.array_equal(f, feats)
         assert np.array_equal(a, acts)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1),
+                st.sampled_from([0.0, 0.3, 3.0, 300.0]),
+                st.sampled_from([1, 2, 30, 90]),
+                st.sampled_from([0, 1, 3]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        record=st.booleans(),
+        batch_size=st.sampled_from([1, 2, 12]),
+    )
+    def test_jobs_equal_one_job_calls(self, jobs, record, batch_size):
+        # mixed policies, points and episode counts side by side in one call;
+        # k = 0 is one point (D,), else a (k, D) batch
+        t = make_trainer(batch_size=batch_size)
+        runs = []
+        for seed, spread, episodes, k in jobs:
+            rng = np.random.default_rng(seed)
+            pts = box_points(rng, max(k, 1), 5, 0.3)
+            runs.append((random_policy(rng, spread), pts if k else pts[0], episodes, [seed, k]))
+        batched = t._simulate(runs, record=record)
+        assert len(batched) == len(runs)
+        for job, (success, history) in zip(runs, batched):
+            one, one_history = simulate(t, *job, record=record)
+            assert np.array_equal(success, one)
+            if record:
+                for a, b in zip(history, one_history):
+                    assert np.array_equal(a, b)
+            else:
+                assert history is None and one_history is None
+        for job, ev in zip(runs, t.evaluates(runs)):
+            assert ev == t.evaluate(*job)
+        train_jobs = [(pol, np.atleast_2d(pts)[0], seed) for pol, pts, _, seed in runs]
+        for job, out in zip(train_jobs, t.train_steps(train_jobs)):
+            one = t.train_step(*job)
+            assert out.sim_episodes == one.sim_episodes == batch_size
+            assert np.array_equal(out.policy.weights, one.policy.weights)
+            assert np.array_equal(out.policy.log_std, one.policy.log_std)
 
     def test_goal_r2_is_the_exact_square_root_threshold(self):
         r2 = tr.GOAL_R2

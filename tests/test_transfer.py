@@ -10,12 +10,21 @@ from scipy import optimize
 from evotree import evo_tree
 from evotree import transfer as tx
 from evotree.evo_tree import evolution_tree
-from evotree.errors import DegenerateDirectionError, InvalidInputError
+from evotree.errors import (
+    DegenerateDirectionError,
+    EvoTreeError,
+    InvalidInputError,
+    SimulationError,
+)
 from evotree.trainers import (
     CostModelTrainer,
     EvalResult,
     ProbeResult,
+    SerialBatches,
+    ToyMdpTrainer,
     TrainStepResult,
+    proportional_policy,
+    toy_space,
 )
 
 COST_CFG = tx.TransferConfig(xi=0.01, p_norm=1, gradient_samples=0)
@@ -116,7 +125,7 @@ class TestWindow:
 
 
 @dataclass
-class ScheduleTrainer:
+class ScheduleTrainer(SerialBatches):
     """Stub: evaluate returns a fixed schedule of success rates."""
 
     schedule: tuple
@@ -138,39 +147,46 @@ class ScheduleTrainer:
         return ProbeResult(mean_return=np.zeros(len(alphas)), sim_episodes=0)
 
 
+def drive(trainer, walk):
+    """Run one generator of trainer requests through the single calls and
+    return what it returns."""
+    calls = {tx.TRAIN: trainer.train_step, tx.EVAL: trainer.evaluate}
+    result = None
+    while True:
+        try:
+            kind, job = walk.send(result)
+        except StopIteration as done:
+            return done.value
+        result = calls[kind](*job)
+
+
 class TestPhaseTrain:
     def test_cost_model_single_iteration(self):
         trainer = CostModelTrainer()
         cfg = tx.TransferConfig(xi=0.03)
-        policy, iters, episodes, success, reached = tx.phase_train(
-            trainer, (0.0, 0.0), (0.03, 0.0), object(), cfg
-        )
-        assert (iters, episodes) == (1, 10)
-        assert reached and success == 1.0
+        out = drive(trainer, tx.phase_train((0.0, 0.0), (0.03, 0.0), object(), cfg))
+        assert (out.train_iterations, out.sim_episodes) == (1, 10)
+        assert out.reached and out.final_success_rate == 1.0
 
     def test_gate_blocks_below_threshold(self):
         trainer = ScheduleTrainer(schedule=(0.6, 0.6, 0.7))
         cfg = tx.TransferConfig(xi=0.03, success_threshold=0.667)
-        _, iters, _, success, reached = tx.phase_train(
-            trainer, (0.0, 0.0), (0.03, 0.0), object(), cfg
-        )
-        assert iters == 3  # 0.6 and 0.6 do not pass the 0.667 gate
-        assert reached and success == pytest.approx(0.7)
+        out = drive(trainer, tx.phase_train((0.0, 0.0), (0.03, 0.0), object(), cfg))
+        assert out.train_iterations == 3  # 0.6 and 0.6 do not pass the 0.667 gate
+        assert out.reached and out.final_success_rate == pytest.approx(0.7)
 
     def test_budget_exhausted(self):
         trainer = ScheduleTrainer(schedule=(0.3,))
         cfg = tx.TransferConfig(xi=0.03, max_phase_iterations=7)
-        _, iters, _, _, reached = tx.phase_train(
-            trainer, (0.0, 0.0), (0.03, 0.0), object(), cfg
-        )
-        assert iters == 7 and not reached
+        out = drive(trainer, tx.phase_train((0.0, 0.0), (0.03, 0.0), object(), cfg))
+        assert out.train_iterations == 7 and not out.reached
 
     def test_samples_stay_in_window(self):
         trainer = ScheduleTrainer(schedule=(0.0,))
         cfg = tx.TransferConfig(xi=0.03, max_phase_iterations=50)
         a0 = np.array([0.0, 0.5])
         a1 = np.array([0.03, 0.5])
-        tx.phase_train(trainer, a0, a1, object(), cfg)
+        drive(trainer, tx.phase_train(a0, a1, object(), cfg))
         for t, s in enumerate(trainer.samples):
             start = tx.shrunk_window_start(a0, a1, cfg.shrink_ratio, t)
             lo = np.minimum(start, a1) - 1e-12
@@ -465,7 +481,7 @@ class TestGeomMedianBaseline:
 
 
 @dataclass
-class RegionTrainer:
+class RegionTrainer(SerialBatches):
     """Stub: every robot with alpha[1] >= 0.5 fails its gate."""
 
     def evaluate(self, policy, alpha, episodes, seed):
@@ -535,6 +551,99 @@ class TestEngineContract:
         [rep] = METHODS[method]((0.2, 0.8), [(0.8, 0.2)], object(), CostModelTrainer(), cfg)
         assert rep.outcome == "success"
         assert list(dict.fromkeys(p.segment for p in rep.phases)) == segments
+
+
+def sequential_run(self, walks):
+    """Reference for _Engine.run: one walk at a time, depth-first with child
+    0 first, each request through the single trainer calls."""
+    work = walks[::-1]
+    while work:
+        children = drive(self.trainer, work.pop())
+        work.extend(self.subtree(c) for c in reversed(children))
+    return [self.reports[i] for i in range(len(self.targets))]
+
+
+def run_sequentially(method, *args):
+    """A method's reports from sequential_run, each phase numbered in
+    the order it started; or the error it raised."""
+    started = []
+    phase_train = tx.phase_train
+
+    def counted(*a, **kw):
+        started.append(tuple(kw["seed_material"]))
+        return phase_train(*a, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tx, "phase_train", counted)
+        mp.setattr(tx._Engine, "run", sequential_run)
+        try:
+            reports = METHODS[method](*args)
+        except EvoTreeError as exc:
+            return exc
+    ids = {key: i for i, key in enumerate(started)}
+    return [
+        replace(r, phases=tuple(
+            replace(p, phase_id=ids[(*p.segment, p.phase_index)]) for p in r.phases
+        ))
+        for r in reports
+    ]
+
+
+@dataclass(frozen=True)
+class FailingRegionTrainer(CostModelTrainer):
+    """Cost trainer whose train_step raises on robots with alpha[1] >= 0.5."""
+
+    def train_step(self, policy, alpha, seed):
+        if np.asarray(alpha)[1] >= 0.5:
+            raise SimulationError("simulated crash in the upper region")
+        return super().train_step(policy, alpha, seed)
+
+
+class TestLockstep:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(sorted(METHODS)),
+        xi=st.sampled_from([0.3, 0.6]),
+        p_norm=st.sampled_from([1, 2]),
+        n=st.integers(2, 4),
+        batch_size=st.sampled_from([1, 2, 6]),
+        eval_episodes=st.sampled_from([1, 2, 5]),
+        probes=st.booleans(),
+    )
+    def test_equals_one_stream_at_a_time(
+        self, seed, method, xi, p_norm, n, batch_size, eval_episodes, probes
+    ):
+        rng = np.random.default_rng(seed)
+        src, tgts = rng.random(5), rng.random((n, 5))
+        trainer = ToyMdpTrainer(toy_space(), batch_size=batch_size, learning_rate=0.3)
+        cfg = tx.TransferConfig(
+            xi=xi, p_norm=p_norm, max_phase_iterations=4, seed=seed % 1000,
+            eval_episodes=eval_episodes, gradient_samples=6 * probes,
+        )
+        expert = proportional_policy(1.2, 0.8, 0.12)
+        args = (src, tgts, expert, trainer, cfg)
+        expected = run_sequentially(method, *args)
+        if isinstance(expected, EvoTreeError):
+            with pytest.raises(type(expected)):
+                METHODS[method](*args)
+            return
+        reports = METHODS[method](*args)
+        assert reports == expected  # phases with their ids, outcomes, totals
+        for a, b in zip(reports, expected):
+            assert np.array_equal(a.policy.weights, b.policy.weights)
+            assert np.array_equal(a.policy.log_std, b.policy.log_std)
+
+    @pytest.mark.parametrize("method", ["meta", "herd"])
+    def test_trainer_error_in_one_stream_aborts(self, method):
+        # three streams train side by side; only the one toward target 2
+        # enters the region where train_step raises
+        src = (0.5, 0.45)
+        tgts = [(0.0, 0.45), (1.0, 0.45), (0.5, 0.95)]
+        args = (src, tgts, object(), FailingRegionTrainer(), COST_CFG)
+        assert isinstance(run_sequentially(method, *args), SimulationError)
+        with pytest.raises(SimulationError, match="upper region"):
+            METHODS[method](*args)
 
 
 class TestBudgetExhaustion:
@@ -613,7 +722,7 @@ def run_meta(src, tgts, trainer, cfg, plan_fn=None):
     engine, start = tx._start(src, tgts, object(), trainer, cfg)
     if plan_fn:
         engine.plan = plan_fn(engine)
-    return engine.run([start])
+    return engine.run([engine.subtree(start)])
 
 
 def segment_counts(reports):
