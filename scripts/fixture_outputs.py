@@ -8,6 +8,8 @@ Each run writes into its own directory under OUT:
 * `transfer` and `compare --methods meta,herd,geom-median` with the cost
   trainer, under L1 and L2, at xi 0.02, on both fixture sets;
 * one short `toymdp` transfer on `fixtures/toy`;
+* a cost transfer from the planar source to a copy of it (written under
+  OUT as `robots/source_copy.json`), whose report has no phases;
 * `report` on every plan.json and report*.json above.
 
 The runs use the evotree package next to this script (`src/`), so running
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 
@@ -44,6 +47,7 @@ def runs(out_root: str):
     """(output directory, argv, files it writes) of every run, reports last."""
     xi = os.path.join(out_root, "configs", "xi002.cfg")
     toy = os.path.join(out_root, "configs", "toymdp.cfg")
+    copy = os.path.join(out_root, "robots", "source_copy.json")
     out = []
     for fixture in ("planar", "toy"):
         for norm in ("l1", "l2"):
@@ -62,6 +66,9 @@ def runs(out_root: str):
                 ["transfer", "--robots", *robots("toy"), "--trainer", "toymdp",
                  "--config", toy, "--seed", "1"],
                 ["report.json", "phases.csv"]))
+    out.append(("transfer-planar-same",
+                ["transfer", "--robots", robots("planar")[0], copy],
+                ["report.json", "phases.csv"]))
     out += [
         (f"report-{name}-{f[:-5]}",
          ["report", "--report", os.path.join(out_root, name, f)],
@@ -78,6 +85,11 @@ def write_outputs(out_root: str) -> int:
         fh.write("transfer.xi = 0.02\n")
     with open(os.path.join(config_dir, "toymdp.cfg"), "w") as fh:
         fh.write(TOYMDP_CONFIG)
+    with open(robots("planar")[0]) as fh:
+        source = json.load(fh)
+    os.makedirs(os.path.join(out_root, "robots"), exist_ok=True)
+    with open(os.path.join(out_root, "robots", "source_copy.json"), "w") as fh:
+        json.dump({**source, "name": source["name"] + "-copy"}, fh)
     failed = []
     for out, argv, files in runs(out_root):
         with contextlib.redirect_stdout(io.StringIO()):

@@ -272,20 +272,6 @@ def make_expert(settings: dict):
 # ---------------------------------------------------------------------------
 
 
-def _phase_dict(ph: transfer.PhaseRecord) -> dict:
-    return {
-        "phase_id": ph.phase_id,
-        "segment": list(ph.segment),
-        "phase_index": ph.phase_index,
-        "alpha_from": list(ph.alpha_from),
-        "alpha_to": list(ph.alpha_to),
-        "train_iterations": ph.train_iterations,
-        "sim_episodes": ph.sim_episodes,
-        "final_success_rate": ph.final_success_rate,
-        "reached": ph.reached,
-    }
-
-
 def report_payload(
     method: str,
     reports: list[transfer.TransferReport],
@@ -293,11 +279,8 @@ def report_payload(
     problem: Problem,
     trainer_kind: str,
 ) -> dict:
-    all_phases: dict[int, transfer.PhaseRecord] = {}
-    for rep in reports:
-        for ph in rep.phases:
-            all_phases[ph.phase_id] = ph
-    train_total, sim_total = transfer.aggregate_totals(reports)
+    # shared trunk phases sit in several reports; each is listed and counted once
+    phases = {ph.phase_id: ph for rep in reports for ph in rep.phases}
     outcome = (
         "success"
         if all(r.outcome == "success" for r in reports)
@@ -314,8 +297,11 @@ def report_payload(
             "name": problem.source_name,
             "alpha": [float(x) for x in problem.source_alpha],
         },
+        # a shallow copy of each record's fields; dataclasses.asdict would
+        # deep-copy every float
         "phases": [
-            _phase_dict(all_phases[k]) for k in sorted(all_phases)
+            {f.name: getattr(ph, f.name) for f in dataclasses.fields(ph)}
+            for _, ph in sorted(phases.items())
         ],
         "paths": [
             {
@@ -329,7 +315,10 @@ def report_payload(
             }
             for rep in reports
         ],
-        "totals": {"train_iterations": train_total, "sim_episodes": sim_total},
+        "totals": {
+            k: sum(getattr(ph, k) for ph in phases.values())
+            for k in ("train_iterations", "sim_episodes")
+        },
         "outcome": outcome,
     }
 
@@ -388,19 +377,10 @@ def cmd_plan(args) -> int:
             "upper": [float(x) for x in problem.space.theta_upper],
         },
         "robots": [
-            {
-                "name": spec.name,
-                "role": "source" if i == 0 else "target",
-                "alpha": [
-                    float(x)
-                    for x in (
-                        problem.source_alpha
-                        if i == 0
-                        else problem.target_alphas[i - 1]
-                    )
-                ],
-            }
-            for i, spec in enumerate(problem.specs)
+            {"name": spec.name, "role": role, "alpha": [float(x) for x in alpha]}
+            for spec, role, alpha in zip(
+                problem.specs, ["source"] + ["target"] * len(names), terminals
+            )
         ],
         "tree": {
             "vertices": [[float(x) for x in v] for v in tree.vertices],
@@ -482,42 +462,33 @@ def cmd_compare(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}")
+        if methods.count(m) > 1:
+            raise InvalidInputError(f"method {m!r} is listed more than once")
     problem, cfg, trainer, expert = _transfer_setup(args)
-    totals = {}
-    failed = False
+    totals, outcomes = {}, {}
     for method in methods:
         reports = _METHOD_FN[method](
             problem.source_alpha, problem.target_alphas, expert, trainer, cfg
         )
-        train, sim = transfer.aggregate_totals(reports)
-        ok = all(r.outcome == "success" for r in reports)
-        failed = failed or not ok
-        totals[method] = (train, sim, ok)
         payload = report_payload(method, reports, cfg, problem, args.trainer)
         write_json(os.path.join(args.out, f"report_{method}.json"), payload)
+        totals[method], outcomes[method] = payload["totals"], payload["outcome"]
+    keys = ("train_iterations", "sim_episodes")
     herd = totals.get("herd")
-    rows = []
-    for method in methods:
-        train, sim, ok = totals[method]
-        speed_train = (herd[0] / train) if herd and train else ""
-        speed_sim = (herd[1] / sim) if herd and sim else ""
-        rows.append(
-            [
-                method,
-                train,
-                sim,
-                repr(float(speed_train)) if speed_train != "" else "",
-                repr(float(speed_sim)) if speed_sim != "" else "",
-                "success" if ok else "budget-exhausted",
-            ]
-        )
+    rows = [
+        [method, *(t[k] for k in keys)]
+        + [repr(herd[k] / t[k]) if herd and t[k] else "" for k in keys]
+        + [outcomes[method]]
+        for method, t in totals.items()
+    ]
     write_csv(
         os.path.join(args.out, "compare.csv"),
-        ["method", "train_iterations", "sim_episodes", "speedup_train", "speedup_sim", "outcome"],
+        ["method", *keys, "speedup_train", "speedup_sim", "outcome"],
         rows,
     )
     print(f"wrote {os.path.join(args.out, 'compare.csv')}")
-    return EXIT_BUDGET if failed else EXIT_OK
+    ok = all(outcome == "success" for outcome in outcomes.values())
+    return EXIT_OK if ok else EXIT_BUDGET
 
 
 _NUMBER = (int, float)
@@ -590,45 +561,32 @@ def cmd_report(args) -> int:
         ]
     elif "phases" in payload:
         _check_shape(payload, _REPORT_SHAPE, args.report)
-        phase_by_id = {p["phase_id"]: p for p in payload["phases"]}
-        pts = _coordinates(
-            [p["alpha_to"] for p in payload["phases"]]
-            + [p["alpha_from"] for p in payload["phases"]],
-            "phase alphas",
-        )
-        ax0, ax1 = _projection_axes(pts)
-        multiplicity: dict[int, int] = {}
+        phases = payload["phases"]
+        ax0, ax1 = 0, 1  # a report whose targets all equal the source has no phases
+        if phases:
+            ax0, ax1 = _projection_axes(_coordinates(
+                [p["alpha_to"] for p in phases] + [p["alpha_from"] for p in phases],
+                "phase alphas",
+            ))
+        owners: dict[int, list[str]] = {}
         for path in payload["paths"]:
             for pid in path["phase_ids"]:
-                multiplicity[pid] = multiplicity.get(pid, 0) + 1
-        # one vertex row per distinct segment start
-        seg_start: dict[tuple, tuple] = {}
-        for p in payload["phases"]:
-            key = tuple(p["segment"])
-            if key not in seg_start or p["phase_index"] < seg_start[key][0]:
-                seg_start[key] = (p["phase_index"], tuple(p["alpha_from"]))
-        seen_pts = set()
-        for key in sorted(seg_start):
-            pt = seg_start[key][1]
-            if pt in seen_pts:
-                continue
-            seen_pts.add(pt)
+                owners.setdefault(pid, []).append(str(path["target_index"]))
+        # one vertex row per distinct segment start, segments in order
+        starts: dict[tuple, tuple] = {}
+        for p in sorted(phases, key=lambda p: (p["segment"], p["phase_index"])):
+            starts.setdefault(tuple(p["segment"]), tuple(p["alpha_from"]))
+        for pt in dict.fromkeys(starts.values()):
             rows.append(
                 ["vertex", "", "", 1, repr(float(pt[ax0])), repr(float(pt[ax1]))]
             )
-        for pid in sorted(phase_by_id):
-            ph = phase_by_id[pid]
-            path_ids = [
-                str(p["target_index"])
-                for p in payload["paths"]
-                if pid in p["phase_ids"]
-            ]
+        for pid, ph in sorted({p["phase_id"]: p for p in phases}.items()):
             rows.append(
                 [
                     "phase",
-                    "|".join(path_ids),
+                    "|".join(owners.get(pid, [])),
                     pid,
-                    multiplicity.get(pid, 0),
+                    len(owners.get(pid, [])),
                     repr(float(ph["alpha_to"][ax0])),
                     repr(float(ph["alpha_to"][ax1])),
                 ]
@@ -674,14 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, robots=True):
-        if robots:
-            p.add_argument(
-                "--robots",
-                nargs="+",
-                required=True,
-                help="robot spec files; the first is the source",
-            )
+    def common(p):
+        p.add_argument(
+            "--robots",
+            nargs="+",
+            required=True,
+            help="robot spec files; the first is the source",
+        )
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--norm", choices=["l1", "l2"], default=None)
         p.add_argument(

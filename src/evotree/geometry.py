@@ -737,7 +737,7 @@ def _finalize_steiner(
     edges: Sequence[tuple[int, int]],
     p: int,
 ) -> Optional[Tree]:
-    """Contract coincident vertices, splice pass-through Steiner points, canonicalize.
+    """Contract zero-length edges, splice pass-through Steiner points, canonicalize.
 
     Vertices come out as the terminals in input order, then the Steiner
     points by coordinates. Returns None when contraction leaves an L2
@@ -748,26 +748,15 @@ def _finalize_steiner(
     parent = list(range(n_vert))
     terminal_set = set(terminal_ids)
 
-    def near(a, b):
-        return _lp(vertices[a], vertices[b], p) <= MERGE_TOL
-
-    def union(a, b):
-        ra, rb = _find(parent, a), _find(parent, b)
-        # keep terminal representatives so merges fold into terminals
-        if ra in terminal_set:
-            parent[rb] = ra
-        else:
-            parent[ra] = rb
-
+    # only edges contract: merging vertices that no edge joins could close a cycle
     for i, j in edges:
-        if near(i, j):
-            union(i, j)
-    # also merge Steiner vertices sitting on terminals without a direct edge
-    for s in range(n_vert):
-        if s not in terminal_set:
-            t = next((t for t in terminal_set if near(s, t)), None)
-            if t is not None:
-                union(s, t)
+        if _lp(vertices[i], vertices[j], p) <= MERGE_TOL:
+            ri, rj = _find(parent, i), _find(parent, j)
+            # keep terminal representatives so merges fold into terminals
+            if ri in terminal_set:
+                parent[rj] = ri
+            else:
+                parent[ri] = rj
 
     root = [_find(parent, i) for i in range(n_vert)]
     first = {}

@@ -282,10 +282,6 @@ def load_robot_spec(path: str) -> RobotSpec:
 # ---------------------------------------------------------------------------
 
 
-def _canonical_of(mapping: Mapping[str, str], local: str) -> str:
-    return mapping.get(local, local)
-
-
 def match_kinematics(
     specs: Sequence[RobotSpec], corr: Optional[Correspondence] = None
 ) -> MatchedSpace:
@@ -302,6 +298,14 @@ def match_kinematics(
     if corr is None:
         corr = {s.name: s.correspondence for s in specs}
 
+    # ---- one union pass: the body tree (parents must agree), the joints
+    # (frozen yields to the live kind) and the parameter units (must agree)
+    canon_parent: dict[str, Optional[str]] = {}
+    joint_kind: dict[tuple[str, str], str] = {}
+    param_unit: dict[str, Optional[str]] = {}
+    # per robot: canonical parameter key -> local key, canonical joint -> range
+    local_params: list[dict[str, str]] = []
+    joint_ranges: list[dict[tuple[str, str], tuple[float, float]]] = []
     for spec in specs:
         mapping = corr.get(spec.name, {})
         local_ids = (
@@ -317,53 +321,32 @@ def match_kinematics(
                     path=spec.name,
                 )
         validate_spec(spec)
-
-    # ---- canonical body tree (graph union; parents must agree)
-    canon_parent: dict[str, Optional[str]] = {}
-    for spec in specs:
-        mapping = corr.get(spec.name, {})
-        seen_canon: dict[str, str] = {}
+        seen_body: dict[str, str] = {}
+        ranges: dict[tuple[str, str], tuple[float, float]] = {}
         for b in spec.bodies:
-            cid = _canonical_of(mapping, b.id)
-            if cid in seen_canon:
+            cid = mapping.get(b.id, b.id)
+            if cid in seen_body:
                 raise CorrespondenceConflictError(
-                    f"robot {spec.name!r} maps bodies {seen_canon[cid]!r} and"
+                    f"robot {spec.name!r} maps bodies {seen_body[cid]!r} and"
                     f" {b.id!r} to one canonical body {cid!r}",
                     key=cid,
                 )
-            seen_canon[cid] = b.id
-            cparent = (
-                None if b.parent is None else _canonical_of(mapping, b.parent)
-            )
-            if cid in canon_parent and canon_parent[cid] != cparent:
+            seen_body[cid] = b.id
+            cparent = None if b.parent is None else mapping.get(b.parent, b.parent)
+            if canon_parent.setdefault(cid, cparent) != cparent:
                 raise SpecValidationError(
                     f"conflicting parents for canonical body {cid!r}:"
                     f" {canon_parent[cid]!r} vs {cparent!r}",
                     key=cid,
                 )
-            canon_parent.setdefault(cid, cparent)
-    roots = [cid for cid, par in canon_parent.items() if par is None]
-    if canon_parent and len(roots) != 1:
-        raise SpecValidationError(
-            f"canonical tree must have one root, found {sorted(roots)}"
-        )
-
-    # ---- canonical joints (kind merge: frozen yields to the live kind)
-    joint_kind: dict[tuple[str, str], str] = {}
-    for spec in specs:
-        mapping = corr.get(spec.name, {})
-        seen_joint: dict[tuple[str, str], str] = {}
-        for b in spec.bodies:
-            cbody = _canonical_of(mapping, b.id)
             for j in b.joints:
-                cname = _canonical_of(mapping, j.name)
-                ckey = (cbody, cname)
-                if ckey in seen_joint:
+                ckey = (cid, mapping.get(j.name, j.name))
+                if ckey in ranges:
                     raise CorrespondenceConflictError(
                         f"robot {spec.name!r} maps two joints onto {ckey!r}",
-                        key=cname,
+                        key=ckey[1],
                     )
-                seen_joint[ckey] = j.name
+                ranges[ckey] = j.range
                 prev = joint_kind.get(ckey)
                 if prev is None or prev == "frozen":
                     joint_kind[ckey] = j.kind
@@ -372,19 +355,9 @@ def match_kinematics(
                         f"joint {ckey!r} has incompatible kinds {prev!r}"
                         f" vs {j.kind!r}"
                     )
-
-    canonical_joints = tuple(
-        CanonicalJoint(body=b, name=n, kind=joint_kind[(b, n)])
-        for b, n in sorted(joint_kind)
-    )
-
-    # ---- canonical parameter keys (unit agreement required)
-    param_unit: dict[str, Optional[str]] = {}
-    for spec in specs:
-        mapping = corr.get(spec.name, {})
         seen_param: dict[str, str] = {}
         for key, p in spec.params.items():
-            ckey = _canonical_of(mapping, key)
+            ckey = mapping.get(key, key)
             if ckey in seen_param:
                 raise CorrespondenceConflictError(
                     f"robot {spec.name!r} maps parameters {seen_param[ckey]!r}"
@@ -392,16 +365,24 @@ def match_kinematics(
                     key=ckey,
                 )
             seen_param[ckey] = key
-            if ckey in param_unit:
-                if param_unit[ckey] != p.unit:
-                    raise SpecValidationError(
-                        f"unit mismatch for parameter {ckey!r}:"
-                        f" {param_unit[ckey]!r} vs {p.unit!r}",
-                        key=ckey,
-                    )
-            else:
-                param_unit[ckey] = p.unit
+            if param_unit.setdefault(ckey, p.unit) != p.unit:
+                raise SpecValidationError(
+                    f"unit mismatch for parameter {ckey!r}:"
+                    f" {param_unit[ckey]!r} vs {p.unit!r}",
+                    key=ckey,
+                )
+        local_params.append(seen_param)
+        joint_ranges.append(ranges)
+    roots = [cid for cid, par in canon_parent.items() if par is None]
+    if canon_parent and len(roots) != 1:
+        raise SpecValidationError(
+            f"canonical tree must have one root, found {sorted(roots)}"
+        )
 
+    canonical_joints = tuple(
+        CanonicalJoint(body=b, name=n, kind=joint_kind[(b, n)])
+        for b, n in sorted(joint_kind)
+    )
     param_keys = sorted(param_unit)
     joint_keys = []
     for cj in canonical_joints:
@@ -412,26 +393,14 @@ def match_kinematics(
         [param_unit[k] for k in param_keys] + [None] * len(joint_keys)
     )
 
-    # ---- per-robot embeddings (zeros for absent components)
+    # ---- one embedding pass (zeros for absent components)
     thetas: dict[str, np.ndarray] = {}
-    for spec in specs:
-        mapping = corr.get(spec.name, {})
-        vec = np.zeros(len(parameter_keys))
-        canon_params = {
-            _canonical_of(mapping, k): p.value for k, p in spec.params.items()
-        }
-        for i, key in enumerate(param_keys):
-            vec[i] = canon_params.get(key, 0.0)
-        joint_ranges: dict[tuple[str, str], tuple[float, float]] = {}
-        for b in spec.bodies:
-            cbody = _canonical_of(mapping, b.id)
-            for j in b.joints:
-                joint_ranges[(cbody, _canonical_of(mapping, j.name))] = j.range
-        for ji, cj in enumerate(canonical_joints):
-            lo, hi = joint_ranges.get((cj.body, cj.name), (0.0, 0.0))
-            vec[len(param_keys) + 2 * ji] = lo
-            vec[len(param_keys) + 2 * ji + 1] = hi - lo
-        thetas[spec.name] = vec
+    for spec, local, ranges in zip(specs, local_params, joint_ranges):
+        vec = [spec.params[local[k]].value if k in local else 0.0 for k in param_keys]
+        for cj in canonical_joints:
+            lo, hi = ranges.get((cj.body, cj.name), (0.0, 0.0))
+            vec += [lo, hi - lo]
+        thetas[spec.name] = np.array(vec, dtype=float)
 
     bodies = tuple(sorted(canon_parent.items()))
     return MatchedSpace(

@@ -482,17 +482,8 @@ class _Engine:
         ids are given at the end, in (segment, phase_index) order.
         """
         pending = {}  # walk -> its pending (kind, job)
-
-        def advance(walk, result):
-            try:
-                pending[walk] = walk.send(result)
-            except StopIteration as done:
-                pending.pop(walk, None)
-                for child in done.value:
-                    advance(self.subtree(child), None)
-
         for walk in walks:
-            advance(walk, None)
+            self.advance(pending, walk, None)
         rounds = ((TRAIN, self.trainer.train_steps), (EVAL, self.trainer.evaluates))
         while pending:
             for kind, call in rounds:
@@ -500,8 +491,20 @@ class _Engine:
                 if batch:
                     results = call([job for _, job in batch])
                     for (walk, _), result in zip(batch, results):
-                        advance(walk, result)
+                        self.advance(pending, walk, result)
         return self.numbered()
+
+    def advance(self, pending: dict, walk, result) -> None:
+        """Send result to walk and record its next request in pending; a
+        finished walk's children start at once. A method, because a closure
+        that calls itself is a reference cycle: it would keep the engine and
+        every report alive until a gc pass."""
+        try:
+            pending[walk] = walk.send(result)
+        except StopIteration as done:
+            pending.pop(walk, None)
+            for child in done.value:
+                self.advance(pending, self.subtree(child), None)
 
     # -- reporting ---------------------------------------------------------
 

@@ -543,6 +543,17 @@ class TestCompare:
         )
         assert code == 2
 
+    def test_repeated_method_exits_2(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_transfer_setup", lambda args: calls.append(args))
+        code = run(
+            "compare", "--robots", *PLANAR, "--methods", "meta,herd,meta",
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "'meta' is listed more than once" in capsys.readouterr().err
+        assert calls == [] and not (tmp_path / "compare.csv").exists()
+
 
 def json_paths(value, path=()):
     """Every position in a JSON value, as key and index paths."""
@@ -667,6 +678,63 @@ class TestReport:
         assert code in (0, 2), (code, err.getvalue())
         if code == 2:
             assert err.getvalue().startswith("error: ")
+
+    def test_paths_rows_of_a_shared_trunk(self, tmp_path):
+        # trunk phases 0-1, then segments (0,) and (1,) from one point;
+        # phases are listed out of id and segment order
+        def phase(pid, segment, index, start, end):
+            return {"phase_id": pid, "segment": segment, "phase_index": index,
+                    "alpha_from": start, "alpha_to": end}
+
+        def path(index, name, ids):
+            return {"target_index": index, "target_name": name, "phase_ids": ids,
+                    "train_iterations": 2 * len(ids), "sim_episodes": 20 * len(ids),
+                    "outcome": "success"}
+
+        report = {
+            "schema": 1,
+            "phases": [
+                phase(4, [1], 1, [1.0, 0.0, 0.5], [1.0, 0.0, 1.0]),
+                phase(2, [0], 0, [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]),
+                phase(3, [1], 0, [1.0, 0.0, 0.0], [1.0, 0.0, 0.5]),
+                phase(1, [], 1, [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                phase(0, [], 0, [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]),
+            ],
+            "paths": [path(0, "a", [0, 1, 2]), path(1, "b", [0, 1, 3, 4])],
+            "totals": {"train_iterations": 10, "sim_episodes": 100},
+            "outcome": "success",
+        }
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        code = run("report", "--report", str(tmp_path / "report.json"),
+                   "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "paths.csv").read_text().splitlines() == [
+            "row_kind,path_ids,phase_id,multiplicity,alpha_0,alpha_2",
+            "vertex,,,1,0.0,0.0",
+            "vertex,,,1,1.0,0.0",
+            "phase,0|1,0,2,0.5,0.0",
+            "phase,0|1,1,2,1.0,0.0",
+            "phase,0,2,1,1.0,0.0",
+            "phase,1,3,1,1.0,0.5",
+            "phase,1,4,1,1.0,1.0",
+        ]
+
+    def test_report_without_phases(self, tmp_path):
+        # a target equal to the source is reached with no phase at all
+        spec = json.loads(open(PLANAR[0]).read())
+        spec["name"] += "-copy"
+        (tmp_path / "copy.json").write_text(json.dumps(spec))
+        assert run("transfer", "--robots", PLANAR[0], str(tmp_path / "copy.json"),
+                   "--out", str(tmp_path)) == 0
+        code = run("report", "--report", str(tmp_path / "report.json"),
+                   "--out", str(tmp_path))
+        assert code == 0
+        assert len((tmp_path / "paths.csv").read_text().splitlines()) == 1
+        assert (tmp_path / "totals.csv").read_text().splitlines() == [
+            "path_id,target_name,train_iterations,sim_episodes,outcome",
+            f"0,{spec['name']},0,0,success",
+            "TOTAL,,0,0,success",
+        ]
 
     def test_malformed_report(self, tmp_path):
         bad = tmp_path / "nope.json"

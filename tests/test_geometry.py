@@ -477,6 +477,16 @@ class TestFinalizeSteiner:
         steiner = [tuple(v) for v in out.vertices[k:]]
         assert steiner == sorted(steiner)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_steiner_vertex_on_unjoined_terminal_stays_apart(self, p):
+        # vertex 3 sits on terminal 0 but only terminal 2 joins it; merging
+        # the two would close the cycle 0-1-2-0
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        out = geo._finalize_steiner(verts, [0, 1, 2], [(0, 1), (1, 2), (2, 3)], p)
+        geo.validate_tree(out)
+        assert out.edges == ((0, 1), (1, 2))
+        assert out.length == 2.0
+
 
 class TestSteinerProperties:
     @pytest.mark.parametrize("p", [1, 2])

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -551,6 +553,22 @@ class TestEngineContract:
         [rep] = METHODS[method]((0.2, 0.8), [(0.8, 0.2)], object(), CostModelTrainer(), cfg)
         assert rep.outcome == "success"
         assert list(dict.fromkeys(p.segment for p in rep.phases)) == segments
+
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_reports_die_with_their_last_reference(self, method):
+        # no reference cycle keeps a finished engine, and with it every
+        # report and policy, alive until a gc pass
+        gc.disable()
+        try:
+            reports = METHODS[method](
+                (0.0, 0.5), [(1.0, 0.55), (1.0, 0.45)], object(), CostModelTrainer(), COST_CFG
+            )
+            ref = weakref.ref(reports[0])
+            del reports
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def sequential_run(self, walks):
