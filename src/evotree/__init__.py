@@ -56,55 +56,3 @@ from .transfer import (
     meta_evolve,
     phase_train,
 )
-
-__all__ = [
-    "Body",
-    "BudgetExceededError",
-    "CorrespondenceConflictError",
-    "CostModelTrainer",
-    "DegenerateDirectionError",
-    "EvoTreeError",
-    "EvolutionSpace",
-    "EvolutionTreeResult",
-    "InvalidInputError",
-    "Joint",
-    "LinearGaussianPolicy",
-    "MatchedSpace",
-    "OutOfHullError",
-    "Param",
-    "PhaseFailureError",
-    "PhaseRecord",
-    "RobotSpec",
-    "SimulationError",
-    "SpecValidationError",
-    "ToyMdpTrainer",
-    "TransferConfig",
-    "TransferReport",
-    "Tree",
-    "aggregate_totals",
-    "build_evolution_space",
-    "clamp_meta",
-    "compute_bounds",
-    "denormalize",
-    "estimate_reward_gradient",
-    "evolution_step",
-    "evolution_tree",
-    "fermat_point",
-    "geom_median_baseline",
-    "geometric_median",
-    "herd_baseline",
-    "instantiate",
-    "load_robot_spec",
-    "lp_distance",
-    "match_kinematics",
-    "meta_evolve",
-    "minimum_spanning_tree",
-    "normalize",
-    "partition_targets",
-    "pg_train_step",
-    "phase_train",
-    "proportional_policy",
-    "steiner_tree",
-    "toy_space",
-    "tree_length",
-]

@@ -65,9 +65,9 @@ class Trainer(Protocol):
     evaluate must be deterministic given (seed, alpha, policy); every
     train_step reports strictly positive cost. gradient_probe scores a
     (k, D) batch of points in one call, every point on the same seeded
-    draws (common random numbers). train_steps and evaluates take a list of
-    jobs, each the argument tuple of one train_step or evaluate call, and
-    return one result per job, equal to that call's.
+    draws (common random numbers). train_steps, evaluates and
+    gradient_probes take a list of jobs, each the argument tuple of one
+    single call, and return one result per job, equal to that call's.
     """
 
     def evaluate(self, policy, alpha, episodes: int, seed) -> EvalResult: ...
@@ -80,6 +80,8 @@ class Trainer(Protocol):
 
     def train_steps(self, jobs) -> list[TrainStepResult]: ...
 
+    def gradient_probes(self, jobs) -> list[ProbeResult]: ...
+
 
 class SerialBatches:
     """The batched trainer forms as a loop over the single calls."""
@@ -89,6 +91,9 @@ class SerialBatches:
 
     def train_steps(self, jobs) -> list[TrainStepResult]:
         return [self.train_step(*job) for job in jobs]
+
+    def gradient_probes(self, jobs) -> list[ProbeResult]:
+        return [self.gradient_probe(*job) for job in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +289,14 @@ class ToyMdpTrainer:
                     f"toy trainer needs parameter key {key!r} in the evolution space"
                 )
         self._role_cols = [keys.index(key) for key in TOY_PARAM_ROLES.values()]
+        # every robot the trainer sees is a convex mix of the space's bounds
+        for (role, key), col in zip(TOY_PARAM_ROLES.items(), self._role_cols):
+            for bound in (float(self.space.theta_lower[col]), float(self.space.theta_upper[col])):
+                if not (math.isfinite(bound) and (bound >= 0 if role == "damping" else bound > 0)):
+                    sign = ">= 0" if role == "damping" else "> 0"
+                    raise InvalidInputError(
+                        f"toy parameter {key!r} must be finite and {sign}, got {bound}"
+                    )
 
     # -- dynamics ----------------------------------------------------------
 
@@ -447,11 +460,16 @@ class ToyMdpTrainer:
         )
 
     def gradient_probe(self, policy, alphas, seed) -> ProbeResult:
-        [(success, _)] = self._simulate([(policy, alphas, self.probe_episodes, seed)])
-        mean_return = success.reshape(-1, self.probe_episodes).mean(axis=1)
-        return ProbeResult(
-            mean_return=mean_return, sim_episodes=success.size
+        return self.gradient_probes([(policy, alphas, seed)])[0]
+
+    def gradient_probes(self, jobs) -> list[ProbeResult]:
+        runs = self._simulate(
+            [(policy, alphas, self.probe_episodes, seed) for policy, alphas, seed in jobs]
         )
+        return [
+            ProbeResult(success.reshape(-1, self.probe_episodes).mean(axis=1), success.size)
+            for success, _ in runs
+        ]
 
 
 def toy_space(

@@ -11,10 +11,11 @@ Every walk is a stream: its point, policy, live targets, held edge and the
 phases behind it. A stream runs phases until its targets are done, or until
 it stands on its meta point; there it splits into one child stream per
 group, each with its own policy copy and RNG streams. All live streams run
-in lockstep: phase_train is a generator of trainer requests, and each round
-the engine serves every stream's train step in one batched trainer call and
-every stream's evaluation in another. Phase ids are given once the streams
-are done, in (segment, phase_index) order. Trunk phases are recorded once
+in lockstep: a walk is a generator of trainer requests, and each round the
+engine serves every stream's gradient probe in one batched trainer call,
+every stream's train step in another and every stream's evaluation in a
+third. Phase ids are given once the streams are done, in (segment,
+phase_index) order. Trunk phases are recorded once
 and shared by every report through them.
 
 The baselines run on the same walk: herd as one stream per target (no
@@ -207,19 +208,21 @@ def shrunk_window_start(alpha_from, alpha_to, shrink_ratio: float, iteration: in
 # ---------------------------------------------------------------------------
 
 
-def estimate_reward_gradient(
-    trainer: Trainer,
-    alpha,
-    policy,
-    cfg: TransferConfig,
-    seed_material: Sequence[int] = (),
-) -> GradientEstimate:
+# requests the engine's generators yield, each with one job for the trainer
+PROBE = "probe"  # job (policy, alphas, seed) for gradient_probe / gradient_probes
+TRAIN = "train"  # job (policy, alpha, seed) for train_step / train_steps
+EVAL = "eval"  # job (policy, alpha, episodes, seed) for evaluate / evaluates
+
+
+def reward_gradient(alpha, policy, cfg: TransferConfig, seed_material: Sequence[int] = ()):
     """Least-squares fit of return differences against coordinate perturbations.
 
     gradient_samples perturbations of radius xi/2 (projected back into
     [0, 1]^D) are probed in one batch with the base point as row 0, all on
-    one shared seed so common noise cancels. gradient_samples=0 disables
-    the estimate.
+    one shared seed so common noise cancels. A generator: yields
+    (PROBE, job) and is sent the job's ProbeResult; returns a
+    GradientEstimate. gradient_samples=0 disables the estimate: it returns
+    a zero gradient without a request.
     """
     al = np.asarray(alpha, dtype=float)
     d = len(al)
@@ -238,26 +241,41 @@ def estimate_reward_gradient(
         direction /= max(float(np.linalg.norm(direction)), 1e-12)
         points.append(np.clip(al + (cfg.xi / 2.0) * direction, 0.0, 1.0))
     points = np.asarray(points)
-    try:
-        out = trainer.gradient_probe(policy, points, seed=[cfg.seed, 0x6E5D, 0])
-    except Exception as exc:
-        raise PhaseFailureError(
-            f"gradient probe failed on the base point or one of its "
-            f"{cfg.gradient_samples} perturbations: {exc}"
-        ) from exc
+    out = yield PROBE, (policy, points, [cfg.seed, 0x6E5D, 0])
     returns = np.asarray(out.mean_return)
     grad, *_ = np.linalg.lstsq(points[1:] - al, returns[1:] - returns[0], rcond=None)
     return GradientEstimate(grad, out.sim_episodes)
 
 
+def gradient_probes(trainer: Trainer, jobs) -> list:
+    """trainer.gradient_probes(jobs), a trainer failure raised as PhaseFailureError."""
+    try:
+        return trainer.gradient_probes(jobs)
+    except Exception as exc:
+        raise PhaseFailureError(
+            f"gradient probe failed on a base point or one of its perturbations: {exc}"
+        ) from exc
+
+
+def estimate_reward_gradient(
+    trainer: Trainer,
+    alpha,
+    policy,
+    cfg: TransferConfig,
+    seed_material: Sequence[int] = (),
+) -> GradientEstimate:
+    """reward_gradient's estimate, its probe sent to the trainer on its own."""
+    requests = reward_gradient(alpha, policy, cfg, seed_material)
+    try:
+        _, job = next(requests)
+        requests.send(gradient_probes(trainer, [job])[0])
+    except StopIteration as done:
+        return done.value
+
+
 # ---------------------------------------------------------------------------
 # Phase training
 # ---------------------------------------------------------------------------
-
-
-# requests a phase_train generator yields, each with one job for the trainer
-TRAIN = "train"  # job (policy, alpha, seed) for train_step / train_steps
-EVAL = "eval"  # job (policy, alpha, episodes, seed) for evaluate / evaluates
 
 
 @dataclass(frozen=True)
@@ -277,7 +295,6 @@ def phase_train(
     *,
     gate: Optional[float] = None,
     seed_material: Sequence[int] = (),
-    extra_episodes: int = 0,
 ):
     """Train on the shrinking window until the end robot clears the gate.
 
@@ -296,7 +313,7 @@ def phase_train(
     ss = np.random.SeedSequence([cfg.seed, 0x9A5E, *map(int, seed_material)])
     rng = np.random.default_rng(ss)
     iterations = 0
-    episodes = extra_episodes
+    episodes = 0
     success = 0.0
     for t in range(cfg.max_phase_iterations):
         start = shrunk_window_start(a0, a1, cfg.shrink_ratio, t)
@@ -383,15 +400,14 @@ class _Engine:
 
     # -- phases ------------------------------------------------------------
 
-    def step_toward(self, s: _Stream, beta: np.ndarray) -> tuple[np.ndarray, int]:
-        """Next phase endpoint from s toward beta, plus gradient-probe episode cost."""
+    def step_toward(self, s: _Stream, beta: np.ndarray):
+        """Next phase endpoint from s toward beta, plus gradient-probe episode
+        cost. A generator of reward_gradient's trainer request."""
         if _lp(s.alpha, beta, self.cfg.p_norm) < self.cfg.xi:
             return beta.copy(), 0
-        est = GradientEstimate(np.zeros(len(s.alpha)), 0)
-        if self.cfg.gradient_samples > 0:
-            est = estimate_reward_gradient(
-                self.trainer, s.alpha, s.policy, self.cfg, [*s.segment, s.phase_index]
-            )
+        est = yield from reward_gradient(
+            s.alpha, s.policy, self.cfg, [*s.segment, s.phase_index]
+        )
         try:
             step = evolution_step(s.alpha, beta, est.gradient, self.cfg)
         except DegenerateDirectionError:
@@ -401,7 +417,7 @@ class _Engine:
     def walk(self, s: _Stream, plan: Callable):
         """Run s's phases until its targets are done (None) or it stands on
         its meta point (the planner's partition there). A generator of
-        phase_train's trainer requests."""
+        the probe's and phase_train's trainer requests."""
         p = self.cfg.p_norm
         while True:
             arrived = [
@@ -416,7 +432,7 @@ class _Engine:
             if _lp(s.alpha, beta, p) <= ARRIVAL_TOL:
                 return partition
             s.edge = partition[0][1]
-            nxt, grad_episodes = self.step_toward(s, beta)
+            nxt, probe_episodes = yield from self.step_toward(s, beta)
             # a phase ending on a target robot trains to the arrival gate
             arriving = any(
                 _lp(nxt, self.targets[i], p) <= ARRIVAL_TOL for i in s.indices
@@ -433,7 +449,6 @@ class _Engine:
                 self.cfg,
                 gate=self.cfg.target_gate if arriving else None,
                 seed_material=[*s.segment, s.phase_index],
-                extra_episodes=grad_episodes,
             )
             s.policy = out.policy
             s.prefix.append(
@@ -444,7 +459,7 @@ class _Engine:
                     alpha_from=tuple(float(x) for x in s.alpha),
                     alpha_to=tuple(float(x) for x in nxt),
                     train_iterations=out.train_iterations,
-                    sim_episodes=out.sim_episodes,
+                    sim_episodes=probe_episodes + out.sim_episodes,
                     final_success_rate=out.final_success_rate,
                     reached=out.reached,
                 )
@@ -474,17 +489,22 @@ class _Engine:
         """Drive the walks in lockstep; returns every target's report, in
         target order.
 
-        A walk yields phase_train's requests and returns the child streams
-        it splits into, which join at once, each as a subtree. Every round
-        sends all pending train requests as one train_steps call, then all
-        pending eval requests as one evaluates call. A stream draws only on
+        A walk yields its trainer requests and returns the child streams it
+        splits into, which join at once, each as a subtree. Every round
+        sends all pending probe requests as one gradient_probes call, then
+        all pending train requests as one train_steps call, then all pending
+        eval requests as one evaluates call. A stream draws only on
         its own seeds, so the order streams run in changes no result; phase
         ids are given at the end, in (segment, phase_index) order.
         """
         pending = {}  # walk -> its pending (kind, job)
         for walk in walks:
             self.advance(pending, walk, None)
-        rounds = ((TRAIN, self.trainer.train_steps), (EVAL, self.trainer.evaluates))
+        rounds = (
+            (PROBE, lambda jobs: gradient_probes(self.trainer, jobs)),
+            (TRAIN, self.trainer.train_steps),
+            (EVAL, self.trainer.evaluates),
+        )
         while pending:
             for kind, call in rounds:
                 batch = [(walk, job) for walk, (k, job) in pending.items() if k == kind]

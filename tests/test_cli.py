@@ -298,6 +298,35 @@ class TestSpecExitCodeContract:
         if len(mutations) == 1 and mutations[0][0] in ("huge_int", "deep"):
             assert code == 2 and robots[mutations[0][1]] in err.getvalue()
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("body.torso.mass", -1.0),
+            ("body.torso.mass", 0.0),
+            ("motor.x.gain", -0.5),
+            ("motor.y.gain", 0.0),
+            ("body.damping", -0.1),
+            ("motor.limit", 0.0),
+        ],
+    )
+    def test_invalid_toy_dynamics_exit_2(self, tmp_path, key, value):
+        # a valid spec whose dynamics the toy trainer cannot simulate is
+        # invalid input, refused before any training
+        specs = load_fixture("toy")
+        specs[1]["params"][key]["value"] = value
+        robots = []
+        for i, spec in enumerate(specs):
+            robots.append(str(tmp_path / f"robot{i}.json"))
+            dump_json(spec, robots[-1])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("transfer.xi = 0.25\ntransfer.max_phase_iterations = 3\n")
+        argv = ["transfer", "--robots", *robots, "--trainer", "toymdp",
+                "--config", str(cfg), "--out", str(tmp_path)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2 and key in err.getvalue(), (code, err.getvalue())
+
 
 class TestTransfer:
     def test_cost_transfer_totals(self, tmp_path, fast_config):

@@ -529,6 +529,12 @@ class TestKernelEqualsMaskedCopy:
             assert out.sim_episodes == one.sim_episodes == batch_size
             assert np.array_equal(out.policy.weights, one.policy.weights)
             assert np.array_equal(out.policy.log_std, one.policy.log_std)
+        probe_jobs = [(pol, pts, seed) for pol, pts, _, seed in runs]
+        for job, out in zip(probe_jobs, t.gradient_probes(probe_jobs)):
+            one = t.gradient_probe(*job)
+            episodes = len(np.atleast_2d(job[1])) * t.probe_episodes
+            assert out.sim_episodes == one.sim_episodes == episodes
+            assert np.array_equal(out.mean_return, one.mean_return)
 
     def test_goal_r2_is_the_exact_square_root_threshold(self):
         r2 = tr.GOAL_R2

@@ -1,7 +1,7 @@
 import gc
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from evotree.errors import (
     DegenerateDirectionError,
     EvoTreeError,
     InvalidInputError,
+    PhaseFailureError,
     SimulationError,
 )
 from evotree.trainers import (
@@ -152,7 +153,11 @@ class ScheduleTrainer(SerialBatches):
 def drive(trainer, walk):
     """Run one generator of trainer requests through the single calls and
     return what it returns."""
-    calls = {tx.TRAIN: trainer.train_step, tx.EVAL: trainer.evaluate}
+    calls = {
+        tx.PROBE: trainer.gradient_probe,
+        tx.TRAIN: trainer.train_step,
+        tx.EVAL: trainer.evaluate,
+    }
     result = None
     while True:
         try:
@@ -220,7 +225,7 @@ class TestGradientEstimate:
 
     def test_linear_reward_recovered(self):
         @dataclass
-        class LinearProbe:
+        class LinearProbe(SerialBatches):
             coef: np.ndarray
 
             def evaluate(self, policy, alpha, episodes, seed):
@@ -399,7 +404,7 @@ class TestGeomMedianBaseline:
 
     def test_gradient_probe_failure_carries_index(self):
         @dataclass
-        class ExplodingProbe:
+        class ExplodingProbe(SerialBatches):
             def evaluate(self, policy, alpha, episodes, seed):
                 return EvalResult(1.0, 0)
 
@@ -617,6 +622,23 @@ class FailingRegionTrainer(CostModelTrainer):
         return super().train_step(policy, alpha, seed)
 
 
+@dataclass(frozen=True)
+class FailingRegionProbes(CostModelTrainer):
+    """Cost trainer whose gradient_probe raises when a probed robot has
+    alpha[1] >= 0.5; it records the job count of each gradient_probes call."""
+
+    batches: list = field(default_factory=list)
+
+    def gradient_probe(self, policy, alphas, seed):
+        if np.any(np.asarray(alphas)[:, 1] >= 0.5):
+            raise SimulationError("simulated probe crash in the upper region")
+        return super().gradient_probe(policy, alphas, seed)
+
+    def gradient_probes(self, jobs):
+        self.batches.append(len(jobs))
+        return super().gradient_probes(jobs)
+
+
 class TestLockstep:
     @settings(max_examples=15, deadline=None)
     @given(
@@ -662,6 +684,17 @@ class TestLockstep:
         assert isinstance(run_sequentially(method, *args), SimulationError)
         with pytest.raises(SimulationError, match="upper region"):
             METHODS[method](*args)
+        # the same with gradient probes on, where only that stream's probes
+        # raise: the failure aborts the run as a PhaseFailureError
+        cfg = replace(COST_CFG, gradient_samples=3)
+        assert isinstance(
+            run_sequentially(method, src, tgts, object(), FailingRegionProbes(), cfg),
+            SimulationError,
+        )
+        trainer = FailingRegionProbes()
+        with pytest.raises(PhaseFailureError, match="perturbations: .*upper region"):
+            METHODS[method](src, tgts, object(), trainer, cfg)
+        assert trainer.batches[0] == 3  # all three streams probe in one call
 
 
 class TestBudgetExhaustion:
@@ -818,7 +851,8 @@ class TestTreeWalk:
         beta_along, [(_, edge_along)] = engine.plan(along, group, edge)
         assert not calls and edge_along is edge and np.array_equal(beta_along, beta)
         # a gradient step leaves it: the next plan is a fresh solve
-        off, _ = engine.step_toward(tx._Stream((), src, object(), group, []), beta)
+        stream = tx._Stream((), src, object(), group, [])
+        off, _ = drive(engine.trainer, engine.step_toward(stream, beta))
         assert np.linalg.norm(np.cross(off - src, beta - src)) > 1e-6
         beta_off, partition = engine.plan(off, group, edge)
         assert len(calls) == 1
