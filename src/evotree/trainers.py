@@ -30,6 +30,14 @@ GOAL_RADIUS = 0.1
 BATCH_SIZE = 12
 LEARNING_RATE = 0.05
 
+# bytes the toy kernel holds per episode column, per recorded column and per
+# drawn episode (its noise, before and after scaling). A call that needs more
+# than SIM_MAX_BYTES runs in parts; a job that needs more on its own is refused.
+COLUMN_BYTES = 8 * (2 * HORIZON + 29)
+RECORD_BYTES = 8 * (6 * HORIZON + 1) + HORIZON
+DRAW_BYTES = 16 * (2 * HORIZON + 3)
+SIM_MAX_BYTES = 256 * 2**20
+
 # canonical parameter keys the toy trainer expects in an evolution space
 TOY_PARAM_ROLES = {
     "mass": "body.torso.mass",
@@ -59,15 +67,22 @@ class ProbeResult:
     sim_episodes: int
 
 
+# request kinds, each the name of the single call that answers its job
+PROBE = "gradient_probe"  # job (policy, alphas, seed)
+TRAIN = "train_step"  # job (policy, alpha, seed)
+EVAL = "evaluate"  # job (policy, alpha, episodes, seed)
+
+
 class Trainer(Protocol):
     """Contract used by the transfer engine.
 
     evaluate must be deterministic given (seed, alpha, policy); every
     train_step reports strictly positive cost. gradient_probe scores a
     (k, D) batch of points in one call, every point on the same seeded
-    draws (common random numbers). train_steps, evaluates and
-    gradient_probes take a list of jobs, each the argument tuple of one
-    single call, and return one result per job, equal to that call's.
+    draws (common random numbers). serve takes a list of requests
+    (kind, job), a job being the argument tuple of the single call named
+    by kind, and returns one result per request: what that call returns,
+    or the exception it raises.
     """
 
     def evaluate(self, policy, alpha, episodes: int, seed) -> EvalResult: ...
@@ -76,24 +91,20 @@ class Trainer(Protocol):
 
     def gradient_probe(self, policy, alphas, seed) -> ProbeResult: ...
 
-    def evaluates(self, jobs) -> list[EvalResult]: ...
-
-    def train_steps(self, jobs) -> list[TrainStepResult]: ...
-
-    def gradient_probes(self, jobs) -> list[ProbeResult]: ...
+    def serve(self, requests) -> list: ...
 
 
 class SerialBatches:
-    """The batched trainer forms as a loop over the single calls."""
+    """serve as a loop over the single calls."""
 
-    def evaluates(self, jobs) -> list[EvalResult]:
-        return [self.evaluate(*job) for job in jobs]
-
-    def train_steps(self, jobs) -> list[TrainStepResult]:
-        return [self.train_step(*job) for job in jobs]
-
-    def gradient_probes(self, jobs) -> list[ProbeResult]:
-        return [self.gradient_probe(*job) for job in jobs]
+    def serve(self, requests) -> list:
+        results = []
+        for kind, job in requests:
+            try:
+                results.append(getattr(self, kind)(*job))
+            except Exception as exc:
+                results.append(exc)
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +317,7 @@ class ToyMdpTrainer:
         return denormalize(points, self.space)[:, self._role_cols]
 
     def _simulate(
-        self, jobs, record=False
+        self, jobs, record=0
     ) -> list[tuple[np.ndarray, Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]]]:
         """Vectorized rollouts that score each episode at its first goal contact.
 
@@ -314,9 +325,11 @@ class ToyMdpTrainer:
         or k points (k, D). Every point of a job runs the job's `episodes`
         seeded draws (common random numbers); episode e of point j sits at
         index j * episodes + e. Returns one (success, history) per job;
-        history is None unless record is set, else (features[T,n,4],
-        actions[T,n,2], steps) with steps[i] the number of live steps
-        episode i contributes.
+        history is None except for the first `record` jobs, where it is
+        (features[T,n,4], actions[T,n,2], steps) with steps[i] the number of
+        live steps episode i contributes. Buffers are sized before they are
+        made: jobs needing more than SIM_MAX_BYTES together run in two
+        halves, and a job needing more alone raises InvalidInputError.
 
         All per-episode data are columns, and each job is one block of
         columns: one (6, n) buffer holds the rows goal-x, goal-y, vx, vy, x,
@@ -328,14 +341,26 @@ class ToyMdpTrainer:
         loop. A job's results do not depend on the jobs run beside it.
         """
         # per job: its columns, the columns it reports and its draws' copies
-        blocks, n = [], 0
-        for _, alpha, episodes, _ in jobs:
+        blocks, n, need = [], 0, 0
+        for j, (_, alpha, episodes, _) in enumerate(jobs):
             out = np.atleast_2d(alpha).shape[0] * episodes
             # a one-column matmul takes another BLAS path than a wider one:
             # run a lone episode twice so its bits match its row in a batch
             width = max(out, 2)
             blocks.append((slice(n, n + width), slice(n, n + out), width // episodes))
             n += width
+            need += width * (COLUMN_BYTES + RECORD_BYTES * (j < record)) + episodes * DRAW_BYTES
+        if need > SIM_MAX_BYTES:
+            if len(jobs) == 1:
+                raise InvalidInputError(
+                    f"a simulator job of {out} episodes needs {need / 2**20:.0f} MiB, "
+                    f"over the {SIM_MAX_BYTES // 2**20} MiB budget: lower the "
+                    "evaluation, batch or probe episode count"
+                )
+            half = len(jobs) // 2
+            return self._simulate(jobs[:half], min(record, half)) + self._simulate(
+                jobs[half:], max(record - half, 0)
+            )
         # mass, gain_x|gain_y, damping and limit as (2, n) rows: operands of
         # one shape, since broadcasting a (1, n) row slows every step down
         th = np.empty((8, n))
@@ -374,17 +399,19 @@ class ToyMdpTrainer:
         # squared goal radius per episode, 0 once it has hit: d2 < 0 never
         # holds, so a hit test against it finds first hits only
         reach = np.full(n, GOAL_R2)
-        if record:
-            steps = np.full(n, HORIZON)
-            feats_hist = np.zeros((HORIZON, n, 4))
-            acts_hist = np.zeros((HORIZON, n, 2))
+        # the recorded jobs lead, so their columns are the first m
+        m = blocks[record - 1][0].stop if record else 0
+        if m:
+            steps = np.full(m, HORIZON)
+            feats_hist = np.zeros((HORIZON, m, 4))
+            acts_hist = np.zeros((HORIZON, m, 2))
         for t in range(HORIZON):
             for weights, block_feats, block_act in products:
                 np.matmul(weights, block_feats, out=block_act)
             act += scaled_noise[t]
-            if record:
-                feats_hist[t] = feats.T
-                acts_hist[t] = act.T
+            if m:
+                feats_hist[t] = feats[:, :m].T
+                acts_hist[t] = act[:, :m].T
             point_mass_step(state, act, gain, damping, mass, limits, delta)
             np.subtract(goal, pos, out=to_goal)
             np.multiply(to_goal, to_goal, out=sq)
@@ -393,47 +420,71 @@ class ToyMdpTrainer:
             if np.count_nonzero(hit):
                 success |= hit
                 reach[hit] = 0.0
-                if record:
-                    steps[hit] = t + 1
+                if m:
+                    steps[hit[:m]] = t + 1
                 if success.all():
                     break
         for cols, _, _ in blocks:
             if not np.all(np.isfinite(pos[:, cols][:, ~success[cols]])):
                 raise SimulationError("rollout produced non-finite positions")
-        if not record:
-            return [(success[out], None) for _, out, _ in blocks]
-        dead = np.arange(HORIZON)[:, None] >= steps
-        feats_hist[dead] = 0.0
-        acts_hist[dead] = 0.0
+        if m:
+            dead = np.arange(HORIZON)[:, None] >= steps
+            feats_hist[dead] = 0.0
+            acts_hist[dead] = 0.0
         return [
-            (success[out], (feats_hist[:, out], acts_hist[:, out], steps[out]))
-            for _, out, _ in blocks
+            (success[out], (feats_hist[:, out], acts_hist[:, out], steps[out]) if j < record else None)
+            for j, (_, out, _) in enumerate(blocks)
         ]
 
     # -- trainer contract ---------------------------------------------------
 
     def evaluate(self, policy, alpha, episodes: int, seed) -> EvalResult:
-        return self.evaluates([(policy, alpha, episodes, seed)])[0]
-
-    def evaluates(self, jobs) -> list[EvalResult]:
-        runs = self._simulate(jobs)
-        return [
-            EvalResult(success_rate=float(np.mean(success)), sim_episodes=episodes)
-            for (success, _), (_, _, episodes, _) in zip(runs, jobs)
-        ]
+        return self._one(EVAL, (policy, alpha, episodes, seed))
 
     def train_step(self, policy, alpha, seed) -> TrainStepResult:
-        return self.train_steps([(policy, alpha, seed)])[0]
+        return self._one(TRAIN, (policy, alpha, seed))
 
-    def train_steps(self, jobs) -> list[TrainStepResult]:
-        runs = self._simulate(
-            [(policy, alpha, self.batch_size, seed) for policy, alpha, seed in jobs],
-            record=True,
-        )
-        return [
-            self._policy_update(policy, success, *history)
-            for (policy, _, _), (success, history) in zip(jobs, runs)
+    def gradient_probe(self, policy, alphas, seed) -> ProbeResult:
+        return self._one(PROBE, (policy, alphas, seed))
+
+    def _one(self, kind, job):
+        [result] = self.serve([(kind, job)])
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def serve(self, requests) -> list:
+        """Every request in one _simulate, the train jobs first, so the
+        kernel records the histories of a prefix of its jobs only. If the
+        kernel call fails, each request is served alone, so a failing job
+        gives its own exception and fails no other."""
+        order = sorted(range(len(requests)), key=lambda i: requests[i][0] != TRAIN)
+        ordered = [requests[i] for i in order]
+        episodes = {TRAIN: self.batch_size, PROBE: self.probe_episodes}
+        jobs = [
+            job if kind == EVAL else (job[0], job[1], episodes[kind], job[2])
+            for kind, job in ordered
         ]
+        try:
+            runs = self._simulate(jobs, record=sum(kind == TRAIN for kind, _ in ordered))
+        except Exception as exc:
+            if len(requests) == 1:
+                return [exc]
+            return [self.serve([request])[0] for request in requests]
+        results = [None] * len(requests)
+        for i, (kind, job), (success, history) in zip(order, ordered, runs):
+            try:
+                if kind == TRAIN:
+                    results[i] = self._policy_update(job[0], success, *history)
+                elif kind == EVAL:
+                    results[i] = EvalResult(float(np.mean(success)), job[2])
+                else:
+                    results[i] = ProbeResult(
+                        success.reshape(-1, self.probe_episodes).mean(axis=1), success.size
+                    )
+            except Exception as exc:
+                results[i] = exc
+        return results
 
     def _policy_update(self, policy, success, feats, acts, steps) -> TrainStepResult:
         """One REINFORCE step on a recorded batch of batch_size episodes."""
@@ -458,18 +509,6 @@ class ToyMdpTrainer:
             train_iterations=1,
             sim_episodes=self.batch_size,
         )
-
-    def gradient_probe(self, policy, alphas, seed) -> ProbeResult:
-        return self.gradient_probes([(policy, alphas, seed)])[0]
-
-    def gradient_probes(self, jobs) -> list[ProbeResult]:
-        runs = self._simulate(
-            [(policy, alphas, self.probe_episodes, seed) for policy, alphas, seed in jobs]
-        )
-        return [
-            ProbeResult(success.reshape(-1, self.probe_episodes).mean(axis=1), success.size)
-            for success, _ in runs
-        ]
 
 
 def toy_space(

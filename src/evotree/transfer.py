@@ -12,11 +12,12 @@ phases behind it. A stream runs phases until its targets are done, or until
 it stands on its meta point; there it splits into one child stream per
 group, each with its own policy copy and RNG streams. All live streams run
 in lockstep: a walk is a generator of trainer requests, and each round the
-engine serves every stream's gradient probe in one batched trainer call,
-every stream's train step in another and every stream's evaluation in a
-third. Phase ids are given once the streams are done, in (segment,
-phase_index) order. Trunk phases are recorded once
-and shared by every report through them.
+engine serves every stream's pending request in one trainer call. A stream
+plans its next phase as soon as its current phase's endpoint is fixed, so
+without gradient probes each evaluation rides with a guess at the next
+phase's first train step, whose result is used if the gate passes. Phase
+ids are given once the streams are done, in (segment, phase_index) order.
+Trunk phases are recorded once and shared by every report through them.
 
 The baselines run on the same walk: herd as one stream per target (no
 sharing), geom-median as one trunk to the geometric median of {source} union
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import DegenerateDirectionError, InvalidInputError, PhaseFailureError
 from .evo_tree import Edge, clamp_meta, evolution_tree, follow_edge
 from .geometry import _lp, geometric_median
-from .trainers import Trainer
+from .trainers import EVAL, PROBE, TRAIN, Trainer
 
 ARRIVAL_TOL = 1e-9
 
@@ -208,19 +209,13 @@ def shrunk_window_start(alpha_from, alpha_to, shrink_ratio: float, iteration: in
 # ---------------------------------------------------------------------------
 
 
-# requests the engine's generators yield, each with one job for the trainer
-PROBE = "probe"  # job (policy, alphas, seed) for gradient_probe / gradient_probes
-TRAIN = "train"  # job (policy, alpha, seed) for train_step / train_steps
-EVAL = "eval"  # job (policy, alpha, episodes, seed) for evaluate / evaluates
-
-
 def reward_gradient(alpha, policy, cfg: TransferConfig, seed_material: Sequence[int] = ()):
     """Least-squares fit of return differences against coordinate perturbations.
 
     gradient_samples perturbations of radius xi/2 (projected back into
     [0, 1]^D) are probed in one batch with the base point as row 0, all on
     one shared seed so common noise cancels. A generator: yields
-    (PROBE, job) and is sent the job's ProbeResult; returns a
+    (PROBE, job, None) and is sent the job's ProbeResult; returns a
     GradientEstimate. gradient_samples=0 disables the estimate: it returns
     a zero gradient without a request.
     """
@@ -241,20 +236,22 @@ def reward_gradient(alpha, policy, cfg: TransferConfig, seed_material: Sequence[
         direction /= max(float(np.linalg.norm(direction)), 1e-12)
         points.append(np.clip(al + (cfg.xi / 2.0) * direction, 0.0, 1.0))
     points = np.asarray(points)
-    out = yield PROBE, (policy, points, [cfg.seed, 0x6E5D, 0])
+    out = yield PROBE, (policy, points, [cfg.seed, 0x6E5D, 0]), None
     returns = np.asarray(out.mean_return)
     grad, *_ = np.linalg.lstsq(points[1:] - al, returns[1:] - returns[0], rcond=None)
     return GradientEstimate(grad, out.sim_episodes)
 
 
-def gradient_probes(trainer: Trainer, jobs) -> list:
-    """trainer.gradient_probes(jobs), a trainer failure raised as PhaseFailureError."""
-    try:
-        return trainer.gradient_probes(jobs)
-    except Exception as exc:
+def taken(kind, result):
+    """A served result as its request's answer: a trainer's exception is
+    raised here, a probe's (other than invalid input) as PhaseFailureError."""
+    if not isinstance(result, Exception):
+        return result
+    if kind == PROBE and not isinstance(result, InvalidInputError):
         raise PhaseFailureError(
-            f"gradient probe failed on a base point or one of its perturbations: {exc}"
-        ) from exc
+            f"gradient probe failed on a base point or one of its perturbations: {result}"
+        ) from result
+    raise result
 
 
 def estimate_reward_gradient(
@@ -267,8 +264,8 @@ def estimate_reward_gradient(
     """reward_gradient's estimate, its probe sent to the trainer on its own."""
     requests = reward_gradient(alpha, policy, cfg, seed_material)
     try:
-        _, job = next(requests)
-        requests.send(gradient_probes(trainer, [job])[0])
+        kind, job, _ = next(requests)
+        requests.send(taken(kind, trainer.serve([(kind, job)])[0]))
     except StopIteration as done:
         return done.value
 
@@ -287,6 +284,23 @@ class PhaseOutcome:
     reached: bool
 
 
+def phase_window(alpha_from, alpha_to, cfg: TransferConfig, seed_material: Sequence[int] = ()):
+    """A phase's first train job's window sample and seed, and the phase's
+    RNG past that draw."""
+    a0 = np.asarray(alpha_from, dtype=float)
+    a1 = np.asarray(alpha_to, dtype=float)
+    seed = [cfg.seed, 0x9A5E, *map(int, seed_material)]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return window_sample(a0, a1, cfg, rng, 0), [*seed, 0, 0], rng
+
+
+def window_sample(a0, a1, cfg: TransferConfig, rng, t: int) -> np.ndarray:
+    """Iteration t's robot, drawn uniformly from the window's trailing part."""
+    start = shrunk_window_start(a0, a1, cfg.shrink_ratio, t)
+    u = rng.random()
+    return a1 + u * (start - a1)
+
+
 def phase_train(
     alpha_from,
     alpha_to,
@@ -295,14 +309,21 @@ def phase_train(
     *,
     gate: Optional[float] = None,
     seed_material: Sequence[int] = (),
+    window=None,
+    guess=None,
 ):
     """Train on the shrinking window until the end robot clears the gate.
 
     Samples one robot per iteration uniformly from the trailing window,
     which contracts toward alpha_to by shrink_ratio per iteration. A
-    generator: each iteration yields (TRAIN, job) and is sent the job's
-    TrainStepResult, then yields (EVAL, job) and is sent its EvalResult.
-    Returns a PhaseOutcome.
+    generator: each iteration yields (TRAIN, job, None) and is sent the
+    job's TrainStepResult, then yields (EVAL, job, guessed job) and is sent
+    its EvalResult. Returns a PhaseOutcome.
+
+    window is this phase's phase_window, made here when None. guess, the
+    next phase's (window sample, seed) or None, makes each evaluation's
+    guessed job: the train job that phase starts with if the policy just
+    trained passes the gate.
     """
     a0 = np.asarray(alpha_from, dtype=float)
     a1 = np.asarray(alpha_to, dtype=float)
@@ -310,21 +331,19 @@ def phase_train(
     # arrival gates use a triple-size evaluation so a pass means the target
     # success level actually holds, not a small-sample fluke
     eval_episodes = cfg.eval_episodes if gate is None else 3 * cfg.eval_episodes
-    ss = np.random.SeedSequence([cfg.seed, 0x9A5E, *map(int, seed_material)])
-    rng = np.random.default_rng(ss)
+    sample, train_seed, rng = window or phase_window(a0, a1, cfg, seed_material)
+    seed = train_seed[:-2]
     iterations = 0
     episodes = 0
     success = 0.0
     for t in range(cfg.max_phase_iterations):
-        start = shrunk_window_start(a0, a1, cfg.shrink_ratio, t)
-        u = rng.random()
-        sample = a1 + u * (start - a1)
-        seed = [cfg.seed, 0x9A5E, *map(int, seed_material), t]
-        out = yield TRAIN, (policy, sample, [*seed, 0])
+        if t:
+            sample, train_seed = window_sample(a0, a1, cfg, rng, t), [*seed, t, 0]
+        out = yield TRAIN, (policy, sample, train_seed), None
         policy = out.policy
         iterations += out.train_iterations
         episodes += out.sim_episodes
-        ev = yield EVAL, (policy, a1, eval_episodes, [*seed, 1])
+        ev = yield EVAL, (policy, a1, eval_episodes, [*seed, t, 1]), guess and (policy, *guess)
         episodes += ev.sim_episodes
         success = ev.success_rate
         if not math.isfinite(success):
@@ -402,41 +421,65 @@ class _Engine:
 
     def step_toward(self, s: _Stream, beta: np.ndarray):
         """Next phase endpoint from s toward beta, plus gradient-probe episode
-        cost. A generator of reward_gradient's trainer request."""
+        cost. A generator of reward_gradient's trainer request, made only
+        beyond xi of beta."""
         if _lp(s.alpha, beta, self.cfg.p_norm) < self.cfg.xi:
             return beta.copy(), 0
         est = yield from reward_gradient(
             s.alpha, s.policy, self.cfg, [*s.segment, s.phase_index]
         )
+        return self.endpoint(s.alpha, beta, est.gradient), est.sim_episodes
+
+    def endpoint(self, alpha: np.ndarray, beta: np.ndarray, grad) -> np.ndarray:
+        """Where a phase from alpha toward beta ends, given the reward gradient."""
+        if _lp(alpha, beta, self.cfg.p_norm) < self.cfg.xi:
+            return beta.copy()
         try:
-            step = evolution_step(s.alpha, beta, est.gradient, self.cfg)
+            step = evolution_step(alpha, beta, grad, self.cfg)
         except DegenerateDirectionError:
-            step = evolution_step(s.alpha, beta, np.zeros(len(s.alpha)), self.cfg)
-        return s.alpha + step, est.sim_episodes
+            step = evolution_step(alpha, beta, np.zeros(len(alpha)), self.cfg)
+        return alpha + step
+
+    def planned(self, s: _Stream, alpha: np.ndarray, phase_index: int, plan: Callable):
+        """The plan of s's phase from alpha: (targets reached at alpha,
+        targets left, meta point, partition, endpoint, phase_window). The
+        meta point is None if alpha stands on it, and then the partition is
+        the split's, or None when no target is left. The endpoint and window
+        are None with gradient probes, which need the phase's policy."""
+        p = self.cfg.p_norm
+        arrived = [i for i in s.indices if _lp(alpha, self.targets[i], p) <= ARRIVAL_TOL]
+        indices = [i for i in s.indices if i not in arrived]
+        if not indices:
+            return arrived, indices, None, None, None, None
+        beta, partition = plan(alpha, indices, s.edge)
+        if _lp(alpha, beta, p) <= ARRIVAL_TOL:
+            return arrived, indices, None, partition, None, None
+        if self.cfg.gradient_samples:
+            return arrived, indices, beta, partition, None, None
+        end = self.endpoint(alpha, beta, np.zeros(len(alpha)))
+        window = phase_window(alpha, end, self.cfg, [*s.segment, phase_index])
+        return arrived, indices, beta, partition, end, window
 
     def walk(self, s: _Stream, plan: Callable):
         """Run s's phases until its targets are done (None) or it stands on
         its meta point (the planner's partition there). A generator of
-        the probe's and phase_train's trainer requests."""
-        p = self.cfg.p_norm
+        the probe's and phase_train's trainer requests.
+
+        Each phase's successor is planned once, as soon as the phase's
+        endpoint is fixed and before it trains; without probes, the
+        successor's first train job is then known, and every evaluation of
+        the phase carries it as a guess."""
+        ahead = self.planned(s, s.alpha, s.phase_index, plan)
         while True:
-            arrived = [
-                i for i in s.indices
-                if _lp(s.alpha, self.targets[i], p) <= ARRIVAL_TOL
-            ]
+            arrived, s.indices, beta, partition, end, window = ahead
             self.emit(s, arrived, "success")
-            s.indices = [i for i in s.indices if i not in arrived]
-            if not s.indices:
-                return None
-            beta, partition = plan(s.alpha, s.indices, s.edge)
-            if _lp(s.alpha, beta, p) <= ARRIVAL_TOL:
+            if beta is None:
                 return partition
             s.edge = partition[0][1]
-            nxt, probe_episodes = yield from self.step_toward(s, beta)
-            # a phase ending on a target robot trains to the arrival gate
-            arriving = any(
-                _lp(nxt, self.targets[i], p) <= ARRIVAL_TOL for i in s.indices
-            )
+            probe_episodes = 0
+            if end is None:
+                end, probe_episodes = yield from self.step_toward(s, beta)
+            ahead = self.planned(s, end, s.phase_index + 1, plan)
             if self.phases >= self.max_phases:
                 raise PhaseFailureError(
                     "phase budget guard tripped (re-plan livelock?)"
@@ -444,11 +487,14 @@ class _Engine:
             self.phases += 1
             out = yield from phase_train(
                 s.alpha,
-                nxt,
+                end,
                 s.policy,
                 self.cfg,
-                gate=self.cfg.target_gate if arriving else None,
+                # a phase ending on a target robot trains to the arrival gate
+                gate=self.cfg.target_gate if ahead[0] else None,
                 seed_material=[*s.segment, s.phase_index],
+                window=window,
+                guess=ahead[5] and ahead[5][:2],
             )
             s.policy = out.policy
             s.prefix.append(
@@ -457,14 +503,14 @@ class _Engine:
                     segment=s.segment,
                     phase_index=s.phase_index,
                     alpha_from=tuple(float(x) for x in s.alpha),
-                    alpha_to=tuple(float(x) for x in nxt),
+                    alpha_to=tuple(float(x) for x in end),
                     train_iterations=out.train_iterations,
                     sim_episodes=probe_episodes + out.sim_episodes,
                     final_success_rate=out.final_success_rate,
                     reached=out.reached,
                 )
             )
-            s.alpha = nxt
+            s.alpha = end
             s.phase_index += 1
             if not out.reached:
                 self.emit(s, s.indices, "budget-exhausted")
@@ -489,29 +535,37 @@ class _Engine:
         """Drive the walks in lockstep; returns every target's report, in
         target order.
 
-        A walk yields its trainer requests and returns the child streams it
-        splits into, which join at once, each as a subtree. Every round
-        sends all pending probe requests as one gradient_probes call, then
-        all pending train requests as one train_steps call, then all pending
-        eval requests as one evaluates call. A stream draws only on
+        A walk yields its trainer requests, each (kind, job, guessed train
+        job or None), and returns the child streams it splits into, which
+        join at once, each as a subtree. Every round makes one trainer.serve
+        call with every pending request and every guessed job. A walk whose
+        next request is its guessed job (the same policy, sample and seed
+        objects) is sent the guess's result without a call; any other guess
+        is dropped, with the exception it may hold. A stream draws only on
         its own seeds, so the order streams run in changes no result; phase
         ids are given at the end, in (segment, phase_index) order.
         """
-        pending = {}  # walk -> its pending (kind, job)
+        pending = {}  # walk -> its pending (kind, job, guess)
         for walk in walks:
             self.advance(pending, walk, None)
-        rounds = (
-            (PROBE, lambda jobs: gradient_probes(self.trainer, jobs)),
-            (TRAIN, self.trainer.train_steps),
-            (EVAL, self.trainer.evaluates),
-        )
         while pending:
-            for kind, call in rounds:
-                batch = [(walk, job) for walk, (k, job) in pending.items() if k == kind]
-                if batch:
-                    results = call([job for _, job in batch])
-                    for (walk, _), result in zip(batch, results):
-                        self.advance(pending, walk, result)
+            batch = list(pending.items())
+            guessing = [(walk, guess) for walk, (_, _, guess) in batch if guess is not None]
+            results = self.trainer.serve(
+                [(kind, job) for _, (kind, job, _) in batch]
+                + [(TRAIN, guess) for _, guess in guessing]
+            )
+            guesses = {
+                walk: (guess, result)
+                for (walk, guess), result in zip(guessing, results[len(batch):])
+            }
+            for (walk, (kind, _, _)), result in zip(batch, results):
+                self.advance(pending, walk, taken(kind, result))
+                if walk in guesses and walk in pending:
+                    (policy, sample, seed), result = guesses[walk]
+                    job = pending[walk][1]
+                    if job[0] is policy and job[1] is sample and job[2] is seed:
+                        self.advance(pending, walk, taken(TRAIN, result))
         return self.numbered()
 
     def advance(self, pending: dict, walk, result) -> None:

@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -177,6 +179,39 @@ class TestExitCodeContract:
         assert code == 2, err
         assert err.startswith("error: ") and str(bad) in err
         assert phases == []
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "transfer.eval_episodes = 3000000",
+            "transfer.eval_episodes = 1000000000",
+            "trainer.batch_size = 1000000000",
+            "transfer.gradient_samples = 20000",
+        ],
+    )
+    def test_oversized_simulator_job_exits_2(self, tmp_path, setting):
+        # an evaluation or train job of 8.9 GiB and more, or a probe job of
+        # 0.5 GiB: the toy kernel refuses it before allocating, so under a
+        # 1.5 GiB address-space limit of its own the child process exits 2,
+        # without a traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        code = (
+            "import resource, runpy, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
+            "sys.argv[0] = 'evotree'\n"
+            "runpy.run_module('evotree', run_name='__main__')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+        res = subprocess.run(
+            [sys.executable, "-c", code, "transfer", "--robots", *TOY[:2],
+             "--trainer", "toymdp", "--config", str(cfg), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ") and "MiB" in res.stderr
 
     @pytest.mark.parametrize("command", ["transfer", "compare"])
     def test_trainer_error_in_one_stream_exits_3(self, tmp_path, capsys, monkeypatch, command):

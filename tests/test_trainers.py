@@ -76,7 +76,7 @@ def step(pos, vel, action, theta):
 
 def simulate(trainer, policy, alpha, episodes, seed, record=False):
     """One job through the kernel: its (success, history)."""
-    [run] = trainer._simulate([(policy, alpha, episodes, seed)], record=record)
+    [run] = trainer._simulate([(policy, alpha, episodes, seed)], record=int(record))
     return run
 
 
@@ -495,46 +495,94 @@ class TestKernelEqualsMaskedCopy:
                 st.sampled_from([0.0, 0.3, 3.0, 300.0]),
                 st.sampled_from([1, 2, 30, 90]),
                 st.sampled_from([0, 1, 3]),
+                st.sampled_from([tx.PROBE, tx.TRAIN, tx.EVAL]),
             ),
             min_size=1,
-            max_size=4,
+            max_size=5,
         ),
-        record=st.booleans(),
+        record=st.integers(0, 5),
         batch_size=st.sampled_from([1, 2, 12]),
     )
     def test_jobs_equal_one_job_calls(self, jobs, record, batch_size):
-        # mixed policies, points and episode counts side by side in one call;
-        # k = 0 is one point (D,), else a (k, D) batch
+        # mixed policies, points and episode counts side by side in one
+        # kernel call, the first `record` of them recorded; k = 0 is one
+        # point (D,), else a (k, D) batch
         t = make_trainer(batch_size=batch_size)
-        runs = []
-        for seed, spread, episodes, k in jobs:
+        runs, requests = [], []
+        for seed, spread, episodes, k, kind in jobs:
             rng = np.random.default_rng(seed)
             pts = box_points(rng, max(k, 1), 5, 0.3)
-            runs.append((random_policy(rng, spread), pts if k else pts[0], episodes, [seed, k]))
+            pol = random_policy(rng, spread)
+            runs.append((pol, pts if k else pts[0], episodes, [seed, k]))
+            job = {
+                tx.PROBE: (pol, pts, [seed, k]),
+                tx.TRAIN: (pol, pts[0], [seed, k]),
+                tx.EVAL: runs[-1],
+            }[kind]
+            requests.append((kind, job))
+        record = min(record, len(runs))
         batched = t._simulate(runs, record=record)
         assert len(batched) == len(runs)
-        for job, (success, history) in zip(runs, batched):
-            one, one_history = simulate(t, *job, record=record)
+        for j, (job, (success, history)) in enumerate(zip(runs, batched)):
+            one, one_history = simulate(t, *job, record=j < record)
             assert np.array_equal(success, one)
-            if record:
+            if j < record:
                 for a, b in zip(history, one_history):
                     assert np.array_equal(a, b)
             else:
                 assert history is None and one_history is None
-        for job, ev in zip(runs, t.evaluates(runs)):
-            assert ev == t.evaluate(*job)
-        train_jobs = [(pol, np.atleast_2d(pts)[0], seed) for pol, pts, _, seed in runs]
-        for job, out in zip(train_jobs, t.train_steps(train_jobs)):
-            one = t.train_step(*job)
-            assert out.sim_episodes == one.sim_episodes == batch_size
-            assert np.array_equal(out.policy.weights, one.policy.weights)
-            assert np.array_equal(out.policy.log_std, one.policy.log_std)
-        probe_jobs = [(pol, pts, seed) for pol, pts, _, seed in runs]
-        for job, out in zip(probe_jobs, t.gradient_probes(probe_jobs)):
-            one = t.gradient_probe(*job)
-            episodes = len(np.atleast_2d(job[1])) * t.probe_episodes
-            assert out.sim_episodes == one.sim_episodes == episodes
-            assert np.array_equal(out.mean_return, one.mean_return)
+        # serve runs the train jobs first, recorded, whatever their order
+        order = np.random.default_rng(jobs[0][0]).permutation(len(requests))
+        requests = [requests[i] for i in order]
+        served = t.serve(requests)
+        assert len(served) == len(requests)
+        single = {tx.PROBE: t.gradient_probe, tx.TRAIN: t.train_step, tx.EVAL: t.evaluate}
+        for (kind, job), out in zip(requests, served):
+            one = single[kind](*job)
+            assert type(out) is type(one) and out.sim_episodes == one.sim_episodes
+            if kind == tx.TRAIN:
+                assert one.sim_episodes == batch_size
+                assert np.array_equal(out.policy.weights, one.policy.weights)
+                assert np.array_equal(out.policy.log_std, one.policy.log_std)
+            elif kind == tx.PROBE:
+                assert one.sim_episodes == len(job[1]) * t.probe_episodes
+                assert np.array_equal(out.mean_return, one.mean_return)
+            else:
+                assert out == one
+
+    def test_calls_over_the_byte_budget_run_in_parts(self, monkeypatch):
+        t = make_trainer()
+        rng = np.random.default_rng(3)
+        jobs = [
+            (random_policy(rng, 0.3), box_points(rng, 1, 5, 0.3)[0], episodes, [i])
+            for i, episodes in enumerate([30, 30, 12, 30, 150])
+        ]
+        whole = t._simulate(jobs[:4], record=3)
+        calls = []
+        simulate_part = t._simulate
+
+        def counted(part, record=0):
+            calls.append((len(part), record))
+            return simulate_part(part, record)
+
+        t._simulate = counted
+        # room for about two of the 30-episode jobs at once
+        two = 2 * 30 * (tr.COLUMN_BYTES + tr.RECORD_BYTES + tr.DRAW_BYTES)
+        monkeypatch.setattr(tr, "SIM_MAX_BYTES", two)
+        parts = simulate_part(jobs[:4], record=3)
+        assert calls == [(2, 2), (2, 1)]  # two halves, recorded jobs first
+        for (s1, h1), (s2, h2) in zip(whole, parts):
+            assert np.array_equal(s1, s2)
+            assert (h1 is None) == (h2 is None)
+            for a, b in zip(h1 or (), h2 or ()):
+                assert np.array_equal(a, b)
+        # the 150-episode job needs more than the budget on its own: serve
+        # gives it its own error, and every other job its result
+        served = t.serve([(tx.EVAL, job) for job in jobs])
+        assert isinstance(served[4], InvalidInputError) and "MiB" in str(served[4])
+        monkeypatch.undo()
+        for out, job in zip(served[:4], jobs):
+            assert out == t.evaluate(*job)
 
     def test_goal_r2_is_the_exact_square_root_threshold(self):
         r2 = tr.GOAL_R2

@@ -151,8 +151,8 @@ class ScheduleTrainer(SerialBatches):
 
 
 def drive(trainer, walk):
-    """Run one generator of trainer requests through the single calls and
-    return what it returns."""
+    """Run one generator of trainer requests through the single calls,
+    ignoring every guessed job, and return what it returns."""
     calls = {
         tx.PROBE: trainer.gradient_probe,
         tx.TRAIN: trainer.train_step,
@@ -161,7 +161,7 @@ def drive(trainer, walk):
     result = None
     while True:
         try:
-            kind, job = walk.send(result)
+            kind, job, _ = walk.send(result)
         except StopIteration as done:
             return done.value
         result = calls[kind](*job)
@@ -625,7 +625,7 @@ class FailingRegionTrainer(CostModelTrainer):
 @dataclass(frozen=True)
 class FailingRegionProbes(CostModelTrainer):
     """Cost trainer whose gradient_probe raises when a probed robot has
-    alpha[1] >= 0.5; it records the job count of each gradient_probes call."""
+    alpha[1] >= 0.5; it records the probe count of each serve call."""
 
     batches: list = field(default_factory=list)
 
@@ -634,9 +634,38 @@ class FailingRegionProbes(CostModelTrainer):
             raise SimulationError("simulated probe crash in the upper region")
         return super().gradient_probe(policy, alphas, seed)
 
-    def gradient_probes(self, jobs):
-        self.batches.append(len(jobs))
-        return super().gradient_probes(jobs)
+    def serve(self, requests):
+        self.batches.append(sum(kind == tx.PROBE for kind, _ in requests))
+        return super().serve(requests)
+
+
+@dataclass(frozen=True)
+class CountingServes(CostModelTrainer):
+    """Cost trainer that records the requests of each serve call."""
+
+    serves: list = field(default_factory=list)
+
+    def serve(self, requests):
+        self.serves.append(list(requests))
+        return super().serve(requests)
+
+
+@dataclass(frozen=True)
+class StuckBeyondTheFirstPhase(CostModelTrainer):
+    """Cost trainer whose gate never passes and whose train_step raises on
+    robots past alpha[0] = xi, where only a second phase would train."""
+
+    xi: float = 0.05
+    raised: list = field(default_factory=list)
+
+    def evaluate(self, policy, alpha, episodes, seed):
+        return EvalResult(success_rate=0.0, sim_episodes=episodes)
+
+    def train_step(self, policy, alpha, seed):
+        if np.asarray(alpha)[0] > self.xi * (1 + 1e-9):
+            self.raised.append(seed)
+            raise SimulationError("trained past the first phase")
+        return super().train_step(policy, alpha, seed)
 
 
 class TestLockstep:
@@ -695,6 +724,50 @@ class TestLockstep:
         with pytest.raises(PhaseFailureError, match="perturbations: .*upper region"):
             METHODS[method](src, tgts, object(), trainer, cfg)
         assert trainer.batches[0] == 3  # all three streams probe in one call
+
+
+class TestGuesses:
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    def test_one_serve_per_phase(self, p_norm):
+        # every evaluation carries the next phase's first train job, and the
+        # gate passes at once: N phases take N + 1 calls, one train job alone
+        # and then one evaluation (with a guess, bar the last) per phase
+        cfg = replace(COST_CFG, xi=0.05, p_norm=p_norm)
+        trainer = CountingServes()
+        [rep] = tx.meta_evolve((0.1, 0.2), [(0.6, 0.9)], object(), trainer, cfg)
+        n = len(rep.phases)
+        assert rep.outcome == "success" and n > 5
+        assert len(trainer.serves) == n + 1
+        kinds = [[kind for kind, _ in serve] for serve in trainer.serves]
+        assert kinds == [[tx.TRAIN]] + [[tx.EVAL, tx.TRAIN]] * (n - 1) + [[tx.EVAL]]
+        expected = run_sequentially("meta", (0.1, 0.2), [(0.6, 0.9)], object(), CostModelTrainer(), cfg)
+        assert [rep] == expected
+
+    def test_dropped_guess_raises_nothing(self):
+        # the gate fails until the phase's budget runs out; every evaluation's
+        # guess trains past the phase's end and raises, and is dropped
+        cfg = replace(COST_CFG, xi=0.05, max_phase_iterations=3)
+        args = ((0.0, 0.5), [(1.0, 0.5)], object())
+        trainer = StuckBeyondTheFirstPhase(xi=cfg.xi)
+        [rep] = tx.meta_evolve(*args, trainer, cfg)
+        assert rep.outcome == "budget-exhausted" and len(rep.phases) == 1
+        assert len(trainer.raised) == cfg.max_phase_iterations
+        assert [rep] == run_sequentially("meta", *args, StuckBeyondTheFirstPhase(xi=cfg.xi), cfg)
+
+    def test_guess_failure_is_raised_when_taken(self):
+        # the gate passes, so the walk takes the guess that raised: the run
+        # fails as the run without guesses does
+        cfg = replace(COST_CFG, xi=0.05)
+
+        class PassingButStuck(StuckBeyondTheFirstPhase):
+            def evaluate(self, policy, alpha, episodes, seed):
+                return EvalResult(success_rate=1.0, sim_episodes=episodes)
+
+        args = ((0.0, 0.5), [(1.0, 0.5)], object(), PassingButStuck(xi=cfg.xi), cfg)
+        expected = run_sequentially("meta", *args)
+        assert isinstance(expected, SimulationError)
+        with pytest.raises(SimulationError, match=f"^{expected}$"):
+            tx.meta_evolve(*args)
 
 
 class TestBudgetExhaustion:
