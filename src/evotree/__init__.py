@@ -11,10 +11,9 @@ from .errors import (
     SimulationError,
     SpecValidationError,
 )
-from .evo_tree import EvolutionTreeResult, clamp_meta, evolution_tree, partition_targets
+from .evo_tree import EvolutionTreeResult, clamp_meta, evolution_tree
 from .geometry import (
     Tree,
-    fermat_point,
     geometric_median,
     lp_distance,
     minimum_spanning_tree,

@@ -41,17 +41,6 @@ _METHOD_FN = {
     "geom-median": transfer.geom_median_baseline,
 }
 
-# CLI-level trainer defaults; the toy policy-gradient step uses a larger
-# value than the library default because gradients are per-timestep here
-TRAINER_DEFAULTS = {
-    "cost_episodes": 10,
-    "learning_rate": 0.3,
-    "batch_size": 12,
-    "expert_kp": 1.2,
-    "expert_kd": 0.8,
-    "expert_std": 0.12,
-}
-
 
 # ---------------------------------------------------------------------------
 # Config handling
@@ -133,28 +122,29 @@ def _positive(v) -> bool:
     return math.isfinite(v) and v > 0
 
 
-# trainer.* keys: (cast, check, requirement). Every value given is checked,
-# whichever trainer runs, so a setting the chosen trainer ignores cannot
-# carry a bad value into a report.
+# trainer.* keys: (default, cast, check, requirement). Every value given is
+# checked, whichever trainer runs, so a setting the chosen trainer ignores
+# cannot carry a bad value into a report. The toy policy-gradient step's
+# learning rate is above the library default: gradients are per-timestep.
 _TRAINER_KEYS = {
-    "cost_episodes": (int, _at_least_one, "must be >= 1"),
-    "batch_size": (int, _at_least_one, "must be >= 1"),
-    "learning_rate": (float, _positive, "must be positive and finite"),
-    "expert_std": (float, _positive, "must be positive and finite"),
-    "expert_kp": (float, math.isfinite, "must be finite"),
-    "expert_kd": (float, math.isfinite, "must be finite"),
+    "cost_episodes": (10, int, _at_least_one, "must be >= 1"),
+    "batch_size": (12, int, _at_least_one, "must be >= 1"),
+    "learning_rate": (0.3, float, _positive, "must be positive and finite"),
+    "expert_std": (0.12, float, _positive, "must be positive and finite"),
+    "expert_kp": (1.2, float, math.isfinite, "must be finite"),
+    "expert_kd": (0.8, float, math.isfinite, "must be finite"),
 }
 
 
 def trainer_settings(file_values: dict[str, str]) -> dict:
-    out = dict(TRAINER_DEFAULTS)
+    out = {name: row[0] for name, row in _TRAINER_KEYS.items()}
     for key, value in file_values.items():
         if not key.startswith("trainer."):
             continue
         name = key.split(".", 1)[1]
         if name not in _TRAINER_KEYS:
             raise InvalidInputError(f"unknown config key {key!r}")
-        cast, check, requirement = _TRAINER_KEYS[name]
+        _, cast, check, requirement = _TRAINER_KEYS[name]
         try:
             out[name] = cast(value)
         except ValueError as exc:

@@ -95,20 +95,6 @@ def _partition_by_vertex(
     return tuple(sorted(groups, key=lambda g: g[0]))
 
 
-def partition_targets(tree: Tree, meta) -> tuple[tuple[int, ...], ...]:
-    """Group targets by the subtree behind each tree neighbor of meta.
-
-    Terminal 0 of the tree is the current point; the remaining terminals
-    are the targets, indexed from 0 in the returned groups. meta must
-    coincide with a vertex of the tree.
-    """
-    meta_vertex = _nearest_vertex(tree, np.asarray(meta, dtype=float))
-    if meta_vertex is None:
-        raise InvalidInputError("meta point is not a vertex of the tree")
-    targets = tree.vertices[list(tree.terminal_ids[1:])]
-    return tuple(g for g, _ in _partition_by_vertex(tree, meta_vertex, targets))
-
-
 def clamp_meta(alpha, targets) -> np.ndarray:
     """Elementwise clamp of alpha to the bounding box of the targets (L1 fast path)."""
     al = np.asarray(alpha, dtype=float)

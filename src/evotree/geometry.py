@@ -287,22 +287,15 @@ def minimum_spanning_tree(terminals, p) -> Tree:
 # ---------------------------------------------------------------------------
 
 
-def fermat_point(a, b, c) -> np.ndarray:
-    """Point minimizing the summed L2 distance to three points.
+def _fermat3(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> np.ndarray:
+    """Point minimizing the summed L2 distance to three float points of one
+    dimension, unchecked, for inner loops.
 
     All triangle angles < 120 degrees: the interior point whose incident
     directions meet pairwise at 120 degrees (computed from the isogonic
     center's trilinear coordinates). Any angle >= 120 degrees: that vertex.
     Collinear input: the middle point, by convention.
     """
-    va, vb, vc = _as_point(a, "a"), _as_point(b, "b"), _as_point(c, "c")
-    if not (va.size == vb.size == vc.size):
-        raise InvalidInputError("dimension mismatch")
-    return _fermat3(va, vb, vc)
-
-
-def _fermat3(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> np.ndarray:
-    """fermat_point without input validation, for inner loops."""
     verts = (va, vb, vc)
     # opposite side lengths
     sides = [math.sqrt(d.dot(d)) for d in (vb - vc, vc - va, va - vb)]

@@ -27,6 +27,11 @@ from .robot_model import EvolutionSpace, denormalize
 DT = 0.05
 HORIZON = 200
 GOAL_RADIUS = 0.1
+# episode draws: goal uniform within GOAL_JITTER of GOAL_CENTER per axis,
+# start uniform within START_JITTER of the origin
+GOAL_CENTER = (1.0, 1.0)
+GOAL_JITTER = 0.45
+START_JITTER = 0.15
 BATCH_SIZE = 12
 LEARNING_RATE = 0.05
 
@@ -283,9 +288,6 @@ class ToyMdpTrainer:
     batch_size: int = BATCH_SIZE
     probe_episodes: int = 8
     learning_rate: float = LEARNING_RATE
-    goal_center: tuple[float, float] = (1.0, 1.0)
-    goal_jitter: float = 0.45
-    start_jitter: float = 0.15
     _role_cols: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -372,10 +374,8 @@ class ToyMdpTrainer:
             theta = self.theta_at(alpha)[:, [0, 0, 1, 2, 3, 3, 4, 4]]
             th[:, cols].reshape(8, copies, episodes)[...] = theta.T[:, :, None]
             rng = np.random.default_rng(seed)
-            start = rng.uniform(-self.start_jitter, self.start_jitter, (episodes, 2))
-            end = np.asarray(self.goal_center) + rng.uniform(
-                -self.goal_jitter, self.goal_jitter, (episodes, 2)
-            )
+            start = rng.uniform(-START_JITTER, START_JITTER, (episodes, 2))
+            end = np.asarray(GOAL_CENTER) + rng.uniform(-GOAL_JITTER, GOAL_JITTER, (episodes, 2))
             noise = rng.standard_normal((HORIZON, episodes, 2))
             scaled_noise[:, :, cols].reshape(HORIZON, 2, copies, episodes)[...] = (
                 np.exp(policy.log_std) * noise

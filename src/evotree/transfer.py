@@ -11,11 +11,12 @@ Every walk is a stream: its point, policy, live targets, held edge and the
 phases behind it. A stream runs phases until its targets are done, or until
 it stands on its meta point; there it splits into one child stream per
 group, each with its own policy copy and RNG streams. All live streams run
-in lockstep: a walk is a generator of trainer requests, and each round the
-engine serves every stream's pending request in one trainer call. A stream
-plans its next phase as soon as its current phase's endpoint is fixed, so
-without gradient probes each evaluation rides with a guess at the next
-phase's first train step, whose result is used if the gate passes. Phase
+in lockstep: a walk is a generator that yields lists of trainer requests,
+as Trainer.serve takes them, and is sent serve's results; each round the
+engine serves every stream's pending list in one serve call. A stream plans
+its next phase as soon as its current phase's endpoint is fixed, so without
+gradient probes each evaluation rides with a guess at the next phase's
+first train step, whose result that phase uses if the gate passes. Phase
 ids are given once the streams are done, in (segment, phase_index) order.
 Trunk phases are recorded once and shared by every report through them.
 
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import DegenerateDirectionError, InvalidInputError, PhaseFailureError
 from .evo_tree import Edge, clamp_meta, evolution_tree, follow_edge
 from .geometry import _lp, geometric_median
-from .trainers import EVAL, PROBE, TRAIN, Trainer
+from .trainers import EVAL, PROBE, SIM_MAX_BYTES, TRAIN, Trainer
 
 ARRIVAL_TOL = 1e-9
 
@@ -214,9 +215,10 @@ def reward_gradient(alpha, policy, cfg: TransferConfig, seed_material: Sequence[
 
     gradient_samples perturbations of radius xi/2 (projected back into
     [0, 1]^D) are probed in one batch with the base point as row 0, all on
-    one shared seed so common noise cancels. A generator: yields
-    (PROBE, job, None) and is sent the job's ProbeResult; returns a
-    GradientEstimate. gradient_samples=0 disables the estimate: it returns
+    one shared seed so common noise cancels; a batch whose points alone
+    exceed the simulator's byte budget is refused before it is drawn. A
+    generator: yields [(PROBE, job)] and is sent [the job's result]; returns
+    a GradientEstimate. gradient_samples=0 disables the estimate: it returns
     a zero gradient without a request.
     """
     al = np.asarray(alpha, dtype=float)
@@ -227,16 +229,22 @@ def reward_gradient(alpha, policy, cfg: TransferConfig, seed_material: Sequence[
         raise InvalidInputError(
             f"gradient_samples must be 0 or >= D + 1 = {d + 1}"
         )
+    points_bytes = 8 * (cfg.gradient_samples + 1) * d
+    if points_bytes > SIM_MAX_BYTES:
+        raise InvalidInputError(
+            f"gradient_samples = {cfg.gradient_samples} needs {points_bytes / 2**20:.0f} MiB "
+            f"of probe points alone, over the {SIM_MAX_BYTES // 2**20} MiB simulator budget"
+        )
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 0x6E5D, *map(int, seed_material)])
     )
-    points = [al]
-    for _ in range(cfg.gradient_samples):
-        direction = rng.standard_normal(d)
-        direction /= max(float(np.linalg.norm(direction)), 1e-12)
-        points.append(np.clip(al + (cfg.xi / 2.0) * direction, 0.0, 1.0))
-    points = np.asarray(points)
-    out = yield PROBE, (policy, points, [cfg.seed, 0x6E5D, 0]), None
+    directions = rng.standard_normal((cfg.gradient_samples, d))
+    # vecdot takes the same dot product as np.linalg.norm, so each row is
+    # scaled by the bits of its own norm
+    directions /= np.maximum(np.sqrt(np.vecdot(directions, directions)), 1e-12)[:, None]
+    points = np.vstack([al, np.clip(al + (cfg.xi / 2.0) * directions, 0.0, 1.0)])
+    [out] = yield [(PROBE, (policy, points, [cfg.seed, 0x6E5D, 0]))]
+    out = taken(PROBE, out)
     returns = np.asarray(out.mean_return)
     grad, *_ = np.linalg.lstsq(points[1:] - al, returns[1:] - returns[0], rcond=None)
     return GradientEstimate(grad, out.sim_episodes)
@@ -262,12 +270,12 @@ def estimate_reward_gradient(
     seed_material: Sequence[int] = (),
 ) -> GradientEstimate:
     """reward_gradient's estimate, its probe sent to the trainer on its own."""
-    requests = reward_gradient(alpha, policy, cfg, seed_material)
-    try:
-        kind, job, _ = next(requests)
-        requests.send(taken(kind, trainer.serve([(kind, job)])[0]))
-    except StopIteration as done:
-        return done.value
+    walk, results = reward_gradient(alpha, policy, cfg, seed_material), None
+    while True:
+        try:
+            results = trainer.serve(walk.send(results))
+        except StopIteration as done:
+            return done.value
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +290,7 @@ class PhaseOutcome:
     sim_episodes: int
     final_success_rate: float
     reached: bool
+    guessed: object = None  # the next phase's first train result, if guessed
 
 
 def phase_window(alpha_from, alpha_to, cfg: TransferConfig, seed_material: Sequence[int] = ()):
@@ -311,19 +320,21 @@ def phase_train(
     seed_material: Sequence[int] = (),
     window=None,
     guess=None,
+    first=None,
 ):
     """Train on the shrinking window until the end robot clears the gate.
 
     Samples one robot per iteration uniformly from the trailing window,
     which contracts toward alpha_to by shrink_ratio per iteration. A
-    generator: each iteration yields (TRAIN, job, None) and is sent the
-    job's TrainStepResult, then yields (EVAL, job, guessed job) and is sent
-    its EvalResult. Returns a PhaseOutcome.
+    generator: each iteration yields [(TRAIN, job)], then [(EVAL, job)],
+    and is sent the list of their results. Returns a PhaseOutcome.
 
     window is this phase's phase_window, made here when None. guess, the
-    next phase's (window sample, seed) or None, makes each evaluation's
-    guessed job: the train job that phase starts with if the policy just
-    trained passes the gate.
+    next phase's (window sample, seed) or None, adds (TRAIN, guessed job) to
+    each evaluation's list: the train job that phase starts with if the
+    policy just trained passes the gate. A passing outcome carries that
+    job's result as `guessed`, which the next phase takes as `first`, the
+    result of its first train job, in place of requesting it.
     """
     a0 = np.asarray(alpha_from, dtype=float)
     a1 = np.asarray(alpha_to, dtype=float)
@@ -339,17 +350,23 @@ def phase_train(
     for t in range(cfg.max_phase_iterations):
         if t:
             sample, train_seed = window_sample(a0, a1, cfg, rng, t), [*seed, t, 0]
-        out = yield TRAIN, (policy, sample, train_seed), None
+        if t or first is None:
+            [first] = yield [(TRAIN, (policy, sample, train_seed))]
+        out = taken(TRAIN, first)
         policy = out.policy
         iterations += out.train_iterations
         episodes += out.sim_episodes
-        ev = yield EVAL, (policy, a1, eval_episodes, [*seed, t, 1]), guess and (policy, *guess)
+        requests = [(EVAL, (policy, a1, eval_episodes, [*seed, t, 1]))]
+        if guess:
+            requests.append((TRAIN, (policy, *guess)))
+        ev, *guessed = yield requests
+        ev = taken(EVAL, ev)
         episodes += ev.sim_episodes
         success = ev.success_rate
         if not math.isfinite(success):
             raise PhaseFailureError("trainer reported non-finite success rate")
         if success >= threshold:
-            return PhaseOutcome(policy, iterations, episodes, success, True)
+            return PhaseOutcome(policy, iterations, episodes, success, True, *guessed)
     return PhaseOutcome(policy, iterations, episodes, success, False)
 
 
@@ -421,7 +438,7 @@ class _Engine:
 
     def step_toward(self, s: _Stream, beta: np.ndarray):
         """Next phase endpoint from s toward beta, plus gradient-probe episode
-        cost. A generator of reward_gradient's trainer request, made only
+        cost. A generator of reward_gradient's trainer requests, made only
         beyond xi of beta."""
         if _lp(s.alpha, beta, self.cfg.p_norm) < self.cfg.xi:
             return beta.copy(), 0
@@ -470,6 +487,7 @@ class _Engine:
         successor's first train job is then known, and every evaluation of
         the phase carries it as a guess."""
         ahead = self.planned(s, s.alpha, s.phase_index, plan)
+        guessed = None
         while True:
             arrived, s.indices, beta, partition, end, window = ahead
             self.emit(s, arrived, "success")
@@ -495,7 +513,9 @@ class _Engine:
                 seed_material=[*s.segment, s.phase_index],
                 window=window,
                 guess=ahead[5] and ahead[5][:2],
+                first=guessed,
             )
+            guessed = out.guessed
             s.policy = out.policy
             s.prefix.append(
                 PhaseRecord(
@@ -535,37 +555,24 @@ class _Engine:
         """Drive the walks in lockstep; returns every target's report, in
         target order.
 
-        A walk yields its trainer requests, each (kind, job, guessed train
-        job or None), and returns the child streams it splits into, which
-        join at once, each as a subtree. Every round makes one trainer.serve
-        call with every pending request and every guessed job. A walk whose
-        next request is its guessed job (the same policy, sample and seed
-        objects) is sent the guess's result without a call; any other guess
-        is dropped, with the exception it may hold. A stream draws only on
-        its own seeds, so the order streams run in changes no result; phase
-        ids are given at the end, in (segment, phase_index) order.
+        A walk yields lists of trainer requests and returns the child
+        streams it splits into, which join at once, each as a subtree. Every
+        round makes one trainer.serve call over every pending list, end to
+        end, and sends each walk its own slice of the results. A stream
+        draws only on its own seeds, so the order streams run in changes no
+        result; phase ids are given at the end, in (segment, phase_index)
+        order.
         """
-        pending = {}  # walk -> its pending (kind, job, guess)
+        pending = {}  # walk -> its pending list of requests
         for walk in walks:
             self.advance(pending, walk, None)
         while pending:
             batch = list(pending.items())
-            guessing = [(walk, guess) for walk, (_, _, guess) in batch if guess is not None]
-            results = self.trainer.serve(
-                [(kind, job) for _, (kind, job, _) in batch]
-                + [(TRAIN, guess) for _, guess in guessing]
-            )
-            guesses = {
-                walk: (guess, result)
-                for (walk, guess), result in zip(guessing, results[len(batch):])
-            }
-            for (walk, (kind, _, _)), result in zip(batch, results):
-                self.advance(pending, walk, taken(kind, result))
-                if walk in guesses and walk in pending:
-                    (policy, sample, seed), result = guesses[walk]
-                    job = pending[walk][1]
-                    if job[0] is policy and job[1] is sample and job[2] is seed:
-                        self.advance(pending, walk, taken(TRAIN, result))
+            results = self.trainer.serve([r for _, requests in batch for r in requests])
+            start = 0
+            for walk, requests in batch:
+                self.advance(pending, walk, results[start:start + len(requests)])
+                start += len(requests)
         return self.numbered()
 
     def advance(self, pending: dict, walk, result) -> None:

@@ -34,6 +34,27 @@ def run(*argv):
     return main(list(argv))
 
 
+def limited_toy_transfer(tmp_path, setting, limit_mib, timeout):
+    """A toy `transfer` with one config line, in a child process under its
+    own address-space limit of limit_mib."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setting + "\n")
+    code = (
+        "import resource, runpy, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit_mib} << 20, {limit_mib} << 20))\n"
+        "sys.argv[0] = 'evotree'\n"
+        "runpy.run_module('evotree', run_name='__main__')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", code, "transfer", "--robots", *TOY[:2],
+         "--trainer", "toymdp", "--config", str(cfg), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
 # a JSON value nested 100,000 deep, written in place of DEEP by dump_json
 DEEP = "__nested_100000_deep__"
 
@@ -194,24 +215,18 @@ class TestExitCodeContract:
         # 0.5 GiB: the toy kernel refuses it before allocating, so under a
         # 1.5 GiB address-space limit of its own the child process exits 2,
         # without a traceback
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(setting + "\n")
-        code = (
-            "import resource, runpy, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
-            "sys.argv[0] = 'evotree'\n"
-            "runpy.run_module('evotree', run_name='__main__')\n"
-        )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
-        res = subprocess.run(
-            [sys.executable, "-c", code, "transfer", "--robots", *TOY[:2],
-             "--trainer", "toymdp", "--config", str(cfg), "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        res = limited_toy_transfer(tmp_path, setting, 1536, timeout=120)
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error: ") and "MiB" in res.stderr
+
+    def test_huge_probe_is_refused_before_it_is_drawn(self, tmp_path):
+        # 10^8 perturbations of 5 coordinates are 3.7 GiB of points: refused
+        # before any is drawn, so the child exits 2 at once under 2 GiB
+        res = limited_toy_transfer(
+            tmp_path, "transfer.gradient_samples = 100000000", 2048, timeout=10
+        )
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ") and "gradient_samples" in res.stderr
 
     @pytest.mark.parametrize("command", ["transfer", "compare"])
     def test_trainer_error_in_one_stream_exits_3(self, tmp_path, capsys, monkeypatch, command):

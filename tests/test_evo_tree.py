@@ -99,8 +99,8 @@ class TestPartitionTargets:
                 geo.Tree(vertices, (0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)), 1, 0.0)
             ),
         )
-        groups = et.partition_targets(tree, center)
-        assert groups == ((0,), (1,), (2,))
+        groups = et._partition_by_vertex(tree, 0, leaves)
+        assert tuple(g for g, _ in groups) == ((0,), (1,), (2,))
 
     def test_path(self):
         vertices = np.array([(0.0, 0.0), (0.3, 0.0), (0.6, 0.0), (1.0, 0.0)])
@@ -112,14 +112,8 @@ class TestPartitionTargets:
             norm=1,
             length=1.0,
         )
-        groups = et.partition_targets(tree, vertices[0])
-        assert groups == ((0, 1),)
-
-    def test_meta_not_in_tree(self):
-        vertices = np.array([(0.0, 0.0), (1.0, 0.0)])
-        tree = geo.Tree(vertices, (0, 1), ((0, 1),), 1, 1.0)
-        with pytest.raises(InvalidInputError):
-            et.partition_targets(tree, (0.5, 0.77))
+        groups = et._partition_by_vertex(tree, 0, vertices[[2, 3]])
+        assert tuple(g for g, _ in groups) == ((0, 1),)
 
     def test_trunk_then_split_topology(self):
         # trunk toward the cluster, then a 1-vs-2 split at the first meta point

@@ -424,9 +424,9 @@ def masked_copy_kernel(trainer, policy, alpha, episodes, seed):
     )
     k = len(th) // episodes
     rng = np.random.default_rng(seed)
-    pos = rng.uniform(-trainer.start_jitter, trainer.start_jitter, (episodes, 2))
-    goal = np.asarray(trainer.goal_center) + rng.uniform(
-        -trainer.goal_jitter, trainer.goal_jitter, (episodes, 2)
+    pos = rng.uniform(-tr.START_JITTER, tr.START_JITTER, (episodes, 2))
+    goal = np.asarray(tr.GOAL_CENTER) + rng.uniform(
+        -tr.GOAL_JITTER, tr.GOAL_JITTER, (episodes, 2)
     )
     noise = np.tile(rng.standard_normal((tr.HORIZON, episodes, 2)), (1, k, 1))
     pos, goal = np.tile(pos, (k, 1)), np.tile(goal, (k, 1))

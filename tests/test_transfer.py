@@ -151,20 +151,14 @@ class ScheduleTrainer(SerialBatches):
 
 
 def drive(trainer, walk):
-    """Run one generator of trainer requests through the single calls,
-    ignoring every guessed job, and return what it returns."""
-    calls = {
-        tx.PROBE: trainer.gradient_probe,
-        tx.TRAIN: trainer.train_step,
-        tx.EVAL: trainer.evaluate,
-    }
-    result = None
+    """Run one generator of trainer requests through the single calls and
+    return what it returns."""
+    results = None
     while True:
         try:
-            kind, job, _ = walk.send(result)
+            results = SerialBatches.serve(trainer, walk.send(results))
         except StopIteration as done:
             return done.value
-        result = calls[kind](*job)
 
 
 class TestPhaseTrain:
@@ -222,6 +216,32 @@ class TestGradientEstimate:
             tx.estimate_reward_gradient(
                 CostModelTrainer(), np.zeros(4), object(), cfg
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 9),
+        extra=st.integers(1, 200),
+        xi=st.sampled_from([0.01, 0.03, 0.3, 2.5]),
+        edge=st.booleans(),
+    )
+    def test_one_call_draw_equals_a_draw_per_sample(self, seed, d, extra, xi, edge):
+        rng = np.random.default_rng(seed)
+        alpha = rng.random(d)
+        if edge:  # points on the box's faces, where the clip bites
+            alpha[rng.random(d) < 0.5] = 1.0
+        cfg = tx.TransferConfig(xi=xi, gradient_samples=d + extra, seed=seed % 1000)
+        [(kind, (_, points, _))] = next(tx.reward_gradient(alpha, object(), cfg, [seed % 7]))
+        draws = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, 0x6E5D, seed % 7])
+        )
+        expected = [alpha]
+        for _ in range(cfg.gradient_samples):
+            direction = draws.standard_normal(d)
+            direction /= max(float(np.linalg.norm(direction)), 1e-12)
+            expected.append(np.clip(alpha + (xi / 2.0) * direction, 0.0, 1.0))
+        assert kind == tx.PROBE
+        assert np.array_equal(points, np.asarray(expected))
 
     def test_linear_reward_recovered(self):
         @dataclass
@@ -718,7 +738,7 @@ class TestLockstep:
         cfg = replace(COST_CFG, gradient_samples=3)
         assert isinstance(
             run_sequentially(method, src, tgts, object(), FailingRegionProbes(), cfg),
-            SimulationError,
+            PhaseFailureError,
         )
         trainer = FailingRegionProbes()
         with pytest.raises(PhaseFailureError, match="perturbations: .*upper region"):
