@@ -216,7 +216,8 @@ def reward_gradient(alpha, policy, cfg: TransferConfig, seed_material: Sequence[
     gradient_samples perturbations of radius xi/2 (projected back into
     [0, 1]^D) are probed in one batch with the base point as row 0, all on
     one shared seed so common noise cancels; a batch whose points alone
-    exceed the simulator's byte budget is refused before it is drawn. A
+    exceed the probe-size limit (SIM_MAX_BYTES, for every trainer) is
+    refused before it is drawn. A
     generator: yields [(PROBE, job)] and is sent [the job's result]; returns
     a GradientEstimate. gradient_samples=0 disables the estimate: it returns
     a zero gradient without a request.
@@ -232,16 +233,17 @@ def reward_gradient(alpha, policy, cfg: TransferConfig, seed_material: Sequence[
     points_bytes = 8 * (cfg.gradient_samples + 1) * d
     if points_bytes > SIM_MAX_BYTES:
         raise InvalidInputError(
-            f"gradient_samples = {cfg.gradient_samples} needs {points_bytes / 2**20:.0f} MiB "
-            f"of probe points alone, over the {SIM_MAX_BYTES // 2**20} MiB simulator budget"
+            f"gradient_samples = {cfg.gradient_samples}: probe points would need "
+            f"{points_bytes / 2**20:.0f} MiB, over the {SIM_MAX_BYTES // 2**20} MiB limit"
         )
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, 0x6E5D, *map(int, seed_material)])
     )
     directions = rng.standard_normal((cfg.gradient_samples, d))
-    # vecdot takes the same dot product as np.linalg.norm, so each row is
-    # scaled by the bits of its own norm
-    directions /= np.maximum(np.sqrt(np.vecdot(directions, directions)), 1e-12)[:, None]
+    # batched matmul takes the same dot product as np.linalg.norm, so each
+    # row is scaled by the bits of its own norm
+    norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])
+    directions /= np.maximum(norms, 1e-12)[:, None]
     points = np.vstack([al, np.clip(al + (cfg.xi / 2.0) * directions, 0.0, 1.0)])
     [out] = yield [(PROBE, (policy, points, [cfg.seed, 0x6E5D, 0]))]
     out = taken(PROBE, out)
@@ -270,10 +272,16 @@ def estimate_reward_gradient(
     seed_material: Sequence[int] = (),
 ) -> GradientEstimate:
     """reward_gradient's estimate, its probe sent to the trainer on its own."""
-    walk, results = reward_gradient(alpha, policy, cfg, seed_material), None
+    return served(trainer.serve, reward_gradient(alpha, policy, cfg, seed_material))
+
+
+def served(serve, walk):
+    """Run one generator of trainer requests through serve, one list at a
+    time, and return what it returns."""
+    results = None
     while True:
         try:
-            results = trainer.serve(walk.send(results))
+            results = serve(walk.send(results))
         except StopIteration as done:
             return done.value
 

@@ -153,12 +153,7 @@ class ScheduleTrainer(SerialBatches):
 def drive(trainer, walk):
     """Run one generator of trainer requests through the single calls and
     return what it returns."""
-    results = None
-    while True:
-        try:
-            results = SerialBatches.serve(trainer, walk.send(results))
-        except StopIteration as done:
-            return done.value
+    return tx.served(lambda requests: SerialBatches.serve(trainer, requests), walk)
 
 
 class TestPhaseTrain:
@@ -607,13 +602,15 @@ def sequential_run(self, walks):
 
 
 def run_sequentially(method, *args):
-    """A method's reports from sequential_run, each phase numbered in
-    the order it started; or the error it raised."""
+    """A method's reports from sequential_run, without guesses (each phase
+    requests its own first train job), each phase numbered in the order it
+    started; or the error it raised."""
     started = []
     phase_train = tx.phase_train
 
     def counted(*a, **kw):
         started.append(tuple(kw["seed_material"]))
+        kw["guess"] = None
         return phase_train(*a, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
