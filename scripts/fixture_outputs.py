@@ -10,6 +10,10 @@ Each run writes into its own directory under OUT:
 * one short `toymdp` transfer on `fixtures/toy`;
 * a cost transfer from the planar source to a copy of it (written under
   OUT as `robots/source_copy.json`), whose report has no phases;
+* `plan` and a cost `transfer` from the planar source to a copy of
+  `target_a` named `arm, "long"`, with a revolute joint the source lacks
+  (written under OUT as `robots/jointed_target.json`), covering joint
+  embedding and CSV quoting;
 * `report` on every plan.json and report*.json above.
 
 The runs use the evotree package next to this script (`src/`), so running
@@ -48,6 +52,7 @@ def runs(out_root: str):
     xi = os.path.join(out_root, "configs", "xi002.cfg")
     toy = os.path.join(out_root, "configs", "toymdp.cfg")
     copy = os.path.join(out_root, "robots", "source_copy.json")
+    jointed = [robots("planar")[0], os.path.join(out_root, "robots", "jointed_target.json")]
     out = []
     for fixture in ("planar", "toy"):
         for norm in ("l1", "l2"):
@@ -68,6 +73,10 @@ def runs(out_root: str):
                 ["report.json", "phases.csv"]))
     out.append(("transfer-planar-same",
                 ["transfer", "--robots", robots("planar")[0], copy],
+                ["report.json", "phases.csv"]))
+    out.append(("plan-jointed", ["plan", "--robots", *jointed], ["plan.json"]))
+    out.append(("transfer-jointed",
+                ["transfer", "--robots", *jointed, "--config", xi],
                 ["report.json", "phases.csv"]))
     out += [
         (f"report-{name}-{f[:-5]}",
@@ -90,6 +99,13 @@ def write_outputs(out_root: str) -> int:
     os.makedirs(os.path.join(out_root, "robots"), exist_ok=True)
     with open(os.path.join(out_root, "robots", "source_copy.json"), "w") as fh:
         json.dump({**source, "name": source["name"] + "-copy"}, fh)
+    with open(robots("planar")[1]) as fh:
+        target = json.load(fh)
+    elbow = {"name": "elbow", "kind": "revolute", "range": [-1.0, 1.5]}
+    bodies = [{**b, "joints": [elbow]} if b["id"] == "arm" else b
+              for b in target["bodies"]]
+    with open(os.path.join(out_root, "robots", "jointed_target.json"), "w") as fh:
+        json.dump({**target, "name": 'arm, "long"', "bodies": bodies}, fh)
     failed = []
     for out, argv, files in runs(out_root):
         with contextlib.redirect_stdout(io.StringIO()):

@@ -13,7 +13,9 @@ All outputs are schema-versioned JSON/CSV written atomically.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -26,7 +28,7 @@ import numpy as np
 from . import robot_model, transfer
 from .errors import EvoTreeError, InvalidInputError, SpecValidationError
 from .evo_tree import evolution_tree
-from .geometry import geometric_median, lp_distance, minimum_spanning_tree, steiner_tree
+from .geometry import geometric_median, lp_distance, minimum_spanning_tree
 from .trainers import CostModelTrainer, ToyMdpTrainer, proportional_policy
 
 SCHEMA_VERSION = 1
@@ -34,7 +36,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
-METHODS = ("meta", "herd", "geom-median")
 _METHOD_FN = {
     "meta": transfer.meta_evolve,
     "herd": transfer.herd_baseline,
@@ -193,10 +194,10 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(x) for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Fields holding a comma, quote or line break are quoted (RFC 4180)."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([header, *rows])
+    _atomic_write(path, text.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,6 @@ def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> Non
 @dataclasses.dataclass
 class Problem:
     specs: list[robot_model.RobotSpec]
-    matched: robot_model.MatchedSpace
     space: robot_model.EvolutionSpace
     source_alpha: np.ndarray
     target_alphas: np.ndarray
@@ -232,7 +232,6 @@ def load_problem(robot_paths: Sequence[str]) -> Problem:
     ]
     return Problem(
         specs=specs,
-        matched=matched,
         space=space,
         source_alpha=alphas[0],
         target_alphas=np.array(alphas[1:]),
@@ -343,9 +342,9 @@ def cmd_plan(args) -> int:
     norm = args.norm or "l1"
     p = {"l1": 1, "l2": 2}[norm]
     terminals = np.vstack([problem.source_alpha[None, :], problem.target_alphas])
-    tree = steiner_tree(terminals, p)
-    mst = minimum_spanning_tree(terminals, p)
     res = evolution_tree(problem.source_alpha, problem.target_alphas, p)
+    tree = res.tree
+    mst = minimum_spanning_tree(terminals, p)
     median = geometric_median(terminals, p)
     median_star = float(
         sum(lp_distance(median, t, p) for t in terminals)
@@ -421,7 +420,7 @@ def _transfer_setup(args):
 
 def cmd_transfer(args) -> int:
     problem, cfg, trainer, expert = _transfer_setup(args)
-    reports = transfer.meta_evolve(
+    reports = _METHOD_FN["meta"](
         problem.source_alpha, problem.target_alphas, expert, trainer, cfg
     )
     payload = report_payload("meta", reports, cfg, problem, args.trainer)
@@ -450,7 +449,7 @@ def cmd_compare(args) -> int:
     if len(methods) < 2:
         raise InvalidInputError("compare needs at least two methods")
     for m in methods:
-        if m not in METHODS:
+        if m not in _METHOD_FN:
             raise InvalidInputError(f"unknown method {m!r}")
         if methods.count(m) > 1:
             raise InvalidInputError(f"method {m!r} is listed more than once")
@@ -629,8 +628,15 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             help="robot spec files; the first is the source",
         )
-        p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--norm", choices=["l1", "l2"], default=None)
+        p.add_argument("--out", default=".", help="output directory")
+        return p
+
+    common(sub.add_parser("plan", help="plan the evolution tree")).set_defaults(fn=cmd_plan)
+    p_tr = common(sub.add_parser("transfer", help="run the tree transfer"))
+    p_cmp = common(sub.add_parser("compare", help="compare transfer methods"))
+    for p, fn in ((p_tr, cmd_transfer), (p_cmp, cmd_compare)):
+        p.add_argument("--config", help="flat key=value config file")
         p.add_argument(
             "--preset",
             choices=sorted(transfer.PRESETS),
@@ -638,26 +644,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="named hyperparameter preset",
         )
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=".", help="output directory")
-
-    p_plan = sub.add_parser("plan", help="plan the evolution tree")
-    common(p_plan)
-    p_plan.set_defaults(fn=cmd_plan)
-
-    p_tr = sub.add_parser("transfer", help="run the tree transfer")
-    common(p_tr)
-    p_tr.add_argument("--trainer", choices=["cost", "toymdp"], default="cost")
-    p_tr.set_defaults(fn=cmd_transfer)
-
-    p_cmp = sub.add_parser("compare", help="compare transfer methods")
-    common(p_cmp)
-    p_cmp.add_argument("--trainer", choices=["cost", "toymdp"], default="cost")
+        p.add_argument("--trainer", choices=["cost", "toymdp"], default="cost")
+        p.set_defaults(fn=fn)
     p_cmp.add_argument(
         "--methods",
         default="meta,herd",
-        help="comma-separated subset of: " + ",".join(METHODS),
+        help="comma-separated subset of: " + ",".join(_METHOD_FN),
     )
-    p_cmp.set_defaults(fn=cmd_compare)
 
     p_rep = sub.add_parser("report", help="emit plot data from a plan or report")
     p_rep.add_argument("--report", required=True, help="plan.json or report.json")

@@ -220,16 +220,9 @@ def validate_tree(t: Tree, rtol: float = 1e-9) -> None:
         raise InvalidInputError("edge references missing vertex")
     if n > 1 and len(t.edges) != n - 1:
         raise InvalidInputError("edge count is not |V| - 1")
-    # connectivity via union-find
-    parent = list(range(n))
-
-    for i, j in t.edges:
-        ri, rj = _find(parent, i), _find(parent, j)
-        if ri == rj:
-            raise InvalidInputError("tree contains a cycle")
-        parent[ri] = rj
-    if n > 1 and len({_find(parent, i) for i in range(n)}) != 1:
-        raise InvalidInputError("tree is not connected")
+    # |V| - 1 edges connect the vertices exactly when none closes a cycle
+    if len(_kruskal(n, [(0.0, i, j) for i, j in t.edges])) != len(t.edges):
+        raise InvalidInputError("tree contains a cycle or is not connected")
     expected = tree_length(t)
     if abs(expected - t.length) > rtol * max(1.0, abs(expected)):
         raise InvalidInputError("stored length disagrees with edges")
@@ -478,33 +471,19 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
     return _finalize_steiner(verts, terminal_ids, edge_list, 1)
 
 
-def _incremental_mst_length(
-    base_points: np.ndarray, base_edges: list[tuple[int, int]], cand: np.ndarray
-) -> float:
-    """Length of MST(points + cand) built from old MST edges plus the star to cand."""
-    n = len(base_points)
-    d_cand = np.sum(np.abs(base_points - cand), axis=1)
-    candidate_edges = [
-        (_lp(base_points[i], base_points[j], 1), i, j) for i, j in base_edges
-    ]
-    candidate_edges += [(float(d_cand[i]), i, n) for i in range(n)]
-    total = 0.0
-    for w, _, _ in _kruskal(n + 1, candidate_edges):
-        total += w
-    return total
-
-
 def _triple_medians(points: np.ndarray) -> np.ndarray:
-    cands = set()
-    n = len(points)
-    for i, j, k in itertools.combinations(range(n), 3):
-        med = np.median(points[[i, j, k]], axis=0)
-        cands.add(tuple(med))
-    return np.array(sorted(cands)) if cands else np.empty((0, points.shape[1]))
+    """Distinct coordinate-wise medians of every vertex triple, sorted."""
+    triples = np.array(list(itertools.combinations(range(len(points)), 3)), dtype=np.intp)
+    middle = np.sort(points[triples.reshape(-1, 3)], axis=1)[:, 1]
+    return np.unique(middle, axis=0)
 
 
 def _steiner_l1_insertion(terminals: np.ndarray) -> Tree:
-    """Iterated single-point insertion over Hanan grid candidates."""
+    """Iterated single-point insertion over Hanan grid candidates.
+
+    A candidate's spanning tree is the MST of the current MST's edges plus
+    the star from the candidate to every point.
+    """
     n = len(terminals)
     pts = terminals.copy()
     grid = _hanan_grid(terminals) if _hanan_size(terminals) <= 512 else None
@@ -515,12 +494,18 @@ def _steiner_l1_insertion(terminals: np.ndarray) -> Tree:
         if len(pts) - n >= n - 2:  # N - 2 Steiner points at most
             break
         cands = grid if grid is not None else _triple_medians(pts)
+        k = len(pts)
+        kept = [(_lp(pts[i], pts[j], 1), i, j) for i, j in edges]
         best_gain = 1e-12
         best_cand = None
         for cand in cands:
-            if np.any(np.all(np.abs(pts - cand) <= 0.0, axis=1)):
+            gaps = np.abs(pts - cand)
+            if np.any(np.all(gaps <= 0.0, axis=1)):
                 continue
-            new_len = _incremental_mst_length(pts, edges, cand)
+            star = [(float(d), i, k) for i, d in enumerate(np.sum(gaps, axis=1))]
+            new_len = 0.0
+            for w, _, _ in _kruskal(k + 1, kept + star):
+                new_len += w
             gain = cur_len - new_len
             if gain > best_gain + 1e-15:
                 best_gain = gain

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,11 +61,6 @@ class RobotSpec:
 
     def body_map(self) -> dict[str, Body]:
         return {b.id: b for b in self.bodies}
-
-
-# Correspondence: robot name -> {local id -> canonical id}; ids missing from
-# the map keep their local name.
-Correspondence = Mapping[str, Mapping[str, str]]
 
 
 @dataclass(frozen=True)
@@ -282,21 +277,17 @@ def load_robot_spec(path: str) -> RobotSpec:
 # ---------------------------------------------------------------------------
 
 
-def match_kinematics(
-    specs: Sequence[RobotSpec], corr: Optional[Correspondence] = None
-) -> MatchedSpace:
+def match_kinematics(specs: Sequence[RobotSpec]) -> MatchedSpace:
     """Union the kinematic trees of the specs and embed each robot in R^D.
 
-    corr defaults to the correspondence maps carried on the specs. Local ids
-    missing from a robot's map keep their own name as the canonical id.
+    Each spec's correspondence maps its local ids to canonical ids; local
+    ids missing from the map keep their own name as the canonical id.
     """
     if len(specs) < 2:
         raise InvalidInputError("matching needs at least two robot specs")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise SpecValidationError("duplicate robot names in match set")
-    if corr is None:
-        corr = {s.name: s.correspondence for s in specs}
 
     # ---- one union pass: the body tree (parents must agree), the joints
     # (frozen yields to the live kind) and the parameter units (must agree)
@@ -307,7 +298,7 @@ def match_kinematics(
     local_params: list[dict[str, str]] = []
     joint_ranges: list[dict[tuple[str, str], tuple[float, float]]] = []
     for spec in specs:
-        mapping = corr.get(spec.name, {})
+        mapping = spec.correspondence
         local_ids = (
             {b.id for b in spec.bodies}
             | {j.name for b in spec.bodies for j in b.joints}

@@ -37,7 +37,7 @@ LEARNING_RATE = 0.05
 
 # bytes the toy kernel holds per episode column, per recorded column and per
 # drawn episode (its noise, before and after scaling). A call that needs more
-# than SIM_MAX_BYTES runs in parts; a job that needs more on its own is refused.
+# than SIM_MAX_BYTES is refused; serve then runs each of its jobs alone.
 COLUMN_BYTES = 8 * (2 * HORIZON + 29)
 RECORD_BYTES = 8 * (6 * HORIZON + 1) + HORIZON
 DRAW_BYTES = 16 * (2 * HORIZON + 3)
@@ -330,8 +330,7 @@ class ToyMdpTrainer:
         history is None except for the first `record` jobs, where it is
         (features[T,n,4], actions[T,n,2], steps) with steps[i] the number of
         live steps episode i contributes. Buffers are sized before they are
-        made: jobs needing more than SIM_MAX_BYTES together run in two
-        halves, and a job needing more alone raises InvalidInputError.
+        made: a call needing more than SIM_MAX_BYTES raises InvalidInputError.
 
         All per-episode data are columns, and each job is one block of
         columns: one (6, n) buffer holds the rows goal-x, goal-y, vx, vy, x,
@@ -353,15 +352,10 @@ class ToyMdpTrainer:
             n += width
             need += width * (COLUMN_BYTES + RECORD_BYTES * (j < record)) + episodes * DRAW_BYTES
         if need > SIM_MAX_BYTES:
-            if len(jobs) == 1:
-                raise InvalidInputError(
-                    f"a simulator job of {out} episodes needs {need / 2**20:.0f} MiB, "
-                    f"over the {SIM_MAX_BYTES // 2**20} MiB budget: lower the "
-                    "evaluation, batch or probe episode count"
-                )
-            half = len(jobs) // 2
-            return self._simulate(jobs[:half], min(record, half)) + self._simulate(
-                jobs[half:], max(record - half, 0)
+            raise InvalidInputError(
+                f"a simulator call of {n} episodes needs {need / 2**20:.0f} MiB, "
+                f"over the {SIM_MAX_BYTES // 2**20} MiB budget: lower the "
+                "evaluation, batch or probe episode count"
             )
         # mass, gain_x|gain_y, damping and limit as (2, n) rows: operands of
         # one shape, since broadcasting a (1, n) row slows every step down

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import dataclasses
 import io
 import json
@@ -128,6 +129,18 @@ class TestPlan:
     def test_too_few_robots(self, tmp_path):
         code = run("plan", "--robots", PLANAR[0], "--out", str(tmp_path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--config", "missing.cfg"], ["--preset", "table-defaults"], ["--seed", "1"]],
+    )
+    def test_transfer_flags_are_refused(self, tmp_path, capsys, flag):
+        # plan reads no config, preset or seed, so it takes none
+        with pytest.raises(SystemExit) as exc:
+            run("plan", "--robots", *PLANAR, *flag, "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "plan.json").exists()
 
 
 CONFIG_KEYS = sorted(
@@ -814,6 +827,19 @@ class TestReport:
             f"0,{spec['name']},0,0,success",
             "TOTAL,,0,0,success",
         ]
+
+    def test_robot_name_needing_quotes_round_trips(self, tmp_path, fast_config):
+        spec = json.loads(open(PLANAR[1]).read())
+        spec["name"] = 'arm, "long"'
+        (tmp_path / "target.json").write_text(json.dumps(spec))
+        assert run("transfer", "--robots", PLANAR[0], str(tmp_path / "target.json"),
+                   "--config", fast_config, "--out", str(tmp_path)) == 0
+        assert run("report", "--report", str(tmp_path / "report.json"),
+                   "--out", str(tmp_path)) == 0
+        with open(tmp_path / "totals.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [5, 5, 5]
+        assert rows[1][:2] == ["0", 'arm, "long"']
 
     def test_malformed_report(self, tmp_path):
         bad = tmp_path / "nope.json"

@@ -132,7 +132,8 @@ def point_sets(draw, sizes, dims, kinds):
     """Points in [0, 1]^D of one drawn kind.
 
     general; coincident (one point duplicated); collinear; equal (all one
-    point); obtuse (the last point near the middle of the first two).
+    point); obtuse (the last point near the middle of the first two); ties
+    (every coordinate a multiple of 1/4, so coordinates and points repeat).
     """
     n = draw(sizes)
     d = draw(dims)
@@ -151,6 +152,8 @@ def point_sets(draw, sizes, dims, kinds):
         h = draw(st.floats(0.0, 0.3))
         mid = 0.5 * (pts[0] + pts[1])
         pts[-1] = mid + h * (pts[-1] - mid)
+    elif kind == "ties":
+        pts = np.round(pts * 4.0) / 4.0
     return pts
 
 
@@ -334,6 +337,68 @@ class TestSteinerL1:
             timeout=120,
         )
         assert res.returncode == 0, res.stderr
+
+
+def reference_triple_medians(points):
+    """The set-of-tuples loop _triple_medians replaced, one np.median per triple."""
+    cands = set()
+    for i, j, k in itertools.combinations(range(len(points)), 3):
+        cands.add(tuple(np.median(points[[i, j, k]], axis=0)))
+    return np.array(sorted(cands)) if cands else np.empty((0, points.shape[1]))
+
+
+def reference_l1_insertion(terminals):
+    """The insertion loop with each candidate's spanning tree rebuilt from
+    scratch, kept edges' weights included, over reference_triple_medians."""
+    n = len(terminals)
+    pts = terminals.copy()
+    grid = geo._hanan_grid(terminals) if geo._hanan_size(terminals) <= 512 else None
+    while True:
+        dist = geo._pairwise(pts, 1)
+        edges = geo._mst_edges(dist)
+        cur_len = float(sum(dist[i, j] for i, j in edges))
+        if len(pts) - n >= n - 2:
+            break
+        cands = grid if grid is not None else reference_triple_medians(pts)
+        best_gain, best_cand = 1e-12, None
+        for cand in cands:
+            if np.any(np.all(np.abs(pts - cand) <= 0.0, axis=1)):
+                continue
+            m = len(pts)
+            d_cand = np.sum(np.abs(pts - cand), axis=1)
+            weighted = [(geo._lp(pts[i], pts[j], 1), i, j) for i, j in edges]
+            weighted += [(float(d_cand[i]), i, m) for i in range(m)]
+            new_len = 0.0
+            for w, _, _ in geo._kruskal(m + 1, weighted):
+                new_len += w
+            if cur_len - new_len > best_gain + 1e-15:
+                best_gain, best_cand = cur_len - new_len, cand
+        if best_cand is None:
+            break
+        pts = np.vstack([pts, best_cand])
+    return geo._finalize_steiner(pts, list(range(n)), edges, 1)
+
+
+L1_KINDS = ["general", "coincident", "collinear", "equal", "ties"]
+
+
+class TestL1Insertion:
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets(st.integers(2, 9), st.integers(1, 8), L1_KINDS))
+    def test_triple_medians_equal_the_per_triple_loop(self, pts):
+        got = geo._triple_medians(pts)
+        want = reference_triple_medians(pts)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets(st.integers(3, 8), st.integers(1, 8), L1_KINDS))
+    def test_insertion_equals_the_per_candidate_loop(self, pts):
+        got = geo._steiner_l1_insertion(pts)
+        want = reference_l1_insertion(pts)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert got.terminal_ids == want.terminal_ids
+        assert got.edges == want.edges
+        assert got.length == want.length
 
 
 class TestSteinerL2:
@@ -630,6 +695,15 @@ class TestGeometricMedian:
             oracle = weiszfeld_oracle(pts)
             obj_o = float(np.linalg.norm(pts - oracle, axis=1).sum())
             assert obj <= obj_o + 1e-8
+
+
+class TestValidateTree:
+    def test_cycle_of_v_minus_one_edges_is_rejected(self):
+        # three edges on four vertices: a triangle, and a vertex left out
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        t = geo.Tree(verts, (0, 1, 2, 3), ((0, 1), (0, 2), (1, 2)), 1, 4.0)
+        with pytest.raises(InvalidInputError, match="cycle"):
+            geo.validate_tree(t)
 
 
 class TestTreeLength:

@@ -550,32 +550,18 @@ class TestKernelEqualsMaskedCopy:
             else:
                 assert out == one
 
-    def test_calls_over_the_byte_budget_run_in_parts(self, monkeypatch):
+    def test_calls_over_the_byte_budget_are_refused(self, monkeypatch):
         t = make_trainer()
         rng = np.random.default_rng(3)
         jobs = [
             (random_policy(rng, 0.3), box_points(rng, 1, 5, 0.3)[0], episodes, [i])
             for i, episodes in enumerate([30, 30, 12, 30, 150])
         ]
-        whole = t._simulate(jobs[:4], record=3)
-        calls = []
-        simulate_part = t._simulate
-
-        def counted(part, record=0):
-            calls.append((len(part), record))
-            return simulate_part(part, record)
-
-        t._simulate = counted
         # room for about two of the 30-episode jobs at once
         two = 2 * 30 * (tr.COLUMN_BYTES + tr.RECORD_BYTES + tr.DRAW_BYTES)
         monkeypatch.setattr(tr, "SIM_MAX_BYTES", two)
-        parts = simulate_part(jobs[:4], record=3)
-        assert calls == [(2, 2), (2, 1)]  # two halves, recorded jobs first
-        for (s1, h1), (s2, h2) in zip(whole, parts):
-            assert np.array_equal(s1, s2)
-            assert (h1 is None) == (h2 is None)
-            for a, b in zip(h1 or (), h2 or ()):
-                assert np.array_equal(a, b)
+        with pytest.raises(InvalidInputError, match="MiB"):
+            t._simulate(jobs[:4], record=3)
         # the 150-episode job needs more than the budget on its own: serve
         # gives it its own error, and every other job its result
         served = t.serve([(tx.EVAL, job) for job in jobs])
