@@ -14,6 +14,10 @@ Each run writes into its own directory under OUT:
   `target_a` named `arm, "long"`, with a revolute joint the source lacks
   (written under OUT as `robots/jointed_target.json`), covering joint
   embedding and CSV quoting;
+* the command of each of the four perfbench workloads (toy-compare,
+  toy-probe, cost-l2, cost-l1), one round each, on the inputs that
+  `perfbench/workloads.py` writes for run seed WORKLOAD_SEED, into
+  `workloads/<name>/` under OUT;
 * `report` on every plan.json and report*.json above.
 
 The runs use the evotree package next to this script (`src/`), so running
@@ -35,20 +39,26 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from evotree.cli import main  # noqa: E402
 
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import WORKLOADS, command_argv, write_inputs  # noqa: E402
+
 ROBOTS = ("source", "target_a", "target_b", "target_c")
 TOYMDP_CONFIG = (
     "transfer.xi = 0.12\n"
     "transfer.max_phase_iterations = 150\n"
     "transfer.final_success_threshold = 0.8\n"
 )
+WORKLOAD_SEED = 7
 
 
 def robots(fixture: str) -> list[str]:
     return [os.path.join(ROOT, "fixtures", fixture, f"{r}.json") for r in ROBOTS]
 
 
-def runs(out_root: str):
-    """(output directory, argv, files it writes) of every run, reports last."""
+def runs(out_root: str, workload_inputs: dict):
+    """(output directory, argv without --out, files it writes) of every
+    run, reports last; workload_inputs maps each workload's name to the
+    (robot paths, config path) its inputs were written to."""
     xi = os.path.join(out_root, "configs", "xi002.cfg")
     toy = os.path.join(out_root, "configs", "toymdp.cfg")
     copy = os.path.join(out_root, "robots", "source_copy.json")
@@ -78,8 +88,15 @@ def runs(out_root: str):
     out.append(("transfer-jointed",
                 ["transfer", "--robots", *jointed, "--config", xi],
                 ["report.json", "phases.csv"]))
+    for w in WORKLOADS.values():
+        name = os.path.join("workloads", w.name)
+        argv = command_argv(w, *workload_inputs[w.name], os.path.join(out_root, name))
+        del argv[argv.index("--out") : argv.index("--out") + 2]
+        files = ([f"report_{m}.json" for m in w.methods] + ["compare.csv"]
+                 if w.command == "compare" else ["report.json", "phases.csv"])
+        out.append((name, argv, files))
     out += [
-        (f"report-{name}-{f[:-5]}",
+        (f"report-{name.replace(os.sep, '-')}-{f[:-5]}",
          ["report", "--report", os.path.join(out_root, name, f)],
          ["paths.csv", "totals.csv"])
         for name, _, files in out for f in files if f.endswith(".json")
@@ -106,8 +123,13 @@ def write_outputs(out_root: str) -> int:
               for b in target["bodies"]]
     with open(os.path.join(out_root, "robots", "jointed_target.json"), "w") as fh:
         json.dump({**target, "name": 'arm, "long"', "bodies": bodies}, fh)
+    workload_inputs = {}
+    for w in WORKLOADS.values():
+        directory = os.path.join(out_root, "workloads", w.name)
+        os.makedirs(directory, exist_ok=True)
+        workload_inputs[w.name] = write_inputs(w, WORKLOAD_SEED, w.instance_seed, directory)
     failed = []
-    for out, argv, files in runs(out_root):
+    for out, argv, files in runs(out_root, workload_inputs):
         with contextlib.redirect_stdout(io.StringIO()):
             code = main([*argv, "--out", out])
         missing = [f for f in files if not os.path.isfile(os.path.join(out, f))]

@@ -15,6 +15,7 @@ is sparse: 1 when the goal is reached within the horizon, else 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
@@ -35,12 +36,21 @@ START_JITTER = 0.15
 BATCH_SIZE = 12
 LEARNING_RATE = 0.05
 
-# bytes the toy kernel holds per episode column, per recorded column and per
-# drawn episode (its noise, before and after scaling). A call that needs more
-# than SIM_MAX_BYTES is refused; serve then runs each of its jobs alone.
-COLUMN_BYTES = 8 * (2 * HORIZON + 29)
-RECORD_BYTES = 8 * (6 * HORIZON + 1) + HORIZON
-DRAW_BYTES = 16 * (2 * HORIZON + 3)
+# steps of noise a job draws at a time, and steps between the kernel's tests
+# of whether every episode has reached its goal
+NOISE_BLOCK = 32
+HIT_CHECK = 8
+
+# bytes the toy kernel holds per episode column (a block of scaled noise,
+# the goal-offset and squared-distance histories, one check's squares and
+# hit flags, 26 doubles of state and scratch), per recorded column (feature
+# and action history, steps and first hits, a step mask) and per drawn
+# episode (a block of its noise before and after scaling, start and goal).
+# A call that needs more than SIM_MAX_BYTES is refused; serve then runs each
+# of its jobs alone.
+COLUMN_BYTES = 8 * (2 * NOISE_BLOCK + 3 * HORIZON + 2 * HIT_CHECK + 26) + HIT_CHECK
+RECORD_BYTES = 8 * (6 * HORIZON + 2) + HORIZON
+DRAW_BYTES = 16 * (2 * NOISE_BLOCK + 3)
 SIM_MAX_BYTES = 256 * 2**20
 
 # canonical parameter keys the toy trainer expects in an evolution space
@@ -248,23 +258,51 @@ def pg_train_step(
         adv = returns - float(returns.mean())
     else:
         adv = returns - np.asarray(baselines, dtype=float)
+    steps = np.array([len(ep[0]) for ep in batch])
+    feats = np.zeros((len(batch), steps.max(), 4))
+    acts = np.zeros((len(batch), steps.max(), 2))
+    for e, (f, a, _) in enumerate(batch):
+        feats[e, : steps[e]] = f
+        acts[e, : steps[e]] = a
+    return _reinforce(policy, feats, acts, steps, adv, learning_rate, max_grad_norm)
+
+
+def _reinforce(policy, feats, acts, steps, adv, learning_rate, max_grad_norm):
+    """pg_train_step on zero-padded episodes: feats (E, T, 4) and acts
+    (E, T, 2) hold episode e's steps in rows :steps[e] and zeros after.
+
+    Bit for bit the per-episode loop: each episode's products are the same
+    BLAS calls (zero rows add nothing to a dot product), its log-std terms
+    are summed row by row with the padding masked to 0, and the episodes'
+    terms are added to zeros one at a time, in order. Episodes with zero
+    advantage are skipped, but their steps still count in the normalization.
+    """
     if np.all(adv == 0.0):
         return policy
-    var = np.exp(2.0 * policy.log_std)
+    live = adv != 0.0
+    live_steps, live_adv = steps[live], adv[live]
+    horizon = int(live_steps.max())
+    f, a = feats[live, :horizon], acts[live, :horizon]
+    w_t = policy.weights.T
+    mu = f @ w_t
+    lone = live_steps == 1
+    if horizon > 1 and lone.any():
+        # a one-row product takes numpy's gemv path, not gemm: keep its bits
+        mu[lone, :1] = f[lone, :1] @ w_t
+    diff = a - mu
+    delta = diff / np.exp(2.0 * policy.log_std)
+    per_w = (live_adv[:, None, None] * delta.transpose(0, 2, 1)) @ f
+    terms = delta * diff - 1.0
+    terms[np.arange(horizon) >= live_steps[:, None]] = 0.0
+    per_ls = live_adv[:, None] * terms.sum(axis=1)
     grad_w = np.zeros_like(policy.weights)
     grad_ls = np.zeros_like(policy.log_std)
-    total_steps = 0
-    for (feats, acts, _), a_k in zip(batch, adv):
-        total_steps += len(feats)
-        if a_k == 0.0:
-            continue
-        mu = feats @ policy.weights.T
-        delta = (acts - mu) / var
-        grad_w += a_k * delta.T @ feats
-        grad_ls += a_k * np.sum(delta * (acts - mu) - 1.0, axis=0)
+    for gw, gls in zip(per_w, per_ls):
+        grad_w += gw
+        grad_ls += gls
     # normalize per timestep, not per episode: keeps one long failure
     # episode from dominating a mostly-successful batch
-    scale = max(total_steps, 1)
+    scale = max(int(steps.sum()), 1)
     grad_w /= scale
     grad_ls /= scale
     if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_ls))):
@@ -333,13 +371,20 @@ class ToyMdpTrainer:
         made: a call needing more than SIM_MAX_BYTES raises InvalidInputError.
 
         All per-episode data are columns, and each job is one block of
-        columns: one (6, n) buffer holds the rows goal-x, goal-y, vx, vy, x,
-        y, so rows 0:4 are the policy features and rows 2:6 the state, and
-        step t's scaled noise is one (2, n) block. Each step makes one matmul
-        per job, with its own policy; every other ufunc runs once over all n
-        columns. An episode keeps integrating after its first hit, since
-        nothing reads it; history is zeroed from step steps[i] on, after the
-        loop. A job's results do not depend on the jobs run beside it.
+        columns: one (8, n) buffer holds the rows action-x, action-y,
+        goal-x, goal-y, vx, vy, x, y, so rows 2:6 are the policy features
+        and rows 4:8 the state. Each step makes one matmul per run of jobs
+        (neighbours with one policy object share a product, runs of equal
+        width share a stacked one); every other ufunc runs once over all n
+        columns. For the goal test a step only stores the goal offset: the
+        squared distances and the hits are computed HIT_CHECK steps at a
+        time, and the loop stops at the first check after every episode has
+        hit. Each job
+        draws its noise NOISE_BLOCK steps at a time, the same numbers as one
+        draw of all HORIZON steps. An episode keeps integrating after its
+        first hit, since nothing reads it; history is zeroed from step
+        steps[i] on, after the loop. A job's results do not depend on the
+        jobs run beside it.
         """
         # per job: its columns, the columns it reports and its draws' copies
         blocks, n, need = [], 0, 0
@@ -360,75 +405,95 @@ class ToyMdpTrainer:
         # mass, gain_x|gain_y, damping and limit as (2, n) rows: operands of
         # one shape, since broadcasting a (1, n) row slows every step down
         th = np.empty((8, n))
-        scaled_noise = np.empty((HORIZON, 2, n))
         goal = np.empty((2, n))
-        buf = np.zeros((6, n))
-        to_goal, feats, state, pos = buf[0:2], buf[0:4], buf[2:6], buf[4:6]
+        buf = np.zeros((8, n))
+        act, to_goal, feats, state, pos = buf[0:2], buf[2:4], buf[2:6], buf[4:8], buf[6:8]
+        draws = []
         for (policy, alpha, episodes, seed), (cols, _, copies) in zip(jobs, blocks):
             theta = self.theta_at(alpha)[:, [0, 0, 1, 2, 3, 3, 4, 4]]
             th[:, cols].reshape(8, copies, episodes)[...] = theta.T[:, :, None]
             rng = np.random.default_rng(seed)
             start = rng.uniform(-START_JITTER, START_JITTER, (episodes, 2))
             end = np.asarray(GOAL_CENTER) + rng.uniform(-GOAL_JITTER, GOAL_JITTER, (episodes, 2))
-            noise = rng.standard_normal((HORIZON, episodes, 2))
-            scaled_noise[:, :, cols].reshape(HORIZON, 2, copies, episodes)[...] = (
-                np.exp(policy.log_std) * noise
-            ).transpose(0, 2, 1)[:, :, None]
             goal[:, cols].reshape(2, copies, episodes)[...] = end.T[:, None]
             pos[:, cols].reshape(2, copies, episodes)[...] = start.T[:, None]
+            draws.append((rng, np.exp(policy.log_std), episodes, cols, copies))
         mass, gain, damping, limit = th[0:2], th[2:4], th[4:6], th[6:8]
         limits = (-limit, limit)
         np.subtract(goal, pos, out=to_goal)
-        act = np.empty((2, n))
-        # one matmul per job: its policy's weights on its block of columns
-        products = [
-            (policy.weights, feats[:, cols], act[:, cols])
-            for (policy, *_), (cols, _, _) in zip(jobs, blocks)
-        ]
+        products = self._products(jobs, blocks, feats, act)
         delta = np.empty((4, n))
-        sq = np.empty((2, n))
-        d2 = np.empty(n)
-        hit = np.empty(n, dtype=bool)
+        scaled_noise = np.empty((NOISE_BLOCK, 2, n))
+        offsets = np.empty((HORIZON, 2, n))
+        d2 = np.empty((HORIZON, n))
         success = np.zeros(n, dtype=bool)
-        # squared goal radius per episode, 0 once it has hit: d2 < 0 never
-        # holds, so a hit test against it finds first hits only
-        reach = np.full(n, GOAL_R2)
-        # the recorded jobs lead, so their columns are the first m
+        # the recorded jobs lead, so their columns are the first m; a step
+        # records the rows action, goal offset and velocity of those columns
         m = blocks[record - 1][0].stop if record else 0
-        if m:
-            steps = np.full(m, HORIZON)
-            feats_hist = np.zeros((HORIZON, m, 4))
-            acts_hist = np.zeros((HORIZON, m, 2))
+        hist = np.empty((HORIZON, 6, m))
+        checked = 0
         for t in range(HORIZON):
-            for weights, block_feats, block_act in products:
-                np.matmul(weights, block_feats, out=block_act)
-            act += scaled_noise[t]
+            if t % NOISE_BLOCK == 0:
+                k = min(NOISE_BLOCK, HORIZON - t)
+                for rng, std, episodes, cols, copies in draws:
+                    noise = rng.standard_normal((k, episodes, 2))
+                    scaled_noise[:k, :, cols].reshape(k, 2, copies, episodes)[...] = (
+                        std * noise
+                    ).transpose(0, 2, 1)[:, :, None]
+            for weights, run_feats, run_act in products:
+                np.matmul(weights, run_feats, out=run_act)
+            act += scaled_noise[t % NOISE_BLOCK]
             if m:
-                feats_hist[t] = feats[:, :m].T
-                acts_hist[t] = act[:, :m].T
+                hist[t] = buf[:6, :m]
             point_mass_step(state, act, gain, damping, mass, limits, delta)
-            np.subtract(goal, pos, out=to_goal)
-            np.multiply(to_goal, to_goal, out=sq)
-            np.add(sq[0], sq[1], out=d2)
-            np.less(d2, reach, out=hit)
-            if np.count_nonzero(hit):
-                success |= hit
-                reach[hit] = 0.0
-                if m:
-                    steps[hit[:m]] = t + 1
+            np.subtract(goal, pos, out=offsets[t])
+            to_goal[...] = offsets[t]
+            if (t + 1) % HIT_CHECK == 0 or t + 1 == HORIZON:
+                window = slice(checked, t + 1)
+                sq = offsets[window] * offsets[window]
+                np.add(sq[:, 0], sq[:, 1], out=d2[window])
+                success |= (d2[window] < GOAL_R2).any(axis=0)
+                checked = t + 1
                 if success.all():
                     break
-        for cols, _, _ in blocks:
-            if not np.all(np.isfinite(pos[:, cols][:, ~success[cols]])):
-                raise SimulationError("rollout produced non-finite positions")
+        if not np.all(np.isfinite(pos[:, ~success])):
+            raise SimulationError("rollout produced non-finite positions")
         if m:
-            dead = np.arange(HORIZON)[:, None] >= steps
-            feats_hist[dead] = 0.0
-            acts_hist[dead] = 0.0
+            first = (d2[:checked, :m] < GOAL_R2).argmax(axis=0)
+            steps = np.where(success[:m], first + 1, HORIZON)
+            hist.transpose(0, 2, 1)[np.arange(HORIZON)[:, None] >= steps] = 0.0
+            feats_hist = hist[:, 2:6].transpose(0, 2, 1)
+            acts_hist = hist[:, 0:2].transpose(0, 2, 1)
         return [
             (success[out], (feats_hist[:, out], acts_hist[:, out], steps[out]) if j < record else None)
             for j, (_, out, _) in enumerate(blocks)
         ]
+
+    @staticmethod
+    def _products(jobs, blocks, feats, act):
+        """(weights, features, actions) per run of jobs: one matmul each step.
+
+        Neighbouring jobs with one policy object are one block of columns;
+        consecutive blocks of equal width are one stacked (k, 4, width)
+        product. Each block's columns still get one BLAS call of its own
+        shape, so its bits are those of a matmul on that block alone.
+        """
+        units = []  # [first column, end column, policy]
+        for (policy, *_), (cols, _, _) in zip(jobs, blocks):
+            if units and units[-1][2] is policy:
+                units[-1][1] = cols.stop
+            else:
+                units.append([cols.start, cols.stop, policy])
+        products = []
+        for width, run in itertools.groupby(units, key=lambda u: u[1] - u[0]):
+            run = list(run)
+            cols = slice(run[0][0], run[-1][1])
+            products.append((
+                np.stack([policy.weights for _, _, policy in run]),
+                feats[:, cols].reshape(4, len(run), width).transpose(1, 0, 2),
+                act[:, cols].reshape(2, len(run), width).transpose(1, 0, 2),
+            ))
+        return products
 
     # -- trainer contract ---------------------------------------------------
 
@@ -449,16 +514,19 @@ class ToyMdpTrainer:
 
     def serve(self, requests) -> list:
         """Every request in one _simulate, the train jobs first, so the
-        kernel records the histories of a prefix of its jobs only. If the
+        kernel records the histories of a prefix of its jobs only, and the
+        others by width, so equal widths share a stacked matmul. If the
         kernel call fails, each request is served alone, so a failing job
         gives its own exception and fails no other."""
-        order = sorted(range(len(requests)), key=lambda i: requests[i][0] != TRAIN)
-        ordered = [requests[i] for i in order]
         episodes = {TRAIN: self.batch_size, PROBE: self.probe_episodes}
         jobs = [
             job if kind == EVAL else (job[0], job[1], episodes[kind], job[2])
-            for kind, job in ordered
+            for kind, job in requests
         ]
+        sizes = [len(np.atleast_2d(alpha)) * episodes for _, alpha, episodes, _ in jobs]
+        order = sorted(range(len(requests)), key=lambda i: (requests[i][0] != TRAIN, sizes[i]))
+        ordered = [requests[i] for i in order]
+        jobs = [jobs[i] for i in order]
         try:
             runs = self._simulate(jobs, record=sum(kind == TRAIN for kind, _ in ordered))
         except Exception as exc:
@@ -483,20 +551,20 @@ class ToyMdpTrainer:
     def _policy_update(self, policy, success, feats, acts, steps) -> TrainStepResult:
         """One REINFORCE step on a recorded batch of batch_size episodes."""
         returns = success.astype(float)
-        batch = [
-            (feats[: steps[e], e, :], acts[: steps[e], e, :], float(returns[e]))
-            for e in range(self.batch_size)
-        ]
+        # (E, T, 4) and (E, T, 2), episode-major and cut to the longest episode
+        horizon = int(steps.max())
+        feats = np.ascontiguousarray(feats[:horizon].transpose(1, 0, 2))
+        acts = np.ascontiguousarray(acts[:horizon].transpose(1, 0, 2))
         # start-state control variate: regress returns on initial goal
-        # distance so credit stays with the actions, not the episode draw
-        d0 = np.array(
-            [np.linalg.norm(feats[0, e, 0:2]) for e in range(self.batch_size)]
-        )
+        # distance so credit stays with the actions, not the episode draw;
+        # batched matmul takes the same dot product as np.linalg.norm
+        start = feats[:, 0, 0:2]
+        d0 = np.sqrt((start[:, None, :] @ start[:, :, None])[:, 0, 0])
         design = np.stack([np.ones_like(d0), d0], axis=1)
         coef, *_ = np.linalg.lstsq(design, returns, rcond=None)
-        baselines = design @ coef
-        new_policy = pg_train_step(
-            policy, batch, self.learning_rate, baselines=baselines
+        adv = returns - design @ coef
+        new_policy = _reinforce(
+            policy, feats, acts, steps, adv, self.learning_rate, MAX_GRAD_NORM
         )
         return TrainStepResult(
             policy=new_policy,

@@ -1,14 +1,15 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evotree import trainers as tr
 from evotree import transfer as tx
-from evotree.errors import InvalidInputError, SimulationError
+from evotree.errors import InvalidInputError, PhaseFailureError, SimulationError
 
 THETA = dict(mass=1.0, gain_x=1.0, gain_y=1.0, damping=0.5, limit=2.0)
 
@@ -269,6 +270,108 @@ class TestPolicyGradient:
                         break
             good += reached
         assert good >= 4
+
+
+def loop_pg_train_step(policy, batch, learning_rate, max_grad_norm, baselines):
+    """REINFORCE as a loop over the episodes: the reference pg_train_step
+    must equal bit for bit."""
+    returns = np.array([ep[2] for ep in batch], dtype=float)
+    if baselines is None:
+        adv = returns - float(returns.mean())
+    else:
+        adv = returns - np.asarray(baselines, dtype=float)
+    if np.all(adv == 0.0):
+        return policy
+    var = np.exp(2.0 * policy.log_std)
+    grad_w = np.zeros_like(policy.weights)
+    grad_ls = np.zeros_like(policy.log_std)
+    total_steps = 0
+    for (feats, acts, _), a_k in zip(batch, adv):
+        total_steps += len(feats)
+        if a_k == 0.0:
+            continue
+        mu = feats @ policy.weights.T
+        delta = (acts - mu) / var
+        grad_w += a_k * delta.T @ feats
+        grad_ls += a_k * np.sum(delta * (acts - mu) - 1.0, axis=0)
+    scale = max(total_steps, 1)
+    grad_w /= scale
+    grad_ls /= scale
+    if not (np.all(np.isfinite(grad_w)) and np.all(np.isfinite(grad_ls))):
+        raise PhaseFailureError("policy gradient diverged (non-finite)")
+    total = math.sqrt(float(np.sum(grad_w**2) + np.sum(grad_ls**2)))
+    if total > max_grad_norm:
+        scale = max_grad_norm / total
+        grad_w = grad_w * scale
+        grad_ls = grad_ls * scale
+    new_w = policy.weights + learning_rate * grad_w
+    new_ls = np.clip(policy.log_std + learning_rate * grad_ls, *tr.LOG_STD_BOUNDS)
+    return tr.LinearGaussianPolicy(weights=new_w, log_std=new_ls)
+
+
+class TestVectorizedReinforce:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(0, 40), min_size=1, max_size=14),
+        returns=st.sampled_from(["binary", "equal", "real"]),
+        baselines=st.sampled_from(["mean", "random", "some equal to the return"]),
+        diverge=st.booleans(),
+        max_grad_norm=st.sampled_from([tr.MAX_GRAD_NORM, np.inf, 1e-3]),
+        learning_rate=st.sampled_from([0.05, 1e4]),
+    )
+    @example(seed=1, lengths=[1, 7, 3, 1], returns="binary", baselines="mean",
+             diverge=False, max_grad_norm=np.inf, learning_rate=1e4)
+    @example(seed=2, lengths=[5, 5, 5], returns="equal", baselines="mean",
+             diverge=False, max_grad_norm=np.inf, learning_rate=0.05)
+    @example(seed=3, lengths=[9], returns="real", baselines="random",
+             diverge=False, max_grad_norm=np.inf, learning_rate=1e4)
+    @example(seed=4, lengths=[4, 2, 6], returns="binary", baselines="some equal to the return",
+             diverge=True, max_grad_norm=tr.MAX_GRAD_NORM, learning_rate=0.05)
+    def test_equals_the_per_episode_loop(
+        self, seed, lengths, returns, baselines, diverge, max_grad_norm, learning_rate
+    ):
+        # mixed lengths (1-row episodes too), zero-advantage episodes, equal
+        # returns, one episode and an inf feature that makes both diverge; a
+        # large learning rate puts the gradient's low bits into the weights
+        rng = np.random.default_rng(seed)
+        pol = random_policy(rng, 0.3)
+        e = len(lengths)
+        ret = {
+            "binary": rng.integers(0, 2, e).astype(float),
+            "equal": np.full(e, 0.7),
+            "real": rng.standard_normal(e),
+        }[returns]
+        base = {
+            "mean": None,
+            "random": rng.standard_normal(e),
+            "some equal to the return": np.where(rng.random(e) < 0.5, ret, rng.random(e)),
+        }[baselines]
+        batch = [
+            (
+                rng.standard_normal((t, 4)) * 10.0 ** rng.uniform(-2, 2, (t, 4)),
+                rng.standard_normal((t, 2)),
+                float(r),
+            )
+            for t, r in zip(lengths, ret)
+        ]
+        if diverge:
+            longest = int(np.argmax(lengths))
+            if lengths[longest]:
+                batch[longest][0][-1, 0] = np.inf
+        outcomes = []
+        for step in (tr.pg_train_step, loop_pg_train_step):
+            with np.errstate(all="ignore"):
+                try:
+                    outcomes.append(step(pol, batch, learning_rate, max_grad_norm, base))
+                except PhaseFailureError as exc:
+                    outcomes.append(exc)
+        new, ref = outcomes
+        if isinstance(ref, PhaseFailureError):
+            assert isinstance(new, PhaseFailureError)
+        else:
+            assert np.array_equal(new.weights, ref.weights)
+            assert np.array_equal(new.log_std, ref.log_std)
 
 
 class TestGradientSign:
@@ -574,6 +677,102 @@ class TestKernelEqualsMaskedCopy:
         r2 = tr.GOAL_R2
         assert math.sqrt(r2) >= tr.GOAL_RADIUS > math.sqrt(math.nextafter(r2, 0.0))
         assert r2 < tr.GOAL_RADIUS * tr.GOAL_RADIUS
+
+
+# a robot whose damping resets the velocity every step, and a P-D policy
+# that puts it on the goal in two steps (deadbeat control): every episode
+# hits within the kernel's first HIT_CHECK steps
+DEADBEAT_SPACE = tr.toy_space(
+    lower={"body.damping": 19.5, "body.torso.mass": 0.98, "motor.limit": 250.0,
+           "motor.x.gain": 4.9, "motor.y.gain": 4.9},
+    upper={"body.damping": 20.5, "body.torso.mass": 1.02, "motor.limit": 300.0,
+           "motor.x.gain": 5.1, "motor.y.gain": 5.1},
+)
+
+
+def deadbeat_policy(rng):
+    return tr.proportional_policy(rng.uniform(70, 90), rng.uniform(3.5, 4.5), 0.1)
+
+
+def same_result(out, one):
+    if isinstance(one, Exception):
+        return type(out) is type(one)
+    if type(out) is not type(one) or out.sim_episodes != one.sim_episodes:
+        return False
+    if isinstance(one, tr.TrainStepResult):
+        return np.array_equal(out.policy.weights, one.policy.weights) and np.array_equal(
+            out.policy.log_std, one.policy.log_std
+        )
+    if isinstance(one, tr.ProbeResult):
+        return np.array_equal(out.mean_return, one.mean_return)
+    return out == one
+
+
+class TestServeEqualsOneRequestAtATime:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        requests=st.lists(
+            st.tuples(
+                st.sampled_from([tx.PROBE, tx.TRAIN, tx.EVAL]),
+                st.sampled_from([1, 2, 12]),  # evaluation episodes
+                st.sampled_from([0, 1, 3]),  # 0: one point (D,), else k points
+                st.booleans(),  # the previous request's policy object
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1,
+            max_size=7,
+        ),
+        call=st.sampled_from(["mixed", "all hit early", "all steps"]),
+        batch_size=st.sampled_from([1, 2, 12]),
+        probe_episodes=st.sampled_from([1, 2]),
+    )
+    # one policy object for a train job and an evaluation
+    @example(requests=[(tx.EVAL, 12, 0, False, 1), (tx.TRAIN, 2, 0, True, 2)],
+             call="mixed", batch_size=12, probe_episodes=2)
+    # a lone episode (two columns) in a run of equal widths
+    @example(requests=[(tx.EVAL, 2, 0, False, 3), (tx.EVAL, 1, 0, False, 4),
+                       (tx.PROBE, 1, 1, False, 5), (tx.TRAIN, 1, 0, False, 6)],
+             call="mixed", batch_size=2, probe_episodes=2)
+    @example(requests=[(tx.TRAIN, 1, 0, False, 7), (tx.EVAL, 12, 3, True, 8),
+                       (tx.EVAL, 12, 0, False, 9)],
+             call="all hit early", batch_size=12, probe_episodes=2)
+    @example(requests=[(tx.EVAL, 12, 0, False, 10), (tx.TRAIN, 1, 0, False, 11)],
+             call="all steps", batch_size=12, probe_episodes=2)
+    def test_bit_equal(self, requests, call, batch_size, probe_episodes):
+        space = DEADBEAT_SPACE if call == "all hit early" else tr.toy_space()
+        t = tr.ToyMdpTrainer(space, batch_size=batch_size, probe_episodes=probe_episodes)
+        served_requests, pol = [], None
+        for i, (kind, episodes, k, share, seed) in enumerate(requests):
+            rng = np.random.default_rng(seed)
+            if not (share and pol is not None):
+                pol = deadbeat_policy(rng) if call == "all hit early" else random_policy(rng, 0.3)
+            if call == "all steps" and i == 0:
+                # never moves, so never reaches its goal
+                pol = tr.LinearGaussianPolicy(np.zeros((2, 4)), np.full(2, tr.LOG_STD_BOUNDS[0]))
+            pts = box_points(rng, max(k, 1), 5, 0.3)
+            alpha = pts if k else pts[0]
+            job = {
+                tx.PROBE: (pol, pts, [seed, 1]),
+                tx.TRAIN: (pol, pts[0], [seed, 2]),
+                tx.EVAL: (pol, alpha, episodes, [seed, 3]),
+            }[kind]
+            served_requests.append((kind, job))
+        steps = []
+        point_mass_step = tr.point_mass_step
+
+        def counted(*args):
+            steps.append(1)
+            point_mass_step(*args)
+
+        with mock.patch.object(tr, "point_mass_step", counted):
+            served = t.serve(served_requests)
+        if call == "all hit early":
+            assert len(steps) == tr.HIT_CHECK
+        elif call == "all steps":
+            assert len(steps) == tr.HORIZON
+        assert len(served) == len(served_requests)
+        for request, out in zip(served_requests, served):
+            assert same_result(out, t.serve([request])[0])
 
 
 class TestPolicyValidation:
