@@ -373,18 +373,16 @@ class ToyMdpTrainer:
         All per-episode data are columns, and each job is one block of
         columns: one (8, n) buffer holds the rows action-x, action-y,
         goal-x, goal-y, vx, vy, x, y, so rows 2:6 are the policy features
-        and rows 4:8 the state. Each step makes one matmul per run of jobs
-        (neighbours with one policy object share a product, runs of equal
-        width share a stacked one); every other ufunc runs once over all n
-        columns. For the goal test a step only stores the goal offset: the
-        squared distances and the hits are computed HIT_CHECK steps at a
-        time, and the loop stops at the first check after every episode has
-        hit. Each job
-        draws its noise NOISE_BLOCK steps at a time, the same numbers as one
-        draw of all HORIZON steps. An episode keeps integrating after its
-        first hit, since nothing reads it; history is zeroed from step
-        steps[i] on, after the loop. A job's results do not depend on the
-        jobs run beside it.
+        and rows 4:8 the state. Each step makes one stacked matmul per run
+        of neighbouring jobs of equal width; every other ufunc runs once
+        over all n columns. For the goal test a step only stores the goal
+        offset: the squared distances and the hits are computed HIT_CHECK
+        steps at a time, and the loop stops at the first check after every
+        episode has hit. Each job draws its noise NOISE_BLOCK steps at a
+        time, the same numbers as one draw of all HORIZON steps. An episode
+        keeps integrating after its first hit, since nothing reads it;
+        history is zeroed from step steps[i] on, after the loop. A job's
+        results do not depend on the jobs run beside it.
         """
         # per job: its columns, the columns it reports and its draws' copies
         blocks, n, need = [], 0, 0
@@ -471,27 +469,23 @@ class ToyMdpTrainer:
 
     @staticmethod
     def _products(jobs, blocks, feats, act):
-        """(weights, features, actions) per run of jobs: one matmul each step.
+        """(weights, features, actions) per run of equal-width blocks.
 
-        Neighbouring jobs with one policy object are one block of columns;
-        consecutive blocks of equal width are one stacked (k, 4, width)
-        product. Each block's columns still get one BLAS call of its own
-        shape, so its bits are those of a matmul on that block alone.
+        A run's step is one stacked (k, 4, width) matmul, which numpy makes
+        as one gemm per block, of that block's own shape. Its bits match a
+        call on the block alone as long as BLAS does not let a column's bits
+        depend on the neighbouring columns' leading dimension;
+        TestServeEqualsOneRequestAtATime checks that.
         """
-        units = []  # [first column, end column, policy]
-        for (policy, *_), (cols, _, _) in zip(jobs, blocks):
-            if units and units[-1][2] is policy:
-                units[-1][1] = cols.stop
-            else:
-                units.append([cols.start, cols.stop, policy])
         products = []
-        for width, run in itertools.groupby(units, key=lambda u: u[1] - u[0]):
-            run = list(run)
-            cols = slice(run[0][0], run[-1][1])
+        runs = zip((policy for policy, *_ in jobs), (cols for cols, _, _ in blocks))
+        for width, run in itertools.groupby(runs, key=lambda pc: pc[1].stop - pc[1].start):
+            policies, spans = zip(*run)
+            cols = slice(spans[0].start, spans[-1].stop)
             products.append((
-                np.stack([policy.weights for _, _, policy in run]),
-                feats[:, cols].reshape(4, len(run), width).transpose(1, 0, 2),
-                act[:, cols].reshape(2, len(run), width).transpose(1, 0, 2),
+                np.stack([policy.weights for policy in policies]),
+                feats[:, cols].reshape(4, len(spans), width).transpose(1, 0, 2),
+                act[:, cols].reshape(2, len(spans), width).transpose(1, 0, 2),
             ))
         return products
 
@@ -516,18 +510,19 @@ class ToyMdpTrainer:
         """Every request in one _simulate, the train jobs first, so the
         kernel records the histories of a prefix of its jobs only, and the
         others by width, so equal widths share a stacked matmul. If the
-        kernel call fails, each request is served alone, so a failing job
-        gives its own exception and fails no other."""
+        ordering or the kernel call fails, each request is served alone, so
+        a failing job gives its own exception and fails no other."""
         episodes = {TRAIN: self.batch_size, PROBE: self.probe_episodes}
         jobs = [
             job if kind == EVAL else (job[0], job[1], episodes[kind], job[2])
             for kind, job in requests
         ]
-        sizes = [len(np.atleast_2d(alpha)) * episodes for _, alpha, episodes, _ in jobs]
-        order = sorted(range(len(requests)), key=lambda i: (requests[i][0] != TRAIN, sizes[i]))
-        ordered = [requests[i] for i in order]
-        jobs = [jobs[i] for i in order]
         try:
+            # a job whose width cannot be taken fails in _simulate as well
+            sizes = [len(np.atleast_2d(alpha)) * episodes for _, alpha, episodes, _ in jobs]
+            order = sorted(range(len(requests)), key=lambda i: (requests[i][0] != TRAIN, sizes[i]))
+            ordered = [requests[i] for i in order]
+            jobs = [jobs[i] for i in order]
             runs = self._simulate(jobs, record=sum(kind == TRAIN for kind, _ in ordered))
         except Exception as exc:
             if len(requests) == 1:

@@ -673,6 +673,25 @@ class TestKernelEqualsMaskedCopy:
         for out, job in zip(served[:4], jobs):
             assert out == t.evaluate(*job)
 
+    def test_a_malformed_request_fails_alone(self):
+        # a job whose width cannot be taken (no episode count, ragged
+        # points) gets its own error; the requests beside it are served
+        t = make_trainer()
+        rng = np.random.default_rng(4)
+        pol = random_policy(rng, 0.3)
+        good = [(tx.EVAL, (pol, box_points(rng, 1, 5, 0.3)[0], 6, [i])) for i in range(3)]
+        requests = [
+            good[0],
+            (tx.EVAL, (pol, box_points(rng, 1, 5, 0.3)[0], None, [7])),
+            good[1],
+            (tx.PROBE, (pol, [[0.1] * 5, [0.2] * 4], [8])),
+            good[2],
+        ]
+        served = t.serve(requests)
+        assert isinstance(served[1], TypeError) and isinstance(served[3], ValueError)
+        for out, (_, job) in zip(served[0::2], good):
+            assert out == t.evaluate(*job)
+
     def test_goal_r2_is_the_exact_square_root_threshold(self):
         r2 = tr.GOAL_R2
         assert math.sqrt(r2) >= tr.GOAL_RADIUS > math.sqrt(math.nextafter(r2, 0.0))
