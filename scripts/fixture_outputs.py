@@ -7,7 +7,10 @@ Each run writes into its own directory under OUT:
 * `plan` under L1 and L2, on `fixtures/planar` and on `fixtures/toy`;
 * `transfer` and `compare --methods meta,herd,geom-median` with the cost
   trainer, under L1 and L2, at xi 0.02, on both fixture sets;
-* one short `toymdp` transfer on `fixtures/toy`;
+* one short `toymdp` transfer on `fixtures/toy`, and a `toymdp`
+  `compare --methods meta,herd,geom-median` under L2 on the same config
+  with 6 gradient probes per phase, so the three methods' shared run
+  loop, probe requests and the geom-median trunk run on the toy kernel;
 * a cost transfer from the planar source to a copy of it (written under
   OUT as `robots/source_copy.json`), whose report has no phases;
 * `plan` and a cost `transfer` from the planar source to a copy of
@@ -61,6 +64,7 @@ def runs(out_root: str, workload_inputs: dict):
     (robot paths, config path) its inputs were written to."""
     xi = os.path.join(out_root, "configs", "xi002.cfg")
     toy = os.path.join(out_root, "configs", "toymdp.cfg")
+    toy_probes = os.path.join(out_root, "configs", "toymdp-probes.cfg")
     copy = os.path.join(out_root, "robots", "source_copy.json")
     jointed = [robots("planar")[0], os.path.join(out_root, "robots", "jointed_target.json")]
     out = []
@@ -81,6 +85,12 @@ def runs(out_root: str, workload_inputs: dict):
                 ["transfer", "--robots", *robots("toy"), "--trainer", "toymdp",
                  "--config", toy, "--seed", "1"],
                 ["report.json", "phases.csv"]))
+    out.append(("compare-toy-toymdp-l2",
+                ["compare", "--robots", *robots("toy"), "--trainer", "toymdp",
+                 "--norm", "l2", "--config", toy_probes,
+                 "--methods", "meta,herd,geom-median", "--seed", "1"],
+                ["report_meta.json", "report_herd.json",
+                 "report_geom-median.json", "compare.csv"]))
     out.append(("transfer-planar-same",
                 ["transfer", "--robots", robots("planar")[0], copy],
                 ["report.json", "phases.csv"]))
@@ -111,6 +121,8 @@ def write_outputs(out_root: str) -> int:
         fh.write("transfer.xi = 0.02\n")
     with open(os.path.join(config_dir, "toymdp.cfg"), "w") as fh:
         fh.write(TOYMDP_CONFIG)
+    with open(os.path.join(config_dir, "toymdp-probes.cfg"), "w") as fh:
+        fh.write(TOYMDP_CONFIG + "transfer.gradient_samples = 6\n")
     with open(robots("planar")[0]) as fh:
         source = json.load(fh)
     os.makedirs(os.path.join(out_root, "robots"), exist_ok=True)

@@ -454,11 +454,14 @@ def cmd_compare(args) -> int:
         if methods.count(m) > 1:
             raise InvalidInputError(f"method {m!r} is listed more than once")
     problem, cfg, trainer, expert = _transfer_setup(args)
+    inputs = (problem.source_alpha, problem.target_alphas, expert, trainer, cfg)
+    rounds = []  # every method's walks, run in one lockstep loop
+    results = [_METHOD_FN[method](*inputs, rounds=rounds) for method in methods]
+    error = transfer.lockstep(trainer, rounds)
     totals, outcomes = {}, {}
-    for method in methods:
-        reports = _METHOD_FN[method](
-            problem.source_alpha, problem.target_alphas, expert, trainer, cfg
-        )
+    for method, reports in zip(methods, results):
+        if not reports:  # the earliest method that raised
+            raise error
         payload = report_payload(method, reports, cfg, problem, args.trainer)
         write_json(os.path.join(args.out, f"report_{method}.json"), payload)
         totals[method], outcomes[method] = payload["totals"], payload["outcome"]

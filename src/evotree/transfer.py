@@ -12,13 +12,14 @@ phases behind it. A stream runs phases until its targets are done, or until
 it stands on its meta point; there it splits into one child stream per
 group, each with its own policy copy and RNG streams. All live streams run
 in lockstep: a walk is a generator that yields lists of trainer requests,
-as Trainer.serve takes them, and is sent serve's results; each round the
-engine serves every stream's pending list in one serve call. A stream plans
-its next phase as soon as its current phase's endpoint is fixed, so without
-gradient probes each evaluation rides with a guess at the next phase's
-first train step, whose result that phase uses if the gate passes. Phase
-ids are given once the streams are done, in (segment, phase_index) order.
-Trunk phases are recorded once and shared by every report through them.
+as Trainer.serve takes them, and is sent serve's results; each round,
+lockstep serves every stream's pending list in one serve call, also across
+the engines of a compare's methods. A stream plans its next phase as soon
+as its current phase's endpoint is fixed, so without gradient probes each
+evaluation rides with a guess at the next phase's first train step, whose
+result that phase uses if the gate passes. Each engine gives its phase ids
+once its streams are done, in (segment, phase_index) order. Trunk phases
+are recorded once and shared by every report through them.
 
 The baselines run on the same walk: herd as one stream per target (no
 sharing), geom-median as one trunk to the geometric median of {source} union
@@ -411,7 +412,9 @@ class _Engine:
         self.trainer = trainer
         self.cfg = cfg
         self.phases = 0  # phases started, for the livelock guard
+        self.walks = 0  # walks started and not yet ended, for lockstep
         self.reports: dict[int, TransferReport] = {}
+        self.result: list[TransferReport] = []  # filled by numbered()
         # generous global guard against re-planning livelock
         total_span = float(len(targets) + 1) * targets.shape[1]
         guard = 4 * total_span / cfg.xi
@@ -560,40 +563,11 @@ class _Engine:
         ]
 
     def run(self, walks: list) -> list[TransferReport]:
-        """Drive the walks in lockstep; returns every target's report, in
-        target order.
-
-        A walk yields lists of trainer requests and returns the child
-        streams it splits into, which join at once, each as a subtree. Every
-        round makes one trainer.serve call over every pending list, end to
-        end, and sends each walk its own slice of the results. A stream
-        draws only on its own seeds, so the order streams run in changes no
-        result; phase ids are given at the end, in (segment, phase_index)
-        order.
-        """
-        pending = {}  # walk -> its pending list of requests
-        for walk in walks:
-            self.advance(pending, walk, None)
-        while pending:
-            batch = list(pending.items())
-            results = self.trainer.serve([r for _, requests in batch for r in requests])
-            start = 0
-            for walk, requests in batch:
-                self.advance(pending, walk, results[start:start + len(requests)])
-                start += len(requests)
-        return self.numbered()
-
-    def advance(self, pending: dict, walk, result) -> None:
-        """Send result to walk and record its next request in pending; a
-        finished walk's children start at once. A method, because a closure
-        that calls itself is a reference cycle: it would keep the engine and
-        every report alive until a gc pass."""
-        try:
-            pending[walk] = walk.send(result)
-        except StopIteration as done:
-            pending.pop(walk, None)
-            for child in done.value:
-                self.advance(pending, self.subtree(child), None)
+        """Every target's report, in target order, from lockstep on the walks."""
+        error = lockstep(self.trainer, [(self, walk) for walk in walks])
+        if error is not None:
+            raise error
+        return self.result
 
     # -- reporting ---------------------------------------------------------
 
@@ -610,9 +584,9 @@ class _Engine:
                 policy=copy.deepcopy(s.policy),
             )
 
-    def numbered(self) -> list[TransferReport]:
-        """The reports in target order, once every phase has its id, given
-        in (segment, phase_index) order."""
+    def numbered(self) -> None:
+        """Give every phase its id, in (segment, phase_index) order, and
+        fill self.result with the reports in target order."""
         phases = {
             (p.segment, p.phase_index): p
             for rep in self.reports.values() for p in rep.phases
@@ -621,7 +595,51 @@ class _Engine:
         for i, key in enumerate(sorted(phases)):
             # the one late field of a frozen record, not yet seen outside the engine
             object.__setattr__(phases[key], "phase_id", i)
-        return [self.reports[i] for i in range(len(self.targets))]
+        self.result[:] = [self.reports[i] for i in range(len(self.targets))]
+
+
+def lockstep(trainer: Trainer, pairs: list) -> Optional[Exception]:
+    """Drive (engine, walk) pairs in lockstep: each round is one trainer.serve
+    call over every pending list, end to end, and each walk is sent its own
+    slice; a walk's child streams join at once. A served job's bits do not
+    depend on the jobs beside it. An engine that raises is dropped with every
+    engine after it in pairs; those before it run to their end. Returns the
+    earliest dropped engine's exception, or None."""
+    engines, error = list(dict.fromkeys(engine for engine, _ in pairs)), None
+    pending = {}  # walk -> (its engine, its pending list of requests)
+    for engine, _ in pairs:
+        engine.walks += 1
+    sends = [(engine, walk, None) for engine, walk in pairs]
+    while True:
+        for engine, walk, result in sends:
+            if engine in engines:
+                try:
+                    _advance(pending, engine, walk, result)
+                except Exception as exc:
+                    del engines[engines.index(engine):]
+                    error = exc
+        pending = {walk: sent for walk, sent in pending.items() if sent[0] in engines}
+        if not pending:
+            return error
+        served = iter(trainer.serve([r for _, requests in pending.values() for r in requests]))
+        sends = [(engine, walk, [next(served) for _ in requests])
+                 for walk, (engine, requests) in pending.items()]
+
+
+def _advance(pending: dict, engine: _Engine, walk, result) -> None:
+    """Send result to walk and record its next request in pending; a
+    finished walk's children start at once, and the engine's last walk to
+    end numbers its reports. Not a closure: one that calls itself is a
+    reference cycle, keeping every engine and report alive until a gc pass."""
+    try:
+        pending[walk] = engine, walk.send(result)
+    except StopIteration as done:
+        pending.pop(walk, None)
+        engine.walks += len(done.value) - 1
+        if not engine.walks:
+            engine.numbered()
+        for child in done.value:
+            _advance(pending, engine, engine.subtree(child), None)
 
 
 def _as_alpha(point, name: str) -> np.ndarray:
@@ -647,24 +665,33 @@ def _start(source, targets, expert_policy, trainer, cfg) -> tuple[_Engine, _Stre
     return engine, _Stream((), src, expert_policy, list(range(len(tg))), [])
 
 
+def _enrolled(engine: _Engine, walks: list, rounds: Optional[list]) -> list[TransferReport]:
+    """engine.run(walks), or the walks added to rounds for lockstep to run."""
+    if rounds is None:
+        return engine.run(walks)
+    rounds += [(engine, walk) for walk in walks]
+    return engine.result
+
+
 def meta_evolve(
-    source, targets, expert_policy, trainer: Trainer, cfg: TransferConfig
+    source, targets, expert_policy, trainer: Trainer, cfg: TransferConfig, *, rounds=None
 ) -> list[TransferReport]:
     """One-to-many transfer along the evolution tree (path sharing)."""
     engine, start = _start(source, targets, expert_policy, trainer, cfg)
-    return engine.run([engine.subtree(start.fork((), start.indices))])
+    return _enrolled(engine, [engine.subtree(start.fork((), start.indices))], rounds)
 
 
 def herd_baseline(
-    source, targets, expert_policy, trainer: Trainer, cfg: TransferConfig
+    source, targets, expert_policy, trainer: Trainer, cfg: TransferConfig, *, rounds=None
 ) -> list[TransferReport]:
     """Independent one-to-one transfers: the meta point is always the target."""
     engine, start = _start(source, targets, expert_policy, trainer, cfg)
-    return engine.run([engine.subtree(start.fork((i,), [i])) for i in start.indices])
+    walks = [engine.subtree(start.fork((i,), [i])) for i in start.indices]
+    return _enrolled(engine, walks, rounds)
 
 
 def geom_median_baseline(
-    source, targets, expert_policy, trainer: Trainer, cfg: TransferConfig
+    source, targets, expert_policy, trainer: Trainer, cfg: TransferConfig, *, rounds=None
 ) -> list[TransferReport]:
     """One shared meta robot at the geometric median of {source} union targets."""
     engine, start = _start(source, targets, expert_policy, trainer, cfg)
@@ -679,4 +706,4 @@ def geom_median_baseline(
         )
         return [trunk.fork((i + 1,), [i]) for i in trunk.indices] if on_median else []
 
-    return engine.run([walk_trunk()])
+    return _enrolled(engine, [walk_trunk()], rounds)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from evotree import cli, transfer
 from evotree.cli import main
-from evotree.errors import SimulationError
+from evotree.errors import InvalidInputError, SimulationError
 from evotree.trainers import CostModelTrainer
 from evotree.transfer import TransferConfig
 
@@ -75,6 +76,25 @@ class CrashNear(CostModelTrainer):
         if np.abs(np.asarray(alpha) - self.point).sum() < 0.05:
             raise SimulationError("simulated crash near the last target")
         return super().train_step(policy, alpha, seed)
+
+
+@dataclasses.dataclass(frozen=True)
+class CrashOnSeed(CostModelTrainer):
+    """Cost trainer whose train_step raises in runs seeded 98 or 99."""
+
+    def train_step(self, policy, alpha, seed):
+        if seed[0] in (98, 99):
+            raise SimulationError(f"simulated crash on seed {seed[0]}")
+        return super().train_step(policy, alpha, seed)
+
+
+# how a method is made to fail: the config its own engine runs on
+FAILURES = {
+    "crash": lambda cfg: dataclasses.replace(cfg, seed=99),
+    "crash98": lambda cfg: dataclasses.replace(cfg, seed=98),
+    # raised by the first gradient probe, inside the method's walk
+    "invalid": lambda cfg: dataclasses.replace(cfg, gradient_samples=1),
+}
 
 
 @pytest.fixture
@@ -224,8 +244,8 @@ class TestExitCodeContract:
         ],
     )
     def test_oversized_simulator_job_exits_2(self, tmp_path, setting):
-        # an evaluation or train job of 8.9 GiB and more, or a probe job of
-        # 0.5 GiB: the toy kernel refuses it before allocating, so under a
+        # an evaluation or train job of 18.8 GiB and more, or a probe job of
+        # 0.84 GiB: the toy kernel refuses it before allocating, so under a
         # 1.5 GiB address-space limit of its own the child process exits 2,
         # without a traceback
         res = limited_toy_transfer(tmp_path, setting, 1536, timeout=120)
@@ -622,6 +642,104 @@ class TestCompare:
         assert speed_meta == pytest.approx(2.5, abs=0.05)
         assert float(rows["herd"][4]) == pytest.approx(1.0)
         assert speed_median <= speed_meta + 1e-9
+
+    @pytest.mark.parametrize(
+        "methods,fails",
+        [
+            ("meta,herd,geom-median", {"meta": "crash"}),
+            ("meta,herd,geom-median", {"herd": "crash"}),
+            ("herd,meta,geom-median", {"geom-median": "invalid"}),
+            # geom-median raises first, at its first probe; herd, listed
+            # before it, raises later and is the run's error
+            ("meta,herd,geom-median", {"herd": "crash", "geom-median": "invalid"}),
+            ("geom-median,meta", {"geom-median": "invalid", "meta": "crash"}),
+            ("herd,meta", {"herd": "crash98", "meta": "crash"}),
+        ],
+    )
+    def test_failing_method_keeps_the_reports_listed_before_it(
+        self, tmp_path, capsys, monkeypatch, fast_config, methods, fails
+    ):
+        monkeypatch.setattr(cli, "make_trainer", lambda kind, problem, settings: CrashOnSeed())
+        argv = ["compare", "--robots", *PLANAR, "--config", fast_config, "--methods", methods]
+        assert run(*argv, "--out", str(tmp_path / "ok")) == 0
+        capsys.readouterr()
+        for method, failure in fails.items():
+            fn = cli._METHOD_FN[method]
+            monkeypatch.setitem(
+                cli._METHOD_FN, method,
+                lambda *a, _fn=fn, _cfg=FAILURES[failure], **kw: _fn(*a[:4], _cfg(a[4]), **kw),
+            )
+        out = tmp_path / "failed"
+        code = run(*argv, "--out", str(out))
+        err = capsys.readouterr().err
+        # the same methods called one at a time, as compare ran them before
+        # they shared one loop: reports written until the first that raises
+        problem = cli.load_problem(PLANAR)
+        args = (problem.source_alpha, problem.target_alphas, object(), CrashOnSeed())
+        cfg = TransferConfig(xi=0.01)
+        written = []
+        for method in methods.split(","):
+            try:
+                cli._METHOD_FN[method](*args, cfg)
+            except InvalidInputError as exc:
+                expected = 2, f"error: {exc}\n"
+                break
+            except SimulationError as exc:
+                expected = 3, f"error: transfer failed: {exc}\n"
+                break
+            written.append(f"report_{method}.json")
+        assert (code, err) == expected
+        assert sorted(os.listdir(out) if out.exists() else []) == sorted(written)
+        for name in written:
+            assert (out / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()
+
+    def test_compare_hands_each_method_call_its_reports(self, tmp_path, monkeypatch):
+        # perfbench keeps the list each _METHOD_FN call returns and
+        # re-simulates its final policies once main returns
+        captured, alone = {}, dict(cli._METHOD_FN)
+        for method, fn in alone.items():
+            def capture(*args, _fn=fn, _method=method, **kwargs):
+                reports = _fn(*args, **kwargs)
+                captured[_method] = args, reports
+                return reports
+
+            monkeypatch.setitem(cli._METHOD_FN, method, capture)
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(
+            "transfer.xi = 0.12\n"
+            "transfer.max_phase_iterations = 150\n"
+            "transfer.final_success_threshold = 0.8\n"
+        )
+        code = run("compare", "--robots", *TOY, "--trainer", "toymdp", "--config", str(cfg),
+                   "--methods", "meta,herd,geom-median", "--seed", "1", "--out", str(tmp_path))
+        assert code == 0
+        assert sorted(captured) == ["geom-median", "herd", "meta"]
+        for method, (args, reports) in captured.items():
+            assert [r.target_index for r in reports] == [0, 1, 2]
+            assert all(r.policy is not None for r in reports)
+            expected = alone[method](*args)
+            assert reports == expected
+            for a, b in zip(reports, expected):
+                assert np.array_equal(a.policy.weights, b.policy.weights)
+                assert np.array_equal(a.policy.log_std, b.policy.log_std)
+
+    def test_no_engine_or_phase_outlives_the_run(self, tmp_path, fast_config):
+        # the shared loop leaves no reference cycle: without a gc pass,
+        # every engine and phase record dies when compare returns
+        def alive():
+            return {id(o) for o in gc.get_objects()
+                    if isinstance(o, (transfer._Engine, transfer.PhaseRecord))}
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = alive()
+            code = run("compare", "--robots", *PLANAR, "--config", fast_config,
+                       "--methods", "meta,herd,geom-median", "--out", str(tmp_path))
+            assert code == 0
+            assert alive() <= before
+        finally:
+            gc.enable()
 
     def test_needs_two_methods(self, tmp_path):
         code = run(

@@ -685,6 +685,17 @@ class StuckBeyondTheFirstPhase(CostModelTrainer):
         return super().train_step(policy, alpha, seed)
 
 
+class CountingCalls:
+    """A trainer's serve, counting its calls."""
+
+    def __init__(self, trainer):
+        self.trainer, self.calls = trainer, 0
+
+    def serve(self, requests):
+        self.calls += 1
+        return self.trainer.serve(requests)
+
+
 class TestLockstep:
     @settings(max_examples=15, deadline=None)
     @given(
@@ -741,6 +752,55 @@ class TestLockstep:
         with pytest.raises(PhaseFailureError, match="perturbations: .*upper region"):
             METHODS[method](src, tgts, object(), trainer, cfg)
         assert trainer.batches[0] == 3  # all three streams probe in one call
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        methods=st.sampled_from([
+            ("meta", "herd"), ("herd", "geom-median"), ("geom-median", "meta"),
+            ("meta", "herd", "geom-median"),
+        ]),
+        xi=st.sampled_from([0.3, 0.6]),
+        p_norm=st.sampled_from([1, 2]),
+        n=st.integers(2, 4),
+        probes=st.booleans(),
+    )
+    def test_methods_sharing_the_loop_equal_each_alone(
+        self, seed, methods, xi, p_norm, n, probes
+    ):
+        rng = np.random.default_rng(seed)
+        src, tgts = rng.random(5), rng.random((n, 5))
+        trainer = CountingCalls(ToyMdpTrainer(toy_space(), batch_size=2, learning_rate=0.3))
+        cfg = tx.TransferConfig(
+            xi=xi, p_norm=p_norm, max_phase_iterations=4, seed=seed % 1000,
+            eval_episodes=2, gradient_samples=6 * probes,
+        )
+        args = (src, tgts, proportional_policy(1.2, 0.8, 0.12), trainer, cfg)
+        alone, calls = {}, {}
+        for method in methods:
+            trainer.calls = 0
+            try:
+                alone[method] = METHODS[method](*args)
+            except EvoTreeError as exc:
+                alone[method] = exc
+            calls[method] = trainer.calls
+        trainer.calls = 0
+        rounds = []
+        joint = [METHODS[method](*args, rounds=rounds) for method in methods]
+        error = tx.lockstep(trainer, rounds)
+        for method, reports in zip(methods, joint):
+            expected = alone[method]
+            if isinstance(expected, EvoTreeError):
+                # the earliest method that raised fails the joint run
+                assert type(error) is type(expected) and str(error) == str(expected)
+                return
+            assert reports == expected  # phases with their ids, outcomes, totals
+            for a, b in zip(reports, expected):
+                assert np.array_equal(a.policy.weights, b.policy.weights)
+                assert np.array_equal(a.policy.log_std, b.policy.log_std)
+        assert error is None
+        # each engine takes as many rounds as alone, and every round is one call
+        assert trainer.calls == max(calls.values())
 
 
 class TestGuesses:
