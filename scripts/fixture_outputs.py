@@ -17,6 +17,10 @@ Each run writes into its own directory under OUT:
   `target_a` named `arm, "long"`, with a revolute joint the source lacks
   (written under OUT as `robots/jointed_target.json`), covering joint
   embedding and CSV quoting;
+* `plan` and a cost `transfer` on a copy of the planar robots whose root
+  body has the id `root` (the other bodies' `"parent": "root"` then names
+  it) and whose local ids map back to the fixtures' through
+  `correspondence` (written under OUT as `robots/rooted_*.json`);
 * the command of each of the four perfbench workloads (toy-compare,
   toy-probe, cost-l2, cost-l1), one round each, on the inputs that
   `perfbench/workloads.py` writes for run seed WORKLOAD_SEED, into
@@ -52,6 +56,8 @@ TOYMDP_CONFIG = (
     "transfer.final_success_threshold = 0.8\n"
 )
 WORKLOAD_SEED = 7
+# the planar robots' ids -> the local ids of their rooted copies
+ROOTED_IDS = {"base": "root", "arm": "limb", "arm.lift": "limb.lift", "arm.span": "limb.span"}
 
 
 def robots(fixture: str) -> list[str]:
@@ -67,6 +73,7 @@ def runs(out_root: str, workload_inputs: dict):
     toy_probes = os.path.join(out_root, "configs", "toymdp-probes.cfg")
     copy = os.path.join(out_root, "robots", "source_copy.json")
     jointed = [robots("planar")[0], os.path.join(out_root, "robots", "jointed_target.json")]
+    rooted = [os.path.join(out_root, "robots", f"rooted_{r}.json") for r in ROBOTS]
     out = []
     for fixture in ("planar", "toy"):
         for norm in ("l1", "l2"):
@@ -97,6 +104,9 @@ def runs(out_root: str, workload_inputs: dict):
     out.append(("plan-jointed", ["plan", "--robots", *jointed], ["plan.json"]))
     out.append(("transfer-jointed",
                 ["transfer", "--robots", *jointed, "--config", xi],
+                ["report.json", "phases.csv"]))
+    out.append(("plan-rooted", ["plan", "--robots", *rooted], ["plan.json"]))
+    out.append(("transfer-rooted", ["transfer", "--robots", *rooted, "--config", xi],
                 ["report.json", "phases.csv"]))
     for w in WORKLOADS.values():
         name = os.path.join("workloads", w.name)
@@ -135,6 +145,16 @@ def write_outputs(out_root: str) -> int:
               for b in target["bodies"]]
     with open(os.path.join(out_root, "robots", "jointed_target.json"), "w") as fh:
         json.dump({**target, "name": 'arm, "long"', "bodies": bodies}, fh)
+    correspondence = {local: canonical for canonical, local in ROOTED_IDS.items()}
+    for robot, path in zip(ROBOTS, robots("planar")):
+        with open(path) as fh:
+            spec = json.load(fh)
+        bodies = [{**b, "id": ROOTED_IDS[b["id"]],
+                   "parent": b["parent"] and ROOTED_IDS[b["parent"]]} for b in spec["bodies"]]
+        params = {ROOTED_IDS[k]: v for k, v in spec["params"].items()}
+        with open(os.path.join(out_root, "robots", f"rooted_{robot}.json"), "w") as fh:
+            json.dump({**spec, "bodies": bodies, "params": params,
+                       "correspondence": correspondence}, fh)
     workload_inputs = {}
     for w in WORKLOADS.values():
         directory = os.path.join(out_root, "workloads", w.name)

@@ -457,14 +457,16 @@ def cmd_compare(args) -> int:
     inputs = (problem.source_alpha, problem.target_alphas, expert, trainer, cfg)
     rounds = []  # every method's walks, run in one lockstep loop
     results = [_METHOD_FN[method](*inputs, rounds=rounds) for method in methods]
-    error = transfer.lockstep(trainer, rounds)
     totals, outcomes = {}, {}
-    for method, reports in zip(methods, results):
-        if not reports:  # the earliest method that raised
-            raise error
-        payload = report_payload(method, reports, cfg, problem, args.trainer)
-        write_json(os.path.join(args.out, f"report_{method}.json"), payload)
-        totals[method], outcomes[method] = payload["totals"], payload["outcome"]
+    try:
+        transfer.lockstep(trainer, rounds)
+    finally:  # if a method raised, those listed before it write their reports
+        for method, reports in zip(methods, results):
+            if not reports:  # the method that raised, or one after it
+                break
+            payload = report_payload(method, reports, cfg, problem, args.trainer)
+            write_json(os.path.join(args.out, f"report_{method}.json"), payload)
+            totals[method], outcomes[method] = payload["totals"], payload["outcome"]
     keys = ("train_iterations", "sim_episodes")
     herd = totals.get("herd")
     rows = [

@@ -15,6 +15,7 @@ the embedded parameter vectors; theta = (1 - alpha) * lower + alpha * upper.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -58,9 +59,6 @@ class RobotSpec:
     bodies: tuple[Body, ...]
     params: dict[str, Param]
     correspondence: dict[str, str] = field(default_factory=dict)
-
-    def body_map(self) -> dict[str, Body]:
-        return {b.id: b for b in self.bodies}
 
 
 @dataclass(frozen=True)
@@ -109,78 +107,87 @@ class EvolutionSpace:
 # ---------------------------------------------------------------------------
 
 
+def _one_to_one(spec: RobotSpec, local_ids, what: str, where: dict) -> None:
+    """Refuse two of local_ids that share a canonical id (a repeated id
+    shares its own), raised with the error context `where`."""
+    seen: dict[str, str] = {}  # canonical id -> local id
+    for local in local_ids:
+        cid = spec.correspondence.get(local, local)
+        if cid in seen:
+            raise CorrespondenceConflictError(
+                f"robot {spec.name!r}: {what} {seen[cid]!r} and {local!r}"
+                f" share canonical id {cid!r}",
+                key=cid,
+                **where,
+            )
+        seen[cid] = local
+
+
 def validate_spec(spec: RobotSpec, file: Optional[str] = None) -> None:
-    seen = set()
-    for b in spec.bodies:
-        if b.id in seen:
+    """Check all that one spec can get wrong on its own.
+
+    That is a correspondence from known local ids that keeps bodies, the
+    joints of one body and parameters apart (so no body id, and no joint
+    name within a body, repeats); parent links that form one tree; known
+    joint kinds and finite joint ranges with lo <= hi; finite parameters
+    whose local and canonical keys do not start with `joint.`.
+    """
+    mapping, parents = spec.correspondence, {b.id: b.parent for b in spec.bodies}
+    joint_names = {j.name for b in spec.bodies for j in b.joints}
+    for local in mapping:
+        if local not in parents and local not in joint_names and local not in spec.params:
             raise SpecValidationError(
-                "duplicate body id", file=file, path="bodies", key=b.id
-            )
-        seen.add(b.id)
-    roots = [b for b in spec.bodies if b.parent is None]
-    if spec.bodies and len(roots) != 1:
-        raise SpecValidationError(
-            f"expected exactly one root body, found {len(roots)}",
-            file=file,
-            path="bodies",
-        )
-    ids = {b.id for b in spec.bodies}
-    for b in spec.bodies:
-        if b.parent is not None and b.parent not in ids:
-            raise SpecValidationError(
-                "parent references missing body",
+                "correspondence references unknown local id",
                 file=file,
-                path=f"bodies[{b.id}]",
-                key=b.parent,
+                path="correspondence",
+                key=local,
             )
-    # parent links must form a tree (no cycles)
-    body_map = spec.body_map()
-    for b in spec.bodies:
-        hops = 0
-        cur = b
-        while cur.parent is not None:
-            hops += 1
-            if hops > len(spec.bodies):
-                raise SpecValidationError(
-                    "cyclic parent references",
-                    file=file,
-                    path=f"bodies[{b.id}]",
-                )
-            cur = body_map[cur.parent]
-    for b in spec.bodies:
-        joint_names = set()
+    _one_to_one(spec, [b.id for b in spec.bodies], "bodies", {"file": file, "path": "bodies"})
+    _one_to_one(spec, spec.params, "parameters", {"file": file, "path": "params"})
+    for b in (body for body in spec.bodies if body.joints):
+        where = {"file": file, "path": f"bodies[{b.id}].joints"}
+        _one_to_one(spec, [j.name for j in b.joints], "joints", where)
         for j in b.joints:
             if j.kind not in JOINT_KINDS:
+                raise SpecValidationError(f"unknown joint kind {j.kind!r}", key=j.name, **where)
+            lo, hi = j.range
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise SpecValidationError(
-                    f"unknown joint kind {j.kind!r}",
-                    file=file,
-                    path=f"bodies[{b.id}].joints",
+                    f"joint range [{lo}, {hi}] must be finite with lo <= hi",
                     key=j.name,
+                    **where,
                 )
-            if j.range[0] > j.range[1]:
+    roots = set()
+    for b in spec.bodies:  # one walk up from each body, to its root
+        cur, hops = b.id, 0
+        while parents[cur] is not None:
+            if parents[cur] not in parents:
                 raise SpecValidationError(
-                    "joint range lo > hi",
+                    "parent references missing body",
                     file=file,
-                    path=f"bodies[{b.id}].joints",
-                    key=j.name,
+                    path=f"bodies[{cur}]",
+                    key=parents[cur],
                 )
-            if j.name in joint_names:
+            if hops == len(parents):
                 raise SpecValidationError(
-                    "duplicate joint name",
-                    file=file,
-                    path=f"bodies[{b.id}].joints",
-                    key=j.name,
+                    "cyclic parent references", file=file, path=f"bodies[{b.id}]"
                 )
-            joint_names.add(j.name)
+            cur, hops = parents[cur], hops + 1
+        roots.add(cur)
+    if len(roots) > 1:
+        raise SpecValidationError(
+            f"expected exactly one root body, found {len(roots)}", file=file, path="bodies"
+        )
     for key, p in spec.params.items():
-        if not np.isfinite(p.value):
+        if not math.isfinite(p.value):
             raise SpecValidationError(
                 "non-finite parameter value", file=file, path="params", key=key
             )
-        if key.startswith(_JOINT_KEY_PREFIX):
+        ckey = mapping.get(key, key)
+        if key.startswith(_JOINT_KEY_PREFIX) or ckey.startswith(_JOINT_KEY_PREFIX):
             raise SpecValidationError(
                 f"parameter keys may not start with {_JOINT_KEY_PREFIX!r}"
-                " (reserved for joint ranges)",
+                f" (reserved for joint ranges; canonical key {ckey!r})",
                 file=file,
                 path="params",
                 key=key,
@@ -201,73 +208,46 @@ def load_robot_spec(path: str) -> RobotSpec:
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise SpecValidationError("missing robot name", file=path, key="name")
+    raw_bodies = raw.get("bodies", [])
+    if not isinstance(raw_bodies, list):
+        raise SpecValidationError("bodies must be a list", file=path, path="bodies")
+    # "parent": "root" means no parent, unless a body has the id "root"
+    named_root = any(isinstance(b, dict) and b.get("id") == "root" for b in raw_bodies)
     bodies = []
-    for i, b in enumerate(raw.get("bodies", [])):
+    for i, b in enumerate(raw_bodies):
         if not isinstance(b, dict) or "id" not in b:
-            raise SpecValidationError(
-                "body entries need an id", file=path, path=f"bodies[{i}]"
+            raise SpecValidationError("body entries need an id", file=path, path=f"bodies[{i}]")
+        where, raw_joints = f"bodies[{b['id']}].joints", b.get("joints", [])
+        if not isinstance(raw_joints, list):
+            raise SpecValidationError("joints must be a list", file=path, path=where)
+        try:
+            joints = tuple(
+                Joint(str(j["name"]), str(j["kind"]), (float(j["range"][0]), float(j["range"][1])))
+                for j in raw_joints
             )
-        joints = []
-        for j in b.get("joints", []):
-            try:
-                joints.append(
-                    Joint(
-                        name=str(j["name"]),
-                        kind=str(j["kind"]),
-                        range=(float(j["range"][0]), float(j["range"][1])),
-                    )
-                )
-            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-                raise SpecValidationError(
-                    f"malformed joint: {exc}",
-                    file=path,
-                    path=f"bodies[{b['id']}].joints",
-                ) from exc
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise SpecValidationError(f"malformed joint: {exc}", file=path, path=where) from exc
         parent = b.get("parent")
-        bodies.append(
-            Body(
-                id=str(b["id"]),
-                parent=None if parent in (None, "root") else str(parent),
-                joints=tuple(joints),
-            )
-        )
+        is_root = parent is None or (parent == "root" and not named_root)
+        bodies.append(Body(str(b["id"]), None if is_root else str(parent), joints))
     params = {}
     raw_params = raw.get("params", {})
     if not isinstance(raw_params, dict):
         raise SpecValidationError("params must be an object", file=path, path="params")
     for key, val in raw_params.items():
-        if isinstance(val, dict):
-            try:
-                params[key] = Param(float(val["value"]), val.get("unit"))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise SpecValidationError(
-                    f"malformed parameter: {exc}", file=path, path="params", key=key
-                ) from exc
-        else:
-            try:
-                params[key] = Param(float(val), None)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SpecValidationError(
-                    "parameter value must be a number",
-                    file=path,
-                    path="params",
-                    key=key,
-                ) from exc
-    corr = raw.get("correspondence", {})
-    if not isinstance(corr, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in corr.items()
-    ):
+        try:
+            val = val if isinstance(val, dict) else {"value": val}
+            params[key] = Param(float(val["value"]), val.get("unit"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SpecValidationError(
+                f"malformed parameter: {exc}", file=path, path="params", key=key
+            ) from exc
+    corr = raw.get("correspondence", {})  # a JSON object's keys are strings
+    if not isinstance(corr, dict) or not all(isinstance(v, str) for v in corr.values()):
         raise SpecValidationError(
-            "correspondence must map strings to strings",
-            file=path,
-            path="correspondence",
+            "correspondence must map strings to strings", file=path, path="correspondence"
         )
-    spec = RobotSpec(
-        name=name,
-        bodies=tuple(bodies),
-        params=params,
-        correspondence=dict(corr),
-    )
+    spec = RobotSpec(name, tuple(bodies), params, corr)
     validate_spec(spec, file=path)
     return spec
 
@@ -281,7 +261,9 @@ def match_kinematics(specs: Sequence[RobotSpec]) -> MatchedSpace:
     """Union the kinematic trees of the specs and embed each robot in R^D.
 
     Each spec's correspondence maps its local ids to canonical ids; local
-    ids missing from the map keep their own name as the canonical id.
+    ids missing from the map keep their own name as the canonical id. Each
+    spec passes validate_spec; the checks here are those of agreement
+    between specs: names, parents, joint kinds, units and one root.
     """
     if len(specs) < 2:
         raise InvalidInputError("matching needs at least two robot specs")
@@ -298,31 +280,11 @@ def match_kinematics(specs: Sequence[RobotSpec]) -> MatchedSpace:
     local_params: list[dict[str, str]] = []
     joint_ranges: list[dict[tuple[str, str], tuple[float, float]]] = []
     for spec in specs:
-        mapping = spec.correspondence
-        local_ids = (
-            {b.id for b in spec.bodies}
-            | {j.name for b in spec.bodies for j in b.joints}
-            | set(spec.params)
-        )
-        for local in mapping:
-            if local not in local_ids:
-                raise SpecValidationError(
-                    "correspondence references unknown local id",
-                    key=local,
-                    path=spec.name,
-                )
         validate_spec(spec)
-        seen_body: dict[str, str] = {}
+        mapping = spec.correspondence
         ranges: dict[tuple[str, str], tuple[float, float]] = {}
         for b in spec.bodies:
             cid = mapping.get(b.id, b.id)
-            if cid in seen_body:
-                raise CorrespondenceConflictError(
-                    f"robot {spec.name!r} maps bodies {seen_body[cid]!r} and"
-                    f" {b.id!r} to one canonical body {cid!r}",
-                    key=cid,
-                )
-            seen_body[cid] = b.id
             cparent = None if b.parent is None else mapping.get(b.parent, b.parent)
             if canon_parent.setdefault(cid, cparent) != cparent:
                 raise SpecValidationError(
@@ -332,11 +294,6 @@ def match_kinematics(specs: Sequence[RobotSpec]) -> MatchedSpace:
                 )
             for j in b.joints:
                 ckey = (cid, mapping.get(j.name, j.name))
-                if ckey in ranges:
-                    raise CorrespondenceConflictError(
-                        f"robot {spec.name!r} maps two joints onto {ckey!r}",
-                        key=ckey[1],
-                    )
                 ranges[ckey] = j.range
                 prev = joint_kind.get(ckey)
                 if prev is None or prev == "frozen":
@@ -346,23 +303,16 @@ def match_kinematics(specs: Sequence[RobotSpec]) -> MatchedSpace:
                         f"joint {ckey!r} has incompatible kinds {prev!r}"
                         f" vs {j.kind!r}"
                     )
-        seen_param: dict[str, str] = {}
-        for key, p in spec.params.items():
-            ckey = mapping.get(key, key)
-            if ckey in seen_param:
-                raise CorrespondenceConflictError(
-                    f"robot {spec.name!r} maps parameters {seen_param[ckey]!r}"
-                    f" and {key!r} onto {ckey!r}",
-                    key=ckey,
-                )
-            seen_param[ckey] = key
-            if param_unit.setdefault(ckey, p.unit) != p.unit:
+        local = {mapping.get(key, key): key for key in spec.params}
+        for ckey, key in local.items():
+            unit = spec.params[key].unit
+            if param_unit.setdefault(ckey, unit) != unit:
                 raise SpecValidationError(
                     f"unit mismatch for parameter {ckey!r}:"
-                    f" {param_unit[ckey]!r} vs {p.unit!r}",
+                    f" {param_unit[ckey]!r} vs {unit!r}",
                     key=ckey,
                 )
-        local_params.append(seen_param)
+        local_params.append(local)
         joint_ranges.append(ranges)
     roots = [cid for cid, par in canon_parent.items() if par is None]
     if canon_parent and len(roots) != 1:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import math
+import traceback
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -412,7 +413,6 @@ class _Engine:
         self.trainer = trainer
         self.cfg = cfg
         self.phases = 0  # phases started, for the livelock guard
-        self.walks = 0  # walks started and not yet ended, for lockstep
         self.reports: dict[int, TransferReport] = {}
         self.result: list[TransferReport] = []  # filled by numbered()
         # generous global guard against re-planning livelock
@@ -564,9 +564,7 @@ class _Engine:
 
     def run(self, walks: list) -> list[TransferReport]:
         """Every target's report, in target order, from lockstep on the walks."""
-        error = lockstep(self.trainer, [(self, walk) for walk in walks])
-        if error is not None:
-            raise error
+        lockstep(self.trainer, [(self, walk) for walk in walks])
         return self.result
 
     # -- reporting ---------------------------------------------------------
@@ -598,17 +596,29 @@ class _Engine:
         self.result[:] = [self.reports[i] for i in range(len(self.targets))]
 
 
-def lockstep(trainer: Trainer, pairs: list) -> Optional[Exception]:
+def lockstep(trainer: Trainer, pairs: list) -> None:
     """Drive (engine, walk) pairs in lockstep: each round is one trainer.serve
     call over every pending list, end to end, and each walk is sent its own
     slice; a walk's child streams join at once. A served job's bits do not
     depend on the jobs beside it. An engine that raises is dropped with every
-    engine after it in pairs; those before it run to their end. Returns the
-    earliest dropped engine's exception, or None."""
-    engines, error = list(dict.fromkeys(engine for engine, _ in pairs)), None
-    pending = {}  # walk -> (its engine, its pending list of requests)
-    for engine, _ in pairs:
-        engine.walks += 1
+    engine after it in pairs; those before it run to their end. Every engine
+    left is numbered, then the earliest dropped engine's exception raised."""
+    engines = list(dict.fromkeys(engine for engine, _ in pairs))
+    failed = _rounds(trainer, pairs, engines)
+    for engine in engines:
+        engine.numbered()
+    if failed:
+        # _rounds' frame, on its traceback, holds it in its locals: cleared,
+        # and with no local here holding it, the exception makes no reference
+        # cycle, so the run is freed with it and not at a later gc pass
+        traceback.clear_frames(failed[0].__traceback__)
+        raise failed.pop()
+
+
+def _rounds(trainer: Trainer, pairs: list, engines: list) -> list:
+    """lockstep's rounds. Drops an engine that raises from engines, with
+    those after it; returns [the earliest dropped engine's exception], or []."""
+    failed, pending = [], {}  # pending: walk -> (its engine, its list of requests)
     sends = [(engine, walk, None) for engine, walk in pairs]
     while True:
         for engine, walk, result in sends:
@@ -616,11 +626,12 @@ def lockstep(trainer: Trainer, pairs: list) -> Optional[Exception]:
                 try:
                     _advance(pending, engine, walk, result)
                 except Exception as exc:
+                    traceback.clear_frames(exc.__traceback__)  # those of the walk
                     del engines[engines.index(engine):]
-                    error = exc
+                    failed[:] = [exc]
         pending = {walk: sent for walk, sent in pending.items() if sent[0] in engines}
         if not pending:
-            return error
+            return failed
         served = iter(trainer.serve([r for _, requests in pending.values() for r in requests]))
         sends = [(engine, walk, [next(served) for _ in requests])
                  for walk, (engine, requests) in pending.items()]
@@ -628,16 +639,13 @@ def lockstep(trainer: Trainer, pairs: list) -> Optional[Exception]:
 
 def _advance(pending: dict, engine: _Engine, walk, result) -> None:
     """Send result to walk and record its next request in pending; a
-    finished walk's children start at once, and the engine's last walk to
-    end numbers its reports. Not a closure: one that calls itself is a
-    reference cycle, keeping every engine and report alive until a gc pass."""
+    finished walk's children start at once. Not a closure: one that calls
+    itself is a reference cycle, keeping every engine and report alive
+    until a gc pass."""
     try:
         pending[walk] = engine, walk.send(result)
     except StopIteration as done:
         pending.pop(walk, None)
-        engine.walks += len(done.value) - 1
-        if not engine.walks:
-            engine.numbered()
         for child in done.value:
             _advance(pending, engine, engine.subtree(child), None)
 

@@ -79,6 +79,22 @@ class CrashNear(CostModelTrainer):
 
 
 @dataclasses.dataclass(frozen=True)
+class CrashAbove(CostModelTrainer):
+    """Cost trainer whose train_step raises where alpha[1] >= 0.5."""
+
+    def train_step(self, policy, alpha, seed):
+        if np.asarray(alpha)[1] >= 0.5:
+            raise SimulationError("simulated crash above alpha[1] = 0.5")
+        return super().train_step(policy, alpha, seed)
+
+
+def live_run_objects():
+    """The ids of every engine and phase record alive, found without a gc pass."""
+    return {id(o) for o in gc.get_objects()
+            if isinstance(o, (transfer._Engine, transfer.PhaseRecord))}
+
+
+@dataclasses.dataclass(frozen=True)
 class CrashOnSeed(CostModelTrainer):
     """Cost trainer whose train_step raises in runs seeded 98 or 99."""
 
@@ -292,7 +308,7 @@ SPEC_MUTATIONS = [
     "extra_param", "bad_parent", "self_parent", "second_root", "add_joint",
     "bad_joint_kind", "inverted_joint", "malformed_joint", "duplicate_body",
     "bad_correspondence", "unknown_correspondence", "same_as_source",
-    "huge_int", "deep",
+    "huge_int", "deep", "bodies_not_list", "joints_not_list",
 ]
 
 
@@ -300,9 +316,12 @@ def mutate(specs, kind, robot, pick):
     """Apply one named mutation to robot `robot` of a spec list, in place."""
     spec = specs[robot]
     key = sorted(spec["params"])[pick % len(spec["params"])] if spec["params"] else None
-    body = spec["bodies"][pick % len(spec["bodies"])]
+    # after bodies_not_list, body mutations go to a body of no spec
+    bodies = spec["bodies"] if isinstance(spec["bodies"], list) else [{"id": None}]
+    body = bodies[pick % len(bodies)]
     values = {"nan": float("nan"), "inf": float("inf"), "negative": -1.0,
               "junk": "junk", "null": None, "huge_int": 10**400, "deep": DEEP}
+    not_lists = (None, 7, True)
     joints = {
         "add_joint": {"name": "j", "kind": "revolute", "range": [-1.0, 1.0]},
         "bad_joint_kind": {"name": "j", "kind": "warp", "range": [0.0, 1.0]},
@@ -323,10 +342,14 @@ def mutate(specs, kind, robot, pick):
         body["parent"] = body["id"]
     elif kind == "second_root":
         body["parent"] = None
-    elif kind in joints:
-        body.setdefault("joints", []).append(dict(joints[kind]))
+    elif kind in joints and isinstance(body.setdefault("joints", []), list):
+        body["joints"].append(dict(joints[kind]))
     elif kind == "duplicate_body":
-        spec["bodies"].append(json.loads(json.dumps(body)))
+        bodies.append(json.loads(json.dumps(body)))
+    elif kind == "bodies_not_list":
+        spec["bodies"] = not_lists[pick % 3]
+    elif kind == "joints_not_list":
+        body["joints"] = not_lists[pick % 3]
     elif kind == "bad_correspondence":
         spec["correspondence"] = {body["id"]: 7}
     elif kind == "unknown_correspondence":
@@ -353,6 +376,9 @@ class TestSpecExitCodeContract:
     @example(fixture="planar", mutations=[("same_as_source", 1, 0)], norm="l2", command="transfer")
     @example(fixture="planar", mutations=[("huge_int", 0, 0)], norm="l1", command="plan")
     @example(fixture="planar", mutations=[("deep", 2, 0)], norm="l1", command="plan")
+    @example(fixture="planar", mutations=[("bodies_not_list", 1, 0)], norm="l2", command="plan")
+    @example(fixture="planar", mutations=[("joints_not_list", 2, 1)], norm="l1",
+             command="transfer")
     def test_mutated_specs_keep_exit_contract(self, fixture, mutations, norm, command):
         # the toy set runs the toymdp trainer (which needs its five
         # parameters), on a coarse, short schedule; exit 3 is allowed
@@ -378,7 +404,9 @@ class TestSpecExitCodeContract:
         assert code in (0, 2, 3), (code, err.getvalue())
         if code == 2:
             assert err.getvalue().startswith("error: ")
-        if len(mutations) == 1 and mutations[0][0] in ("huge_int", "deep"):
+        if len(mutations) == 1 and mutations[0][0] in (
+            "huge_int", "deep", "bodies_not_list", "joints_not_list"
+        ):
             assert code == 2 and robots[mutations[0][1]] in err.getvalue()
 
     @pytest.mark.parametrize(
@@ -726,18 +754,42 @@ class TestCompare:
     def test_no_engine_or_phase_outlives_the_run(self, tmp_path, fast_config):
         # the shared loop leaves no reference cycle: without a gc pass,
         # every engine and phase record dies when compare returns
-        def alive():
-            return {id(o) for o in gc.get_objects()
-                    if isinstance(o, (transfer._Engine, transfer.PhaseRecord))}
-
         gc.collect()
         gc.disable()
         try:
-            before = alive()
+            before = live_run_objects()
             code = run("compare", "--robots", *PLANAR, "--config", fast_config,
                        "--methods", "meta,herd,geom-median", "--out", str(tmp_path))
             assert code == 0
-            assert alive() <= before
+            assert live_run_objects() <= before
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("call", ["compare", "meta_evolve"])
+    def test_no_engine_or_phase_outlives_a_failed_run(
+        self, tmp_path, monkeypatch, fast_config, call
+    ):
+        # nor does the error of a failed run: the frames on its traceback
+        # would hold it and the run's engines in a cycle
+        monkeypatch.setattr(cli, "make_trainer", lambda kind, problem, settings: CrashAbove())
+        problem = cli.load_problem(PLANAR)
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_run_objects()
+            if call == "compare":
+                code = run("compare", "--robots", *PLANAR, "--config", fast_config,
+                           "--methods", "meta,herd", "--out", str(tmp_path))
+                assert code == 3
+            else:
+                try:
+                    transfer.meta_evolve(problem.source_alpha, problem.target_alphas,
+                                         object(), CrashAbove(), TransferConfig(xi=0.01))
+                except SimulationError:
+                    pass
+                else:
+                    pytest.fail("meta_evolve did not raise")
+            assert live_run_objects() <= before
         finally:
             gc.enable()
 

@@ -1,7 +1,12 @@
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evotree import robot_model as rm
 from evotree.errors import (
@@ -139,6 +144,14 @@ class TestMatchKinematics:
         a = finger_spec("a", 1, [0.5], corr={"ghost": "finger0"})
         b = finger_spec("b", 1, [0.5])
         with pytest.raises(SpecValidationError):
+            rm.match_kinematics([a, b])
+
+    @pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_joint_range_rejected(self, lo, hi):
+        a = finger_spec("a", 1, [0.5])
+        bodies = (a.bodies[0], rm.Body("finger0", "palm", (rm.Joint("knuckle0", "revolute", (lo, hi)),)))
+        b = rm.RobotSpec(name="b", bodies=bodies, params=dict(a.params))
+        with pytest.raises(SpecValidationError, match="knuckle0"):
             rm.match_kinematics([a, b])
 
 
@@ -321,6 +334,42 @@ class TestMonotoneReparameterization:
             assert np.allclose(direct, mapped, atol=1e-9), trial
 
 
+ELBOW = {"name": "elbow", "kind": "revolute", "range": [-1, 1]}
+PAYLOAD = {
+    "name": "bot",
+    "bodies": [
+        {"id": "base", "parent": None, "joints": []},
+        {"id": "arm", "parent": "base", "joints": [ELBOW]},
+    ],
+    "params": {"arm.length": {"value": 0.5, "unit": "m"}, "arm.width": 0.1},
+    "correspondence": {"arm": "limb"},
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["root", "base", "arm", "limb", "elbow", "revolute", "joint.x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["id", "parent", "joints", "name", "kind", "range", "value", "unit"])
+        | st.text(max_size=4),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+def field_paths(value, prefix=()):
+    """The path of every field inside a JSON value, as a tuple of keys."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [p for k, v in items for p in [(*prefix, k), *field_paths(v, (*prefix, k))]]
+
+
 class TestFileLoading:
     def test_round_trip(self, tmp_path):
         payload = {
@@ -374,3 +423,81 @@ class TestFileLoading:
         path.write_text(json.dumps(payload))
         with pytest.raises(SpecValidationError):
             rm.load_robot_spec(str(path))
+
+    @pytest.mark.parametrize("bounds", ["[NaN, 1]", "[0, Infinity]", "[-Infinity, 0]"])
+    def test_non_finite_joint_range(self, tmp_path, bounds):
+        # json reads NaN and Infinity; the range check must not let them pass
+        path = tmp_path / "bot.json"
+        path.write_text(json.dumps(PAYLOAD).replace("[-1, 1]", bounds))
+        with pytest.raises(SpecValidationError) as err:
+            rm.load_robot_spec(str(path))
+        assert "bot.json" in str(err.value) and "key=elbow" in str(err.value)
+
+    def test_body_named_root(self, tmp_path):
+        # "parent": "root" names the body "root" when there is one, and
+        # otherwise means no parent
+        named = {"name": "bot", "bodies": [{"id": "root"}, {"id": "arm", "parent": "root"}]}
+        alias = {"name": "bot", "bodies": [{"id": "base", "parent": "root"},
+                                           {"id": "arm", "parent": "base"}]}
+        parents = []
+        for i, payload in enumerate((named, alias)):
+            path = tmp_path / f"bot{i}.json"
+            path.write_text(json.dumps(payload))
+            parents.append([b.parent for b in rm.load_robot_spec(str(path)).bodies])
+        assert parents == [[None, "root"], [None, "base"]]
+
+    @pytest.mark.parametrize(
+        "fields,key",
+        [
+            ({"bodies": [*PAYLOAD["bodies"], {"id": "arm", "parent": "base"}]}, "limb"),
+            ({"bodies": [PAYLOAD["bodies"][0],
+                         {"id": "arm", "parent": "base", "joints": [ELBOW, ELBOW]}]}, "elbow"),
+            ({"correspondence": {"arm": "limb", "base": "limb"}}, "limb"),
+            ({"params": {**PAYLOAD["params"], "base.mass": 2.0},
+              "correspondence": {"arm": "limb", "base.mass": "arm.length"}}, "arm.length"),
+        ],
+        ids=["repeated-body", "repeated-joint", "two-bodies-one-id", "two-params-one-key"],
+    )
+    def test_canonical_id_conflicts_at_load(self, tmp_path, fields, key):
+        # repeated ids are conflicts of the identity correspondence
+        path = tmp_path / "bot.json"
+        path.write_text(json.dumps({**PAYLOAD, **fields}))
+        with pytest.raises(CorrespondenceConflictError) as err:
+            rm.load_robot_spec(str(path))
+        assert "bot.json" in str(err.value) and f"key={key})" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "correspondence", [{"ghost": "arm"}, {"arm.length": "joint.arm.elbow.range_lo"}]
+    )
+    def test_correspondence_checked_at_load(self, tmp_path, correspondence):
+        path = tmp_path / "bot.json"
+        path.write_text(json.dumps({**PAYLOAD, "correspondence": correspondence}))
+        with pytest.raises(SpecValidationError, match="bot.json"):
+            rm.load_robot_spec(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(where=st.sampled_from(field_paths(PAYLOAD)), value=JSON_VALUES)
+    @example(where=("bodies",), value=None)
+    @example(where=("bodies", 1, "joints"), value=7)
+    @example(where=("bodies", 0, "joints"), value=True)
+    def test_any_field_set_to_any_json_value(self, where, value):
+        # a spec file loads, or is refused as a spec, and a loaded spec
+        # matches another robot or is refused as a spec: no other exception
+        payload = json.loads(json.dumps(PAYLOAD))
+        *parents, last = where
+        node = payload
+        for step in parents:
+            node = node[step]
+        node[last] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bot.json")
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+            try:
+                spec = rm.load_robot_spec(path)
+            except SpecValidationError:
+                return
+        try:
+            rm.match_kinematics([spec, finger_spec("other", 1, [0.5])])
+        except SpecValidationError:
+            pass

@@ -787,7 +787,11 @@ class TestLockstep:
         trainer.calls = 0
         rounds = []
         joint = [METHODS[method](*args, rounds=rounds) for method in methods]
-        error = tx.lockstep(trainer, rounds)
+        error = None
+        try:
+            tx.lockstep(trainer, rounds)
+        except EvoTreeError as exc:
+            error = exc
         for method, reports in zip(methods, joint):
             expected = alone[method]
             if isinstance(expected, EvoTreeError):
