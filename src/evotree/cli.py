@@ -16,12 +16,13 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-from typing import Optional, Sequence, get_type_hints
+from typing import Iterable, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -160,7 +161,7 @@ def trainer_settings(file_values: dict[str, str]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     directory = os.path.dirname(path) or "."
     try:
         os.makedirs(directory, exist_ok=True)
@@ -169,7 +170,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -190,14 +191,16 @@ def _check_out(path: str) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    batches = iter(lambda: "".join(itertools.islice(chunks, 4096)), "")  # one write each
+    _atomic_write(path, itertools.chain(batches, ["\n"]))
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Fields holding a comma, quote or line break are quoted (RFC 4180)."""
     text = io.StringIO()
     csv.writer(text, lineterminator="\n").writerows([header, *rows])
-    _atomic_write(path, text.getvalue())
+    _atomic_write(path, [text.getvalue()])
 
 
 # ---------------------------------------------------------------------------

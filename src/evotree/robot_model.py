@@ -157,10 +157,10 @@ def validate_spec(spec: RobotSpec, file: Optional[str] = None) -> None:
                     key=j.name,
                     **where,
                 )
-    roots = set()
-    for b in spec.bodies:  # one walk up from each body, to its root
-        cur, hops = b.id, 0
-        while parents[cur] is not None:
+    root_of: dict[str, str] = {}  # body -> its root, once a walk has passed it
+    for b in spec.bodies:  # one walk up from each body, to a root or a body passed before
+        walked, cur = [], b.id
+        while cur not in root_of and parents[cur] is not None:
             if parents[cur] not in parents:
                 raise SpecValidationError(
                     "parent references missing body",
@@ -168,12 +168,14 @@ def validate_spec(spec: RobotSpec, file: Optional[str] = None) -> None:
                     path=f"bodies[{cur}]",
                     key=parents[cur],
                 )
-            if hops == len(parents):
+            if len(walked) == len(parents):
                 raise SpecValidationError(
                     "cyclic parent references", file=file, path=f"bodies[{b.id}]"
                 )
-            cur, hops = parents[cur], hops + 1
-        roots.add(cur)
+            walked.append(cur)
+            cur = parents[cur]
+        root_of.update(dict.fromkeys([*walked, cur], root_of.get(cur, cur)))
+    roots = set(root_of.values())
     if len(roots) > 1:
         raise SpecValidationError(
             f"expected exactly one root body, found {len(roots)}", file=file, path="bodies"
@@ -192,6 +194,13 @@ def validate_spec(spec: RobotSpec, file: Optional[str] = None) -> None:
                 path="params",
                 key=key,
             )
+
+
+def _number(value) -> float:
+    """A JSON number as a float; a string or a bool is refused (TypeError)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{json.dumps(value)} is not a number")
+    return float(value)
 
 
 def load_robot_spec(path: str) -> RobotSpec:
@@ -220,16 +229,20 @@ def load_robot_spec(path: str) -> RobotSpec:
         where, raw_joints = f"bodies[{b['id']}].joints", b.get("joints", [])
         if not isinstance(raw_joints, list):
             raise SpecValidationError("joints must be a list", file=path, path=where)
-        try:
-            joints = tuple(
-                Joint(str(j["name"]), str(j["kind"]), (float(j["range"][0]), float(j["range"][1])))
-                for j in raw_joints
-            )
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-            raise SpecValidationError(f"malformed joint: {exc}", file=path, path=where) from exc
+        joints = []
+        for j in raw_joints:
+            try:
+                lo_hi = j["range"]
+                if not (isinstance(lo_hi, list) and len(lo_hi) == 2):
+                    raise TypeError(f"range {json.dumps(lo_hi)} is not two numbers")
+                joints.append(Joint(str(j["name"]), str(j["kind"]), tuple(map(_number, lo_hi))))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                key = j.get("name") if isinstance(j, dict) else None
+                raise SpecValidationError(f"malformed joint: {exc}", file=path, path=where,
+                                          key=key) from exc
         parent = b.get("parent")
         is_root = parent is None or (parent == "root" and not named_root)
-        bodies.append(Body(str(b["id"]), None if is_root else str(parent), joints))
+        bodies.append(Body(str(b["id"]), None if is_root else str(parent), tuple(joints)))
     params = {}
     raw_params = raw.get("params", {})
     if not isinstance(raw_params, dict):
@@ -237,7 +250,7 @@ def load_robot_spec(path: str) -> RobotSpec:
     for key, val in raw_params.items():
         try:
             val = val if isinstance(val, dict) else {"value": val}
-            params[key] = Param(float(val["value"]), val.get("unit"))
+            params[key] = Param(_number(val["value"]), val.get("unit"))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecValidationError(
                 f"malformed parameter: {exc}", file=path, path="params", key=key

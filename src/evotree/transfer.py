@@ -15,10 +15,11 @@ in lockstep: a walk is a generator that yields lists of trainer requests,
 as Trainer.serve takes them, and is sent serve's results; each round,
 lockstep serves every stream's pending list in one serve call, also across
 the engines of a compare's methods. A stream plans its next phase as soon
-as its current phase's endpoint is fixed, so without gradient probes each
-evaluation rides with a guess at the next phase's first train step, whose
-result that phase uses if the gate passes. Each engine gives its phase ids
-once its streams are done, in (segment, phase_index) order. Trunk phases
+as its current phase's endpoint is fixed, so each evaluation rides with a
+guess at the next phase's first request (its gradient probe, or else its
+first train step), whose result that phase uses if the gate passes. Each
+engine gives its phase ids once its streams are done, in (segment,
+phase_index) order. Trunk phases
 are recorded once and shared by every report through them.
 
 The baselines run on the same walk: herd as one stream per target (no
@@ -212,22 +213,14 @@ def shrunk_window_start(alpha_from, alpha_to, shrink_ratio: float, iteration: in
 # ---------------------------------------------------------------------------
 
 
-def reward_gradient(alpha, policy, cfg: TransferConfig, seed_material: Sequence[int] = ()):
-    """Least-squares fit of return differences against coordinate perturbations.
-
-    gradient_samples perturbations of radius xi/2 (projected back into
-    [0, 1]^D) are probed in one batch with the base point as row 0, all on
-    one shared seed so common noise cancels; a batch whose points alone
-    exceed the probe-size limit (SIM_MAX_BYTES, for every trainer) is
-    refused before it is drawn. A
-    generator: yields [(PROBE, job)] and is sent [the job's result]; returns
-    a GradientEstimate. gradient_samples=0 disables the estimate: it returns
-    a zero gradient without a request.
-    """
+def probe_points(alpha, cfg: TransferConfig, seed_material: Sequence[int] = ()):
+    """A gradient probe at alpha, as (points, seed): gradient_samples
+    perturbations of radius xi/2 (projected back into [0, 1]^D) with the base
+    point as row 0, all on one shared seed so common noise cancels. A probe
+    whose points alone exceed the probe-size limit (SIM_MAX_BYTES, for every
+    trainer) is refused before it is drawn."""
     al = np.asarray(alpha, dtype=float)
     d = len(al)
-    if cfg.gradient_samples == 0:
-        return GradientEstimate(np.zeros(d), 0)
     if cfg.gradient_samples < d + 1:
         raise InvalidInputError(
             f"gradient_samples must be 0 or >= D + 1 = {d + 1}"
@@ -247,10 +240,19 @@ def reward_gradient(alpha, policy, cfg: TransferConfig, seed_material: Sequence[
     norms = np.sqrt((directions[:, None, :] @ directions[:, :, None])[:, 0, 0])
     directions /= np.maximum(norms, 1e-12)[:, None]
     points = np.vstack([al, np.clip(al + (cfg.xi / 2.0) * directions, 0.0, 1.0)])
-    [out] = yield [(PROBE, (policy, points, [cfg.seed, 0x6E5D, 0]))]
-    out = taken(PROBE, out)
+    return points, [cfg.seed, 0x6E5D, 0]
+
+
+def reward_gradient(policy, probe, first=None):
+    """Least-squares fit of return differences against coordinate
+    perturbations, on probe_points' (points, seed). A generator: yields
+    [(PROBE, job)] and is sent [its result], unless given that result
+    guessed earlier as first; returns a GradientEstimate."""
+    if first is None:
+        [first] = yield [(PROBE, (policy, *probe))]
+    out, points = taken(PROBE, first), probe[0]
     returns = np.asarray(out.mean_return)
-    grad, *_ = np.linalg.lstsq(points[1:] - al, returns[1:] - returns[0], rcond=None)
+    grad, *_ = np.linalg.lstsq(points[1:] - points[0], returns[1:] - returns[0], rcond=None)
     return GradientEstimate(grad, out.sim_episodes)
 
 
@@ -273,8 +275,11 @@ def estimate_reward_gradient(
     cfg: TransferConfig,
     seed_material: Sequence[int] = (),
 ) -> GradientEstimate:
-    """reward_gradient's estimate, its probe sent to the trainer on its own."""
-    return served(trainer.serve, reward_gradient(alpha, policy, cfg, seed_material))
+    """reward_gradient's estimate, its probe sent to the trainer on its own;
+    zero, without a request, if gradient_samples is 0."""
+    if cfg.gradient_samples == 0:
+        return GradientEstimate(np.zeros(len(alpha)), 0)
+    return served(trainer.serve, reward_gradient(policy, probe_points(alpha, cfg, seed_material)))
 
 
 def served(serve, walk):
@@ -300,7 +305,7 @@ class PhaseOutcome:
     sim_episodes: int
     final_success_rate: float
     reached: bool
-    guessed: object = None  # the next phase's first train result, if guessed
+    guessed: object = None  # the result of the next phase's first request, if guessed
 
 
 def phase_window(alpha_from, alpha_to, cfg: TransferConfig, seed_material: Sequence[int] = ()):
@@ -339,12 +344,12 @@ def phase_train(
     generator: each iteration yields [(TRAIN, job)], then [(EVAL, job)],
     and is sent the list of their results. Returns a PhaseOutcome.
 
-    window is this phase's phase_window, made here when None. guess, the
-    next phase's (window sample, seed) or None, adds (TRAIN, guessed job) to
-    each evaluation's list: the train job that phase starts with if the
-    policy just trained passes the gate. A passing outcome carries that
-    job's result as `guessed`, which the next phase takes as `first`, the
-    result of its first train job, in place of requesting it.
+    window is this phase's phase_window, made here when None; first is the
+    result of its first train job, if guessed earlier. guess, the next
+    phase's first request without its policy ((kind, args), or None), is
+    made with the policy just trained in each evaluation's list: the request
+    that phase starts with if that policy passes the gate. A passing outcome
+    carries its result as `guessed`; a failing gate drops it.
     """
     a0 = np.asarray(alpha_from, dtype=float)
     a1 = np.asarray(alpha_to, dtype=float)
@@ -368,7 +373,7 @@ def phase_train(
         episodes += out.sim_episodes
         requests = [(EVAL, (policy, a1, eval_episodes, [*seed, t, 1]))]
         if guess:
-            requests.append((TRAIN, (policy, *guess)))
+            requests.append((guess[0], (policy, *guess[1])))
         ev, *guessed = yield requests
         ev = taken(EVAL, ev)
         episodes += ev.sim_episodes
@@ -447,21 +452,15 @@ class _Engine:
 
     # -- phases ------------------------------------------------------------
 
-    def step_toward(self, s: _Stream, beta: np.ndarray):
-        """Next phase endpoint from s toward beta, plus gradient-probe episode
-        cost. A generator of reward_gradient's trainer requests, made only
-        beyond xi of beta."""
-        if _lp(s.alpha, beta, self.cfg.p_norm) < self.cfg.xi:
-            return beta.copy(), 0
-        est = yield from reward_gradient(
-            s.alpha, s.policy, self.cfg, [*s.segment, s.phase_index]
-        )
+    def step_toward(self, s: _Stream, beta: np.ndarray, probe, first=None):
+        """Endpoint of s's phase toward beta, at least xi away, along the
+        gradient its probe (probe_points') reads, and the probe's episodes. A
+        generator of the probe's request, unless first is its guessed result."""
+        est = yield from reward_gradient(s.policy, probe, first)
         return self.endpoint(s.alpha, beta, est.gradient), est.sim_episodes
 
     def endpoint(self, alpha: np.ndarray, beta: np.ndarray, grad) -> np.ndarray:
-        """Where a phase from alpha toward beta ends, given the reward gradient."""
-        if _lp(alpha, beta, self.cfg.p_norm) < self.cfg.xi:
-            return beta.copy()
+        """Where a phase from alpha toward beta, at least xi away, ends on grad."""
         try:
             step = evolution_step(alpha, beta, grad, self.cfg)
         except DegenerateDirectionError:
@@ -470,23 +469,26 @@ class _Engine:
 
     def planned(self, s: _Stream, alpha: np.ndarray, phase_index: int, plan: Callable):
         """The plan of s's phase from alpha: (targets reached at alpha,
-        targets left, meta point, partition, endpoint, phase_window). The
-        meta point is None if alpha stands on it, and then the partition is
-        the split's, or None when no target is left. The endpoint and window
-        are None with gradient probes, which need the phase's policy."""
+        targets left, meta point, partition, endpoint, first request,
+        phase_window). The meta point is None if alpha stands on it, and then
+        the partition is the split's, or None when no target is left. The
+        first request, without its policy, is (PROBE, probe_points(...)) with
+        probes on and alpha at least xi from the meta point, and then the
+        endpoint and window are None; else (TRAIN, (window sample, seed))."""
         p = self.cfg.p_norm
         arrived = [i for i in s.indices if _lp(alpha, self.targets[i], p) <= ARRIVAL_TOL]
         indices = [i for i in s.indices if i not in arrived]
-        if not indices:
-            return arrived, indices, None, None, None, None
-        beta, partition = plan(alpha, indices, s.edge)
-        if _lp(alpha, beta, p) <= ARRIVAL_TOL:
-            return arrived, indices, None, partition, None, None
-        if self.cfg.gradient_samples:
-            return arrived, indices, beta, partition, None, None
-        end = self.endpoint(alpha, beta, np.zeros(len(alpha)))
-        window = phase_window(alpha, end, self.cfg, [*s.segment, phase_index])
-        return arrived, indices, beta, partition, end, window
+        beta, partition = plan(alpha, indices, s.edge) if indices else (alpha, None)
+        gap = _lp(alpha, beta, p)
+        if gap <= ARRIVAL_TOL:
+            return arrived, indices, None, partition, None, None, None
+        seed_material, near = [*s.segment, phase_index], gap < self.cfg.xi
+        if self.cfg.gradient_samples and not near:
+            probe = probe_points(alpha, self.cfg, seed_material)
+            return arrived, indices, beta, partition, None, (PROBE, probe), None
+        end = beta.copy() if near else self.endpoint(alpha, beta, np.zeros(len(alpha)))
+        window = phase_window(alpha, end, self.cfg, seed_material)
+        return arrived, indices, beta, partition, end, (TRAIN, window[:2]), window
 
     def walk(self, s: _Stream, plan: Callable):
         """Run s's phases until its targets are done (None) or it stands on
@@ -494,20 +496,22 @@ class _Engine:
         the probe's and phase_train's trainer requests.
 
         Each phase's successor is planned once, as soon as the phase's
-        endpoint is fixed and before it trains; without probes, the
-        successor's first train job is then known, and every evaluation of
-        the phase carries it as a guess."""
+        endpoint is fixed and before it trains, which fixes its first
+        request; every evaluation of the phase carries it as a guess, and a
+        passing phase's guessed result goes to step_toward or phase_train,
+        whichever would make that request."""
         ahead = self.planned(s, s.alpha, s.phase_index, plan)
         guessed = None
         while True:
-            arrived, s.indices, beta, partition, end, window = ahead
+            arrived, s.indices, beta, partition, end, first, window = ahead
             self.emit(s, arrived, "success")
             if beta is None:
                 return partition
             s.edge = partition[0][1]
             probe_episodes = 0
             if end is None:
-                end, probe_episodes = yield from self.step_toward(s, beta)
+                end, probe_episodes = yield from self.step_toward(s, beta, first[1], guessed)
+                guessed = None
             ahead = self.planned(s, end, s.phase_index + 1, plan)
             if self.phases >= self.max_phases:
                 raise PhaseFailureError(
@@ -523,7 +527,7 @@ class _Engine:
                 gate=self.cfg.target_gate if ahead[0] else None,
                 seed_material=[*s.segment, s.phase_index],
                 window=window,
-                guess=ahead[5] and ahead[5][:2],
+                guess=ahead[5],
                 first=guessed,
             )
             guessed = out.guessed

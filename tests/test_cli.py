@@ -439,6 +439,28 @@ class TestSpecExitCodeContract:
         assert code == 2 and key in err.getvalue(), (code, err.getvalue())
 
 
+    @pytest.mark.parametrize(
+        "field,value,key",
+        [("range", "12", "j"), ("param", True, "arm.span"), ("param", {"value": "2.5"}, "arm.span")],
+        ids=["range-string", "param-bool", "value-string"],
+    )
+    def test_non_number_exits_2(self, tmp_path, field, value, key):
+        specs = load_fixture("planar")
+        if field == "range":
+            specs[1]["bodies"][1]["joints"] = [{"name": "j", "kind": "revolute", "range": value}]
+        else:
+            specs[1]["params"][key] = value
+        robots = []
+        for i, spec in enumerate(specs):
+            robots.append(str(tmp_path / f"robot{i}.json"))
+            dump_json(spec, robots[-1])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["plan", "--robots", *robots, "--out", str(tmp_path)])
+        assert code == 2, (code, err.getvalue())
+        assert robots[1] in err.getvalue() and f"key={key})" in err.getvalue()
+
+
 class TestTransfer:
     def test_cost_transfer_totals(self, tmp_path, fast_config):
         code = run(

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -432,6 +433,42 @@ class TestFileLoading:
         with pytest.raises(SpecValidationError) as err:
             rm.load_robot_spec(str(path))
         assert "bot.json" in str(err.value) and "key=elbow" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "where,value,key",
+        [
+            (("bodies", 1, "joints", 0, "range"), "12", "elbow"),
+            (("params", "arm.width"), True, "arm.width"),
+            (("params", "arm.length", "value"), "2.5", "arm.length"),
+        ],
+        ids=["range-string", "param-bool", "value-string"],
+    )
+    def test_non_numbers_refused(self, tmp_path, where, value, key):
+        # float() would read "12" as the range (1.0, 2.0), true as 1.0 and
+        # "2.5" as 2.5: only JSON numbers are numbers
+        payload = json.loads(json.dumps(PAYLOAD))
+        *parents, last = where
+        node = payload
+        for step in parents:
+            node = node[step]
+        node[last] = value
+        path = tmp_path / "bot.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SpecValidationError) as err:
+            rm.load_robot_spec(str(path))
+        assert "bot.json" in str(err.value) and f"key={key})" in str(err.value)
+
+    def test_long_chain_loads_in_linear_time(self, tmp_path):
+        # each walk up the body tree stops at a body an earlier walk passed;
+        # a walk to the root from every body took minutes on this chain
+        n = 20_000
+        bodies = [{"id": f"b{k}", "parent": f"b{k - 1}" if k else None} for k in range(n)]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"name": "chain", "bodies": bodies[::-1]}))
+        start = time.perf_counter()
+        spec = rm.load_robot_spec(str(path))
+        assert time.perf_counter() - start < 5.0
+        assert len(spec.bodies) == n
 
     def test_body_named_root(self, tmp_path):
         # "parent": "root" names the body "root" when there is one, and

@@ -1,5 +1,6 @@
 import gc
 import math
+import os
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from evotree import evo_tree
+from evotree import cli, evo_tree
 from evotree import transfer as tx
 from evotree.evo_tree import evolution_tree
 from evotree.errors import (
@@ -30,6 +31,10 @@ from evotree.trainers import (
     toy_space,
 )
 
+TOY_FIXTURES = [
+    os.path.join(os.path.dirname(__file__), "..", "fixtures", "toy", f"{name}.json")
+    for name in ("source", "target_a", "target_b", "target_c")
+]
 COST_CFG = tx.TransferConfig(xi=0.01, p_norm=1, gradient_samples=0)
 
 
@@ -226,7 +231,7 @@ class TestGradientEstimate:
         if edge:  # points on the box's faces, where the clip bites
             alpha[rng.random(d) < 0.5] = 1.0
         cfg = tx.TransferConfig(xi=xi, gradient_samples=d + extra, seed=seed % 1000)
-        [(kind, (_, points, _))] = next(tx.reward_gradient(alpha, object(), cfg, [seed % 7]))
+        points, _ = tx.probe_points(alpha, cfg, [seed % 7])
         draws = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, 0x6E5D, seed % 7])
         )
@@ -235,7 +240,6 @@ class TestGradientEstimate:
             direction = draws.standard_normal(d)
             direction /= max(float(np.linalg.norm(direction)), 1e-12)
             expected.append(np.clip(alpha + (xi / 2.0) * direction, 0.0, 1.0))
-        assert kind == tx.PROBE
         assert np.array_equal(points, np.asarray(expected))
 
     def test_linear_reward_recovered(self):
@@ -685,6 +689,21 @@ class StuckBeyondTheFirstPhase(CostModelTrainer):
         return super().train_step(policy, alpha, seed)
 
 
+@dataclass(frozen=True)
+class ProbesStuckBeyondTheFirstPhase(StuckBeyondTheFirstPhase):
+    """StuckBeyondTheFirstPhase whose train steps pass and whose probes raise
+    on robots past alpha[0] = xi, where only a second phase would probe."""
+
+    def train_step(self, policy, alpha, seed):
+        return CostModelTrainer.train_step(self, policy, alpha, seed)
+
+    def gradient_probe(self, policy, alphas, seed):
+        if np.any(np.asarray(alphas)[:, 0] > self.xi * (1 + 1e-9)):
+            self.raised.append(seed)
+            raise SimulationError("probed past the first phase")
+        return super().gradient_probe(policy, alphas, seed)
+
+
 class CountingCalls:
     """A trainer's serve, counting its calls."""
 
@@ -851,6 +870,72 @@ class TestGuesses:
             tx.meta_evolve(*args)
 
 
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    def test_probes_are_guessed_too(self, p_norm):
+        # with gradient probes on, each evaluation carries the next phase's
+        # probe, or its first train job once that phase starts within xi of
+        # the target: a probing phase takes two calls, not three
+        cfg = replace(COST_CFG, xi=0.05, p_norm=p_norm, gradient_samples=3)
+        args = ((0.1, 0.2), [(0.6, 0.87)], object())
+        trainer = CountingServes()
+        [rep] = tx.meta_evolve(*args, trainer, cfg)
+        n = len(rep.phases)
+        assert rep.outcome == "success" and n > 5
+        kinds = [[kind for kind, _ in serve] for serve in trainer.serves]
+        assert kinds == (
+            [[tx.PROBE], [tx.TRAIN]] + [[tx.EVAL, tx.PROBE], [tx.TRAIN]] * (n - 2)
+            + [[tx.EVAL, tx.TRAIN]] + [[tx.EVAL]]
+        )
+        assert [rep] == run_sequentially("meta", *args, CostModelTrainer(), cfg)
+
+    def test_dropped_probe_guess_raises_nothing(self):
+        # the gate fails until the phase's budget runs out; every evaluation's
+        # guess probes past the phase's end and raises, and is dropped
+        cfg = replace(COST_CFG, xi=0.05, max_phase_iterations=3, gradient_samples=3)
+        args = ((0.0, 0.5), [(1.0, 0.5)], object())
+        trainer = ProbesStuckBeyondTheFirstPhase(xi=cfg.xi)
+        [rep] = tx.meta_evolve(*args, trainer, cfg)
+        assert rep.outcome == "budget-exhausted" and len(rep.phases) == 1
+        assert len(trainer.raised) == cfg.max_phase_iterations
+        assert [rep] == run_sequentially(
+            "meta", *args, ProbesStuckBeyondTheFirstPhase(xi=cfg.xi), cfg
+        )
+
+    def test_probe_guess_failure_is_raised_when_taken(self):
+        # the gate passes, so the walk takes the probe guess that raised: the
+        # run fails as the run without guesses does
+        cfg = replace(COST_CFG, xi=0.05, gradient_samples=3)
+
+        class PassingButStuck(ProbesStuckBeyondTheFirstPhase):
+            def evaluate(self, policy, alpha, episodes, seed):
+                return EvalResult(success_rate=1.0, sim_episodes=episodes)
+
+        args = ((0.0, 0.5), [(1.0, 0.5)], object(), PassingButStuck(xi=cfg.xi), cfg)
+        expected = run_sequentially("meta", *args)
+        assert isinstance(expected, PhaseFailureError)
+        with pytest.raises(PhaseFailureError) as err:
+            tx.meta_evolve(*args)
+        assert str(err.value) == str(expected)
+
+    def test_toy_probe_transfer_equals_the_unguessed_run(self):
+        # the toy fixtures' transfer with 6 probes per phase (the toy-probe
+        # benchmark's command): policies bit-equal to the single-call run
+        # without guesses, in at most 270 serve calls (367 without probe
+        # guesses)
+        problem = cli.load_problem(TOY_FIXTURES)
+        cfg = tx.TransferConfig(xi=0.06, p_norm=1, gradient_samples=6)
+        args = (problem.source_alpha, problem.target_alphas,
+                proportional_policy(1.2, 0.8, 0.12))
+        trainer = CountingCalls(ToyMdpTrainer(problem.space, batch_size=12, learning_rate=0.3))
+        reports = tx.meta_evolve(*args, trainer, cfg)
+        assert trainer.calls <= 270
+        expected = run_sequentially("meta", *args, trainer.trainer, cfg)
+        assert reports == expected
+        for a, b in zip(reports, expected):
+            assert np.array_equal(a.policy.weights, b.policy.weights)
+            assert np.array_equal(a.policy.log_std, b.policy.log_std)
+
+
 class TestBudgetExhaustion:
     def test_failed_subtree_does_not_poison_siblings(self):
         cfg = replace(COST_CFG, max_phase_iterations=3)
@@ -1006,7 +1091,7 @@ class TestTreeWalk:
         assert not calls and edge_along is edge and np.array_equal(beta_along, beta)
         # a gradient step leaves it: the next plan is a fresh solve
         stream = tx._Stream((), src, object(), group, [])
-        off, _ = drive(engine.trainer, engine.step_toward(stream, beta))
+        off, _ = drive(engine.trainer, engine.step_toward(stream, beta, tx.probe_points(src, cfg, [0])))
         assert np.linalg.norm(np.cross(off - src, beta - src)) > 1e-6
         beta_off, partition = engine.plan(off, group, edge)
         assert len(calls) == 1
