@@ -174,7 +174,9 @@ def validate_spec(spec: RobotSpec, file: Optional[str] = None) -> None:
                 )
             walked.append(cur)
             cur = parents[cur]
-        root_of.update(dict.fromkeys([*walked, cur], root_of.get(cur, cur)))
+        root = root_of.setdefault(cur, cur)
+        for body in walked:
+            root_of[body] = root
     roots = set(root_of.values())
     if len(roots) > 1:
         raise SpecValidationError(

@@ -275,8 +275,7 @@ def estimate_reward_gradient(
     cfg: TransferConfig,
     seed_material: Sequence[int] = (),
 ) -> GradientEstimate:
-    """reward_gradient's estimate, its probe sent to the trainer on its own;
-    zero, without a request, if gradient_samples is 0."""
+    """reward_gradient's estimate, its probe served alone; zero if gradient_samples is 0."""
     if cfg.gradient_samples == 0:
         return GradientEstimate(np.zeros(len(alpha)), 0)
     return served(trainer.serve, reward_gradient(policy, probe_points(alpha, cfg, seed_material)))
@@ -453,9 +452,8 @@ class _Engine:
     # -- phases ------------------------------------------------------------
 
     def step_toward(self, s: _Stream, beta: np.ndarray, probe, first=None):
-        """Endpoint of s's phase toward beta, at least xi away, along the
-        gradient its probe (probe_points') reads, and the probe's episodes. A
-        generator of the probe's request, unless first is its guessed result."""
+        """Endpoint of s's phase toward beta (at least xi away) on its probe's gradient, and
+        the probe's episodes; a generator of the probe's request unless first is its result."""
         est = yield from reward_gradient(s.policy, probe, first)
         return self.endpoint(s.alpha, beta, est.gradient), est.sim_episodes
 

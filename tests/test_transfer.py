@@ -869,7 +869,6 @@ class TestGuesses:
         with pytest.raises(SimulationError, match=f"^{expected}$"):
             tx.meta_evolve(*args)
 
-
     @pytest.mark.parametrize("p_norm", [1, 2])
     def test_probes_are_guessed_too(self, p_norm):
         # with gradient probes on, each evaluation carries the next phase's
