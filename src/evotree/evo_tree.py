@@ -4,7 +4,8 @@ evolution_tree builds the p-Steiner tree over {current point} union
 targets. When the current point has a single tree neighbor, that neighbor
 is the next meta point and all targets stay grouped; when it has several
 (it sits on a split vertex), the current point itself is the meta point and
-the targets partition by the subtree hanging off each neighbor.
+the targets partition by the subtree hanging off each neighbor, found in
+one walk from the split vertex.
 
 An exact L2 tree is solved once and walked: each group carries the edge it
 walks next, and follow_edge answers from that tree while the point stays on
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Tree, lp_distance, steiner_tree
+from .geometry import Tree, _lp, steiner_tree
 
 # A Steiner vertex this close to the current point (in Lp) counts as a split
 # at the current point itself.
@@ -47,9 +48,21 @@ class EvolutionTreeResult:
         return len(self.partition) > 1
 
 
+def _as_targets(alpha, targets) -> tuple[np.ndarray, np.ndarray]:
+    """alpha as a (D,) array, D >= 1, and targets as a non-empty (k, D) one;
+    a single (D,) target becomes one row."""
+    al = np.asarray(alpha, dtype=float)
+    tg = np.asarray(targets, dtype=float)
+    if tg.ndim == 1:
+        tg = tg[None, :]
+    if al.ndim != 1 or tg.ndim != 2 or 0 in tg.shape or tg.shape[1] != len(al):
+        raise InvalidInputError("need a (D,) point, D >= 1, and a non-empty (k, D) target set")
+    return al, tg
+
+
 def _nearest_vertex(tree: Tree, point: np.ndarray) -> int | None:
     for v in range(len(tree.vertices)):
-        if lp_distance(tree.vertices[v], point, tree.norm) <= _COINCIDE_TOL:
+        if _lp(tree.vertices[v], point, tree.norm) <= _COINCIDE_TOL:
             return v
     return None
 
@@ -58,56 +71,40 @@ def _partition_by_vertex(
     tree: Tree, meta_vertex: int, targets: np.ndarray, exclude: int | None = None
 ) -> tuple[tuple[tuple[int, ...], int | None], ...]:
     """Sorted (group, neighbor) pairs: the targets behind each neighbor but
-    `exclude`, then each target on meta_vertex alone, with neighbor None."""
-    target_vertex = []
-    for t in targets:
-        v = _nearest_vertex(tree, np.asarray(t, dtype=float))
-        if v is None:
-            raise InvalidInputError("target is not a vertex of the tree")
-        target_vertex.append(v)
-    groups: list[tuple[tuple[int, ...], int | None]] = []
-    taken: set[int] = set()
-    for nb in [u for u in tree.neighbors(meta_vertex) if u != exclude]:
-        seen = {meta_vertex, nb}
-        stack = [nb]
-        while stack:
-            v = stack.pop()
-            for u in tree.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        seen.discard(meta_vertex)
-        found = tuple(
-            i
-            for i, tv in enumerate(target_vertex)
-            if tv in seen and i not in taken
-        )
-        if found:
-            taken.update(found)
-            groups.append((found, nb))
-    # targets sitting exactly on the meta vertex form singleton groups
-    for i, tv in enumerate(target_vertex):
-        if i not in taken and tv == meta_vertex:
-            groups.append(((i,), None))
-            taken.add(i)
-    if len(taken) != len(targets):
+    `exclude`, then each target on meta_vertex alone, with neighbor None.
+
+    One walk from meta_vertex labels each vertex with the neighbor it hangs
+    behind; it never crosses meta_vertex, so it never enters `exclude`."""
+    label: dict[int, int | None] = {meta_vertex: None}
+    stack = [(nb, nb) for nb in tree.neighbors(meta_vertex) if nb != exclude]
+    while stack:
+        v, nb = stack.pop()
+        label[v] = nb
+        stack += [(u, nb) for u in tree.neighbors(v) if u not in label]
+    target_vertex = [_nearest_vertex(tree, t) for t in targets]
+    if None in target_vertex:
+        raise InvalidInputError("target is not a vertex of the tree")
+    if any(v not in label for v in target_vertex):
         raise InvalidInputError("partition failed to cover every target")
+    by_key: dict[tuple[int | None, int], list[int]] = {}
+    for i, v in enumerate(target_vertex):  # a target on meta_vertex: a group alone
+        by_key.setdefault((label[v], -1 if v != meta_vertex else i), []).append(i)
+    groups = [(tuple(g), nb) for (nb, _), g in by_key.items()]
     return tuple(sorted(groups, key=lambda g: g[0]))
 
 
 def clamp_meta(alpha, targets) -> np.ndarray:
-    """Elementwise clamp of alpha to the bounding box of the targets (L1 fast path)."""
-    al = np.asarray(alpha, dtype=float)
-    tg = np.asarray(targets, dtype=float)
-    if tg.ndim != 2 or tg.shape[0] < 1:
-        raise InvalidInputError("targets must be a non-empty point set")
-    if tg.shape[1] != al.shape[0]:
-        raise InvalidInputError("dimension mismatch between alpha and targets")
+    """Elementwise clamp of alpha to the bounding box of the targets (L1 fast
+    path); alpha and targets are shaped as for evolution_tree."""
+    al, tg = _as_targets(alpha, targets)
     return np.maximum(tg.min(axis=0), np.minimum(al, tg.max(axis=0)))
 
 
 def evolution_tree(alpha, targets, p, mode: str = "auto") -> EvolutionTreeResult:
     """Meta point and target partition for the current point and target set.
+
+    alpha is a (D,) point and targets a non-empty (k, D) set, or one (D,)
+    target; any other shape raises InvalidInputError.
 
     L1 trees with equal length are common (any monotone staircase ties), so
     the trunk ahead of the current point is canonicalized: when walking to
@@ -115,20 +112,13 @@ def evolution_tree(alpha, targets, p, mode: str = "auto") -> EvolutionTreeResult
     optimum, the clamp point is reported as the meta point. The full tree
     solve decides splits and partitions.
     """
-    al = np.asarray(alpha, dtype=float)
-    tg = np.asarray(targets, dtype=float)
-    if tg.ndim == 1:
-        tg = tg[None, :]
-    if tg.shape[0] < 1:
-        raise InvalidInputError("targets must be a non-empty point set")
-    if tg.shape[1] != al.shape[0]:
-        raise InvalidInputError("dimension mismatch between alpha and targets")
+    al, tg = _as_targets(alpha, targets)
     terminals = np.vstack([al[None, :], tg])
     tree = steiner_tree(terminals, p, mode)
 
     if p == 1:
         cm = clamp_meta(al, tg)
-        trunk_len = lp_distance(al, cm, 1)
+        trunk_len = _lp(al, cm, 1)
         if trunk_len > _COINCIDE_TOL:
             sub = steiner_tree(np.vstack([cm[None, :], tg]), 1, mode)
             if trunk_len + sub.length <= tree.length + 1e-9:
@@ -148,11 +138,11 @@ def follow_edge(edge: Edge, alpha, targets) -> Optional[EvolutionTreeResult]:
     tree, tail, head = edge
     al = np.asarray(alpha, dtype=float)
     start, end = tree.vertices[tail], tree.vertices[head]
-    if lp_distance(al, end, 2) <= _COINCIDE_TOL:
+    if _lp(al, end, 2) <= _COINCIDE_TOL:
         return _meta_at(tree, head, tail, al, np.asarray(targets, dtype=float))
     along = end - start
     t = float(np.dot(al - start, along) / np.dot(along, along))
-    if not 0.0 <= t <= 1.0 or lp_distance(al, start + t * along, 2) > _COINCIDE_TOL:
+    if not 0.0 <= t <= 1.0 or _lp(al, start + t * along, 2) > _COINCIDE_TOL:
         return None
     return EvolutionTreeResult(end.copy(), (tuple(range(len(targets))),), tree, (edge,))
 
@@ -164,17 +154,19 @@ def _meta_at(
     from `came_from`.
 
     With one neighbor ahead, that neighbor is the meta point and all targets
-    stay grouped; with several, al itself is the meta point and the targets
-    partition by the subtree behind each. Groups get the edge they walk next
-    only on exact L2 trees: L1 optimal trees tie, and a heuristic tree's
-    branches need not be optimal.
+    stay grouped, unless it is a Steiner vertex within SPLIT_TOL of al that
+    splits them: then the split is at al. With several, al itself is the
+    meta point and the targets partition by the subtree behind each; with
+    none, every target is on al and each is a group alone. Groups get the
+    edge they walk next only on exact L2 trees: L1 optimal trees tie, and a
+    heuristic tree's branches need not be optimal.
     """
     walk = tree.exact and tree.norm == 2
     ahead = [nb for nb in tree.neighbors(vertex) if nb != came_from]
     if len(ahead) == 1:
         nb, groups = ahead[0], ()
         tip = tree.vertices[nb]
-        if nb not in tree.terminal_ids and lp_distance(al, tip, tree.norm) <= SPLIT_TOL:
+        if nb not in tree.terminal_ids and _lp(al, tip, tree.norm) <= SPLIT_TOL:
             # a Steiner vertex sits on the current point: split there
             groups = _partition_by_vertex(tree, nb, tg)
         if len(groups) < 2:

@@ -39,8 +39,6 @@ from .errors import BudgetExceededError, InvalidInputError
 
 # Vertices closer than this are considered coincident and merged.
 MERGE_TOL = 1e-9
-# Maximum deviation from 120 degrees accepted at an L2 Steiner vertex.
-ANGLE_TOL = 1e-6
 # Array-op budget for the exact L1 grid DP (roughly 2^(N-1) * |grid|^2).
 _L1_EXACT_BUDGET = 3e8
 # Byte cap on the exact L1 grid DP's largest temporary, the (v, v, D) float64
@@ -410,9 +408,6 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
     root = node_of[0]
     others = node_of[1:]
     k = len(others)
-    if k == 0:
-        return _make_tree(terminals, range(n), [], 1)
-
     full = (1 << k) - 1
     dp = {1 << i: dist[others[i]] for i in range(k)}
     split_at = {}

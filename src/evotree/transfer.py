@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateDirectionError, InvalidInputError, PhaseFailureError
-from .evo_tree import Edge, clamp_meta, evolution_tree, follow_edge
+from .evo_tree import Edge, _as_targets, clamp_meta, evolution_tree, follow_edge
 from .geometry import _lp, geometric_median
 from .trainers import EVAL, PROBE, SIM_MAX_BYTES, TRAIN, Trainer
 
@@ -490,8 +490,9 @@ class _Engine:
 
     def walk(self, s: _Stream, plan: Callable):
         """Run s's phases until its targets are done (None) or it stands on
-        its meta point (the planner's partition there). A generator of
-        the probe's and phase_train's trainer requests.
+        its meta point (the planner's partition there). A failed gate or a
+        tripped phase guard ends s, its targets left "budget-exhausted"
+        (None). A generator of the probe's and phase_train's trainer requests.
 
         Each phase's successor is planned once, as soon as the phase's
         endpoint is fixed and before it trains, which fixes its first
@@ -505,17 +506,16 @@ class _Engine:
             self.emit(s, arrived, "success")
             if beta is None:
                 return partition
+            if self.phases >= self.max_phases:  # re-plan livelock guard
+                self.emit(s, s.indices, "budget-exhausted")
+                return None
+            self.phases += 1
             s.edge = partition[0][1]
             probe_episodes = 0
             if end is None:
                 end, probe_episodes = yield from self.step_toward(s, beta, first[1], guessed)
                 guessed = None
             ahead = self.planned(s, end, s.phase_index + 1, plan)
-            if self.phases >= self.max_phases:
-                raise PhaseFailureError(
-                    "phase budget guard tripped (re-plan livelock?)"
-                )
-            self.phases += 1
             out = yield from phase_train(
                 s.alpha,
                 end,
@@ -652,27 +652,15 @@ def _advance(pending: dict, engine: _Engine, walk, result) -> None:
             _advance(pending, engine, engine.subtree(child), None)
 
 
-def _as_alpha(point, name: str) -> np.ndarray:
-    arr = np.asarray(point, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be a coordinate vector")
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-        raise InvalidInputError(f"{name} must lie in [0, 1]^D")
-    return np.clip(arr, 0.0, 1.0)
-
-
 def _start(source, targets, expert_policy, trainer, cfg) -> tuple[_Engine, _Stream]:
     """An engine over the targets, and a stream of all of them standing on the
     source with the expert policy (not a copy: walks fork from it)."""
-    src = _as_alpha(source, "source")
-    tg = np.asarray(targets, dtype=float)
-    if tg.ndim == 1:
-        tg = tg[None, :]
-    if tg.shape[0] < 1 or tg.shape[1] != len(src):
-        raise InvalidInputError("targets must be non-empty and match source dimension")
-    tg = np.vstack([_as_alpha(t, "target") for t in tg])
-    engine = _Engine(tg, trainer, cfg)
-    return engine, _Stream((), src, expert_policy, list(range(len(tg))), [])
+    src, tg = _as_targets(source, targets)
+    for name, points in (("source", src), ("target", tg)):
+        if np.any(points < -1e-12) or np.any(points > 1.0 + 1e-12):
+            raise InvalidInputError(f"{name} must lie in [0, 1]^D")
+    engine = _Engine(np.clip(tg, 0.0, 1.0), trainer, cfg)
+    return engine, _Stream((), np.clip(src, 0.0, 1.0), expert_policy, list(range(len(tg))), [])
 
 
 def _enrolled(engine: _Engine, walks: list, rounds: Optional[list]) -> list[TransferReport]:

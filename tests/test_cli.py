@@ -294,6 +294,39 @@ class TestExitCodeContract:
         assert code == 3, err
         assert err.startswith("error: transfer failed: simulated crash")
 
+    @pytest.mark.parametrize("command", ["transfer", "compare"])
+    def test_tripped_phase_guard_writes_every_report_and_exits_3(
+        self, tmp_path, monkeypatch, command
+    ):
+        init = transfer._Engine.__init__
+
+        def capped(engine, *args):
+            init(engine, *args)
+            engine.max_phases = 3
+
+        monkeypatch.setattr(transfer._Engine, "__init__", capped)
+        extra = ["--methods", "meta,herd"] if command == "compare" else []
+        code = run(command, "--robots", *PLANAR, "--trainer", "cost",
+                   "--out", str(tmp_path), *extra)
+        assert code == 3
+        if command == "transfer":
+            names, table = ["report.json"], "phases.csv"
+        else:
+            names, table = ["report_meta.json", "report_herd.json"], "compare.csv"
+        for name in names:
+            report = json.loads((tmp_path / name).read_text())
+            assert report["outcome"] == "budget-exhausted"
+            assert len(report["phases"]) == 3
+            assert [p["outcome"] for p in report["paths"]] == ["budget-exhausted"] * 3
+        with open(tmp_path / table, newline="") as fh:
+            rows = list(csv.reader(fh))
+        if command == "transfer":
+            assert len({row[2] for row in rows[1:]}) == 3  # phase ids
+        else:
+            assert [(row[0], row[-1]) for row in rows[1:]] == [
+                ("meta", "budget-exhausted"), ("herd", "budget-exhausted")
+            ]
+
 
 def load_fixture(kind):
     out = []

@@ -33,6 +33,24 @@ class TestEvolutionTree:
         with pytest.raises(InvalidInputError):
             et.evolution_tree((0.5, 0.5), [(0.1, 0.2, 0.3)], 1)
 
+    @pytest.mark.parametrize("plan", [
+        lambda: et.evolution_tree(0.5, [[0.1]], 1),
+        lambda: et.clamp_meta(0.5, [[0.1]]),
+        lambda: et.clamp_meta([], [[]]),
+        lambda: et.clamp_meta((0.5,), np.empty((0, 1))),
+    ], ids=["scalar-alpha-tree", "scalar-alpha-clamp", "no-dimension", "no-target"])
+    def test_malformed_shapes_refused(self, plan):
+        with pytest.raises(InvalidInputError):
+            plan()
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_every_target_on_alpha(self, p):
+        # the tree is alpha alone: each target is a group of its own, with no edge
+        res = et.evolution_tree((0.5, 0.5), [(0.5, 0.5), (0.5, 0.5)], p)
+        assert res.partition == ((0,), (1,))
+        assert res.edges == (None, None)
+        assert np.array_equal(res.beta_meta, (0.5, 0.5))
+
     @pytest.mark.parametrize("p", [1, 2])
     def test_partition_is_disjoint_cover(self, p):
         rng = np.random.default_rng(100 + p)
@@ -115,6 +133,36 @@ class TestPartitionTargets:
         groups = et._partition_by_vertex(tree, 0, vertices[[2, 3]])
         assert tuple(g for g, _ in groups) == ((0, 1),)
 
+    @staticmethod
+    def star():
+        """Center 0 with leaves 1, 2, 3, and a leaf 4 behind leaf 3."""
+        vertices = np.array([(0.5, 0.5), (0.5, 1.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.2)])
+        edges = ((0, 1), (0, 2), (0, 3), (3, 4))
+        return geo.Tree(vertices, (0, 1, 2, 4), edges, 1, 0.0)
+
+    def test_target_on_meta_vertex_forms_its_own_group(self):
+        tree = self.star()
+        targets = tree.vertices[[4, 0, 2, 3, 0]]
+        groups = et._partition_by_vertex(tree, 0, targets)
+        assert groups == (((0, 3), 3), ((1,), None), ((2,), 2), ((4,), None))
+
+    def test_exclude_leaves_its_branch_out(self):
+        tree = self.star()
+        groups = et._partition_by_vertex(tree, 0, tree.vertices[[2, 4]], exclude=1)
+        assert groups == (((0,), 2), ((1,), 3))
+
+    @pytest.mark.parametrize("target, exclude", [(1, 1), (4, 3)], ids=["on", "behind"])
+    def test_target_behind_exclude_is_refused(self, target, exclude):
+        tree = self.star()
+        targets = tree.vertices[[2, target]]
+        with pytest.raises(InvalidInputError, match="failed to cover every target"):
+            et._partition_by_vertex(tree, 0, targets, exclude=exclude)
+
+    def test_target_off_the_tree_is_refused(self):
+        tree = self.star()
+        with pytest.raises(InvalidInputError, match="not a vertex of the tree"):
+            et._partition_by_vertex(tree, 0, np.array([(0.3, 0.3)]))
+
     def test_trunk_then_split_topology(self):
         # trunk toward the cluster, then a 1-vs-2 split at the first meta point
         src = np.array([0.0, 0.0])
@@ -127,6 +175,35 @@ class TestPartitionTargets:
         assert res2.split
         sizes = sorted(len(g) for g in res2.partition)
         assert sizes == [1, 2]
+
+
+class TestMetaAt:
+    @staticmethod
+    def fork(exact):
+        """Terminal alpha 0 whose one neighbor is Steiner vertex 3, 5e-7 away
+        (within SPLIT_TOL), with targets 1 and 2 behind it."""
+        vertices = np.array([(0.5, 0.5), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5 + 5e-7)])
+        return geo.Tree(vertices, (0, 1, 2), ((0, 3), (1, 3), (2, 3)), 2, 0.0, exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_split_at_a_steiner_vertex_on_alpha(self, exact):
+        tree = self.fork(exact)
+        al, tg = tree.vertices[0], tree.vertices[[1, 2]]
+        res = et._meta_at(tree, 0, None, al, tg)
+        assert res.partition == ((0,), (1,))
+        assert np.array_equal(res.beta_meta, al) and res.beta_meta is not al
+        # the groups walk on from the Steiner vertex, on exact L2 trees only
+        expected = ((tree, 3, 1), (tree, 3, 2)) if exact else (None, None)
+        assert res.edges == expected
+
+    def test_steiner_vertex_on_alpha_with_one_branch_ahead_is_the_meta_point(self):
+        # both targets hang behind one branch of the Steiner vertex: no split
+        vertices = np.array([(0.5, 0.5), (0.0, 1.0), (0.0, 1.2), (0.5, 0.5 + 5e-7)])
+        tree = geo.Tree(vertices, (0, 1, 2), ((0, 3), (1, 3), (1, 2)), 2, 0.0, True)
+        res = et._meta_at(tree, 0, None, vertices[0], vertices[[1, 2]])
+        assert res.partition == ((0, 1),)
+        assert np.array_equal(res.beta_meta, vertices[3])
+        assert res.edges == ((tree, 0, 3),)
 
 
 class TestGreedyConsistency:

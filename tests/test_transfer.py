@@ -121,6 +121,19 @@ class TestEvolutionStep:
         with pytest.raises(DegenerateDirectionError):
             tx.evolution_step((0.5, 0.5), (0.5, 0.5), (0.0, 0.0), cfg)
 
+    @pytest.mark.parametrize("p_norm", [1, 2])
+    def test_endpoint_falls_back_when_the_direction_vanishes(self, p_norm):
+        # a gradient that cancels the attraction: the phase steps toward beta alone
+        cfg = tx.TransferConfig(xi=0.03, lambda_=1.0, p_norm=p_norm)
+        engine = tx._Engine(np.array([[0.9, 0.2]]), object(), cfg)
+        alpha, beta = np.array([0.2, 0.2]), np.array([0.8, 0.2])
+        grad = -(beta - alpha)
+        with pytest.raises(DegenerateDirectionError):
+            tx.evolution_step(alpha, beta, grad, cfg)
+        end = engine.endpoint(alpha, beta, grad)
+        assert np.array_equal(end, alpha + tx.evolution_step(alpha, beta, np.zeros(2), cfg))
+        assert np.allclose(end, (0.23, 0.2), rtol=0, atol=1e-12)
+
 
 class TestWindow:
     def test_shrink_formula(self):
