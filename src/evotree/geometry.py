@@ -285,7 +285,9 @@ def _fermat3(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> np.ndarray:
     All triangle angles < 120 degrees: the interior point whose incident
     directions meet pairwise at 120 degrees (computed from the isogonic
     center's trilinear coordinates). Any angle >= 120 degrees: that vertex.
-    Collinear input: the middle point, by convention.
+    Collinear input: the middle point, by convention. The side lengths keep
+    `ndarray.dot` (BLAS sums differ from a Python loop's) and the angles one
+    `np.arccos` and `np.sin` call (numpy's SVML arccos differs from `math.acos`).
     """
     verts = (va, vb, vc)
     # opposite side lengths
@@ -311,11 +313,13 @@ def _fermat3(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> np.ndarray:
     widest = min(cosines)
     if widest <= -0.5 + 1e-15:
         return verts[cosines.index(widest)].copy()
-    angles = np.arccos(np.clip(cosines, -1.0, 1.0))
+    # the clip to [-1, 1]: every cosine is above -0.5 here
+    angles = np.arccos([1.0 if c > 1.0 else c for c in cosines])
     # barycentric weights of the isogonic center: side_i / sin(angle_i + 60 deg)
-    weights = np.array(sides) / np.sin(angles + math.pi / 3.0)
-    weights = weights / np.sum(weights)
-    return weights[0] * va + weights[1] * vb + weights[2] * vc
+    sines = np.sin(angles + math.pi / 3.0).tolist()
+    wa, wb, wc = [side / sine for side, sine in zip(sides, sines)]
+    total = wa + wb + wc
+    return (wa / total) * va + (wb / total) * vb + (wc / total) * vc
 
 
 def _median_lower(values: np.ndarray) -> float:
@@ -540,18 +544,22 @@ def _full_topologies(n: int):
 
 
 def _fermat_polish(full: np.ndarray, edges, n_terminals: int, sweeps: int = 4000):
-    """Gauss-Seidel sweeps setting each Steiner vertex to its neighbors' Fermat point."""
+    """Gauss-Seidel sweeps setting each degree-3 Steiner vertex to its neighbors'
+    Fermat point; `_fermat3` keeps the numpy calls (BLAS dot, SVML arccos)."""
     nbrs = _adjacency(edges)
+    steps = [
+        (full[s], full[ns[0]], full[ns[1]], full[ns[2]])
+        for s in range(n_terminals, len(full))
+        if len(ns := nbrs.get(s, ())) == 3
+    ]
     for _ in range(sweeps):
-        move = 0.0
-        for s in range(n_terminals, len(full)):
-            ns = nbrs.get(s, [])
-            if len(ns) != 3:
-                continue
-            target = _fermat3(full[ns[0]], full[ns[1]], full[ns[2]])
-            move = max(move, float(np.max(np.abs(target - full[s]))))
-            full[s] = target
-        if move < 5e-14:
+        settled = True
+        for row, a, b, c in steps:
+            target = _fermat3(a, b, c)
+            if settled:  # one move of 5e-14 or more holds the sweep open; NaN does not
+                settled = not float(abs(target - row).max()) >= 5e-14
+            row[...] = target
+        if settled:
             break
     return full
 
@@ -667,20 +675,16 @@ def _steiner_l2_greedy(terminals: np.ndarray) -> Tree:
             for a, b in itertools.combinations(sorted(ns), 2):
                 ea = pts[a] - pts[v]
                 eb = pts[b] - pts[v]
-                la, lb = np.linalg.norm(ea), np.linalg.norm(eb)
+                la, lb = math.sqrt(ea.dot(ea)), math.sqrt(eb.dot(eb))
                 if la <= MERGE_TOL or lb <= MERGE_TOL:
                     continue
                 cosang = float(np.dot(ea, eb) / (la * lb))
                 if cosang <= cos_limit:
                     continue  # already >= 120 degrees apart
                 f = _fermat3(pts[v], pts[a], pts[b])
-                gain = (
-                    la
-                    + lb
-                    - np.linalg.norm(f - pts[v])
-                    - np.linalg.norm(f - pts[a])
-                    - np.linalg.norm(f - pts[b])
-                )
+                gain = la + lb
+                for d in (f - pts[v], f - pts[a], f - pts[b]):
+                    gain -= math.sqrt(d.dot(d))
                 if gain > 1e-12 and (best is None or gain > best[0]):
                     best = (gain, v, a, b, f)
         if best is None:

@@ -124,6 +124,53 @@ def reference_fermat3(va, vb, vc):
     return weights[0] * va + weights[1] * vb + weights[2] * vc
 
 
+def reference_polish_fermat3(va, vb, vc):
+    """Fermat step of `reference_fermat_polish`: side lengths and cosines as
+    Python floats, then the clip, angles and weights as numpy arrays."""
+    verts = (va, vb, vc)
+    sides = [math.sqrt(d.dot(d)) for d in (vb - vc, vc - va, va - vb)]
+    scale = max(sides)
+    if scale <= 0.0:
+        return va.copy()
+    shortest = min(sides)
+    if shortest <= 1e-12 * scale:
+        dup = sides.index(shortest)
+        return verts[(dup + 1) % 3].copy()
+    longest = sides.index(scale)
+    others = [sides[i] for i in range(3) if i != longest]
+    if abs(others[0] + others[1] - scale) <= 1e-12 * scale:
+        return verts[longest].copy()
+    cosines = [
+        (sides[j] ** 2 + sides[k] ** 2 - sides[i] ** 2) / (2.0 * sides[j] * sides[k])
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    ]
+    widest = min(cosines)
+    if widest <= -0.5 + 1e-15:
+        return verts[cosines.index(widest)].copy()
+    angles = np.arccos(np.clip(cosines, -1.0, 1.0))
+    weights = np.array(sides) / np.sin(angles + math.pi / 3.0)
+    weights = weights / np.sum(weights)
+    return weights[0] * va + weights[1] * vb + weights[2] * vc
+
+
+def reference_fermat_polish(full, edges, n_terminals, sweeps=4000):
+    """Gauss-Seidel polish indexing `full` on every step: the reference the
+    library's polish must equal bit for bit."""
+    nbrs = geo._adjacency(edges)
+    for _ in range(sweeps):
+        move = 0.0
+        for s in range(n_terminals, len(full)):
+            ns = nbrs.get(s, [])
+            if len(ns) != 3:
+                continue
+            target = reference_polish_fermat3(full[ns[0]], full[ns[1]], full[ns[2]])
+            move = max(move, float(np.max(np.abs(target - full[s]))))
+            full[s] = target
+        if move < 5e-14:
+            break
+    return full
+
+
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
@@ -133,7 +180,9 @@ def point_sets(draw, sizes, dims, kinds):
 
     general; coincident (one point duplicated); collinear; equal (all one
     point); obtuse (the last point near the middle of the first two); ties
-    (every coordinate a multiple of 1/4, so coordinates and points repeat).
+    (every coordinate a multiple of 1/4, so coordinates and points repeat);
+    near-120 (the first three points a triangle whose angle at the first
+    point is within 1e-12 rad of 120 degrees).
     """
     n = draw(sizes)
     d = draw(dims)
@@ -154,6 +203,21 @@ def point_sets(draw, sizes, dims, kinds):
         pts[-1] = mid + h * (pts[-1] - mid)
     elif kind == "ties":
         pts = np.round(pts * 4.0) / 4.0
+    elif kind == "near-120":
+        # an orthonormal pair: a drawn direction, and the axis least aligned
+        # with it made orthogonal to it
+        e1 = pts[1] - pts[0]
+        if np.linalg.norm(e1) < 1e-3:
+            e1 = np.eye(d)[0]
+        e1 = e1 / np.linalg.norm(e1)
+        k = int(np.argmin(np.abs(e1)))
+        e2 = np.eye(d)[k] - e1[k] * e1
+        e2 = e2 / np.linalg.norm(e2)
+        theta = 2.0 * math.pi / 3.0 + draw(st.floats(-1e-12, 1e-12))
+        r1, r2 = draw(st.floats(0.05, 0.45)), draw(st.floats(0.05, 0.45))
+        pts[0] = 0.5
+        pts[1] = 0.5 + r1 * e1
+        pts[2] = 0.5 + r2 * (math.cos(theta) * e1 + math.sin(theta) * e2)
     return pts
 
 
@@ -638,8 +702,8 @@ class TestFermatPoint:
     @given(
         point_sets(
             st.just(3),
-            st.integers(2, 5),
-            ["general", "coincident", "collinear", "obtuse", "equal"],
+            st.integers(2, 8),
+            ["general", "coincident", "collinear", "obtuse", "equal", "near-120"],
         )
     )
     def test_equals_array_reference(self, pts):
@@ -657,6 +721,72 @@ class TestFermatPoint:
             obj_f = sum(np.linalg.norm(p - f) for p in pts)
             obj_o = sum(np.linalg.norm(p - oracle) for p in pts)
             assert obj_f <= obj_o + 1e-7
+
+
+def polish_inputs(solver, terminals, monkeypatch):
+    """Copies of the (full, edges, n_terminals) of each polish call a solver makes."""
+    calls = []
+    polish = geo._fermat_polish
+
+    def record(full, edges, n_terminals):
+        calls.append((full.copy(), list(edges), n_terminals))
+        return polish(full, edges, n_terminals)
+
+    with monkeypatch.context() as m:
+        m.setattr(geo, "_fermat_polish", record)
+        solver(terminals)
+    return calls
+
+
+class TestFermatPolish:
+    def assert_equals_reference(self, calls):
+        for full, edges, n in calls:
+            got = geo._fermat_polish(full.copy(), edges, n)
+            want = reference_fermat_polish(full.copy(), edges, n)
+            assert np.array_equal(got, want)
+
+    def test_greedy_trees_equal_reference(self, monkeypatch):
+        steiner = 0
+        for seed in range(40):
+            rng = np.random.default_rng(2000 + seed)
+            pts = rng.random((int(rng.integers(7, 10)), (2, 5, 8)[seed % 3]))
+            calls = polish_inputs(geo._steiner_l2_greedy, pts, monkeypatch)
+            assert len(calls) == 1
+            steiner += len(calls[0][0]) - len(pts)
+            self.assert_equals_reference(calls)
+        assert steiner >= 40  # the polish had Steiner points to move
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_enumerate_leaders_equal_reference(self, n, monkeypatch):
+        for seed in range(3):
+            rng = np.random.default_rng(100 * n + seed)
+            pts = rng.random((n, (2, 5, 8)[seed]))
+            calls = polish_inputs(geo._steiner_l2_enumerate, pts, monkeypatch)
+            assert calls
+            self.assert_equals_reference(calls)
+
+    def test_vertices_without_degree_three_are_untouched(self):
+        # Steiner 3 has degree 3, Steiner 4 degree 2, Steiner 5 no edges
+        full = np.array(
+            [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.4, 0.3], [0.5, 0.6], [0.9, 0.9]]
+        )
+        edges = [(0, 3), (1, 3), (3, 4), (4, 2)]
+        got = geo._fermat_polish(full.copy(), edges, 3)
+        assert np.array_equal(got, reference_fermat_polish(full.copy(), edges, 3))
+        assert np.array_equal(got[[0, 1, 2, 4, 5]], full[[0, 1, 2, 4, 5]])
+        assert not np.array_equal(got[3], full[3])
+
+    def test_heuristic_tree_equals_reference_solve(self, monkeypatch):
+        pts = np.random.default_rng(77).random((7, 5))
+        got = geo.steiner_tree(pts, 2, mode="heuristic")
+        geo.validate_tree(got)
+        assert got.steiner_ids
+        with monkeypatch.context() as m:
+            m.setattr(geo, "_fermat_polish", reference_fermat_polish)
+            m.setattr(geo, "_fermat3", reference_polish_fermat3)
+            want = geo.steiner_tree(pts, 2, mode="heuristic")
+        assert np.array_equal(got.vertices, want.vertices)
+        assert got.edges == want.edges
 
 
 class TestGeometricMedian:
