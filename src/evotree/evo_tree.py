@@ -153,19 +153,28 @@ def _meta_at(
     """Meta point and partition for the point al at `vertex`, facing away
     from `came_from`.
 
-    With one neighbor ahead, that neighbor is the meta point and all targets
-    stay grouped, unless it is a Steiner vertex within SPLIT_TOL of al that
-    splits them: then the split is at al. With several, al itself is the
-    meta point and the targets partition by the subtree behind each; with
-    none, every target is on al and each is a group alone. Groups get the
+    With one neighbor ahead, or several but every target behind one, that
+    neighbor is the meta point and all targets stay grouped, unless it is a
+    Steiner vertex within SPLIT_TOL of al that splits them: then the split is
+    at al. A neighbor on al is looked past. With targets behind several,
+    al itself is the meta point and the targets partition by the subtree
+    behind each; with no neighbor ahead, every target is on al and each is
+    a group alone. Groups get the
     edge they walk next only on exact L2 trees: L1 optimal trees tie, and a
     heuristic tree's branches need not be optimal.
     """
     walk = tree.exact and tree.norm == 2
     ahead = [nb for nb in tree.neighbors(vertex) if nb != came_from]
+    if len(ahead) > 1:
+        groups = _partition_by_vertex(tree, vertex, tg, exclude=came_from)
+        if len(groups) == 1 and groups[0][1] is not None:
+            ahead = [groups[0][1]]  # every target lies behind this neighbor
     if len(ahead) == 1:
         nb, groups = ahead[0], ()
         tip = tree.vertices[nb]
+        if _lp(al, tip, tree.norm) <= _COINCIDE_TOL:
+            # a zero-length edge, as between duplicate terminals: look past it
+            return _meta_at(tree, nb, vertex, al, tg)
         if nb not in tree.terminal_ids and _lp(al, tip, tree.norm) <= SPLIT_TOL:
             # a Steiner vertex sits on the current point: split there
             groups = _partition_by_vertex(tree, nb, tg)
@@ -175,9 +184,7 @@ def _meta_at(
                 tip.copy(), (tuple(range(len(tg))),), tree, (edge,)
             )
         vertex = nb
-    elif ahead:
-        groups = _partition_by_vertex(tree, vertex, tg, exclude=came_from)
-    else:  # every target coincides with al
+    elif not ahead:  # every target coincides with al
         groups = tuple(((i,), None) for i in range(len(tg)))
     edges = tuple(
         (tree, vertex, nb) if walk and nb is not None else None for _, nb in groups

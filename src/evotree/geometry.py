@@ -10,7 +10,11 @@ Steiner solvers:
   by coordinate hyperplanes through the terminals). Optimal rectilinear
   Steiner points can always be chosen on that grid, so the grid DP is exact.
   Its operation and byte budgets are checked on the grid size, computed from
-  per-axis distinct coordinates, before any grid or distance matrix is built.
+  per-axis distinct coordinates, before any grid or distance matrix is built;
+  the distance matrix and the relay are built a block at a time. Three
+  terminals, in any dimension, meet at their coordinate-wise median (the one
+  optimal Steiner point), so their DP runs only on the grid nodes that can
+  tie with it in floating point, usually the median alone.
 * L1 heuristic: iterated single-point insertion. Candidates are Hanan grid
   points (the full grid when it has at most 512 nodes, otherwise
   coordinate-wise medians of vertex triples, which stay on the grid; a
@@ -41,10 +45,13 @@ from .errors import BudgetExceededError, InvalidInputError
 MERGE_TOL = 1e-9
 # Array-op budget for the exact L1 grid DP (roughly 2^(N-1) * |grid|^2).
 _L1_EXACT_BUDGET = 3e8
-# Byte cap on the exact L1 grid DP's largest temporary, the (v, v, D) float64
-# coordinate differences behind its pairwise grid distances (made once:
-# `_pairwise` takes their absolute values in place).
-_L1_EXACT_MAX_BYTES = 256 * 2**20
+# Bytes of one block of `_pairwise`'s coordinate differences and of the L1
+# grid DP's relay sums: whatever the point count, a block spans as many rows
+# (or columns) as fit, and at least one.
+_BLOCK_BYTES = 8 * 2**20
+# Byte cap on what the exact L1 grid DP holds at its peak: the (v, v) float64
+# metric closure of its grid plus one block.
+_L1_EXACT_MAX_BYTES = 64 * 2**20
 _L2_EXACT_MAX_TERMINALS = 6
 
 
@@ -93,10 +100,18 @@ def _lp(a: np.ndarray, b: np.ndarray, p: int) -> float:
 
 
 def _pairwise(points: np.ndarray, p: int) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    if p == 1:
-        return np.sum(np.abs(diff, out=diff), axis=2)
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """(v, v) Lp distances, built a block of rows at a time: each entry is
+    one reduction over its D contiguous differences, as in a one-shot build."""
+    v, dim = points.shape
+    out = np.empty((v, v))
+    rows = max(1, _BLOCK_BYTES // (8 * v * dim))
+    for lo in range(0, v, rows):
+        diff = points[lo : lo + rows, None, :] - points[None, :, :]
+        if p == 1:
+            np.sum(np.abs(diff, out=diff), axis=2, out=out[lo : lo + rows])
+        else:
+            np.sum(np.multiply(diff, diff, out=diff), axis=2, out=out[lo : lo + rows])
+    return out if p == 1 else np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -393,16 +408,47 @@ def _hanan_grid(terminals: np.ndarray) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _median_nodes(terminals: np.ndarray) -> np.ndarray:
+    """The Hanan grid nodes the grid DP can relay three terminals through,
+    with the terminals' own nodes, in grid order.
+
+    A node's summed L1 distance to three terminals exceeds that of their
+    coordinate-wise median by its L1 distance to the median (on each axis,
+    the median of three values is the one minimum of their summed distance).
+    A float sum of D + 2 roundings of terms below 2 S (S: the summed axis
+    spans) is off by less than (D + 2) eps S, so only nodes within
+    4 (D + 2) eps S of the median on every axis can tie with it, and the DP
+    over them relays as it would over the whole grid. On general input that
+    is the median alone; where too many nodes are that close (a grid the
+    byte cap would refuse), the median alone stands for them.
+    """
+    axes = [np.unique(col) for col in terminals.T]
+    # the grid's own coordinates, which hold one zero for 0.0 and -0.0
+    snapped = np.column_stack([a[np.searchsorted(a, c)] for a, c in zip(axes, terminals.T)])
+    mid = np.sort(snapped, axis=0)[1]
+    slack = 4 * (len(axes) + 2) * np.finfo(float).eps * float(np.sum(np.ptp(snapped, axis=0)))
+    near = [a[np.abs(a - m) <= slack] for a, m in zip(axes, mid)]
+    if 8 * math.prod(map(len, near)) ** 2 + _BLOCK_BYTES > _L1_EXACT_MAX_BYTES:
+        near = [mid[d : d + 1] for d in range(len(mid))]
+    grid = np.stack([g.ravel() for g in np.meshgrid(*near, indexing="ij")], axis=1)
+    return np.unique(np.vstack([snapped, grid]), axis=0)
+
+
 def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
-    """Optimal L1 Steiner tree via subset DP on the Hanan grid graph."""
-    n, dim = terminals.shape
-    v = _hanan_size(terminals)
-    budget = (2 ** (n - 1)) * float(v) * float(v)
-    if budget > _L1_EXACT_BUDGET or v * v * dim * 8 > _L1_EXACT_MAX_BYTES:
-        raise BudgetExceededError(
-            f"exact L1 grid DP too large ({n} terminals, {v} grid nodes)"
-        )
-    nodes = _hanan_grid(terminals)
+    """Optimal L1 Steiner tree via subset DP on the Hanan grid graph; three
+    terminals need only the few nodes of `_median_nodes`."""
+    n = len(terminals)
+    if n == 3:
+        nodes = _median_nodes(terminals)
+    else:
+        v = _hanan_size(terminals)
+        budget = (2 ** (n - 1)) * float(v) * float(v)
+        if budget > _L1_EXACT_BUDGET or 8 * v * v + _BLOCK_BYTES > _L1_EXACT_MAX_BYTES:
+            raise BudgetExceededError(
+                f"exact L1 grid DP too large ({n} terminals, {v} grid nodes)"
+            )
+        nodes = _hanan_grid(terminals)
+    v = len(nodes)
     dist = _pairwise(nodes, 1)
     # map each terminal onto its grid node
     node_of = []
@@ -413,6 +459,7 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
     others = node_of[1:]
     k = len(others)
     full = (1 << k) - 1
+    cols = max(1, _BLOCK_BYTES // (8 * v))
     dp = {1 << i: dist[others[i]] for i in range(k)}
     split_at = {}
     relay = {}
@@ -434,11 +481,13 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
                     best = np.where(better, cand, best)
                     best_split[better] = sub
             sub = (sub - 1) & mask
-        # relay through the metric closure: one min-plus pass suffices
-        total = best[:, None] + dist
-        arg = np.argmin(total, axis=0)
-        dp[mask] = total[arg, np.arange(v)]
-        relay[mask] = arg
+        # relay through the metric closure: one min-plus pass suffices,
+        # made a block of columns at a time
+        dp[mask], relay[mask] = np.empty(v), np.empty(v, dtype=np.intp)
+        for lo in range(0, v, cols):
+            total = best[:, None] + dist[:, lo : lo + cols]
+            arg = relay[mask][lo : lo + cols] = np.argmin(total, axis=0)
+            dp[mask][lo : lo + cols] = total[arg, np.arange(len(arg))]
         split_at[mask] = best_split
 
     edges_out: set[tuple[int, int]] = set()
@@ -769,7 +818,10 @@ def steiner_tree(terminals, p, mode: str = "auto") -> Tree:
     limited to N <= 6 terminals; "heuristic" always runs the bounded
     heuristics; "auto" uses the exact solver when it fits the budget and
     falls back to the heuristic; `exact` tells which ran (L2 always
-    enumerates up to 6 terminals).
+    enumerates up to 6 terminals, and L1 solves 3 terminals exactly in any
+    dimension). The L1 budget holds for 4-6 terminals: an operation count
+    and a byte cap on the grid DP's (v, v) distance matrix plus one working
+    block, both checked before anything is allocated.
     """
     p = _check_norm(p)
     if mode not in ("exact-small", "heuristic", "auto"):

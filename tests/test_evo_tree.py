@@ -205,6 +205,23 @@ class TestMetaAt:
         assert np.array_equal(res.beta_meta, vertices[3])
         assert res.edges == ((tree, 0, 3),)
 
+    def test_every_target_behind_one_of_several_neighbors(self):
+        # an exact L2 tree of 1.0 -> {0.5, 0, 0, 0.5}: the duplicates hang off
+        # zero-length edges. At vertex 1 (0.5), with targets 0 and 3 reached,
+        # both targets left lie behind vertex 2: that is the meta point, not a
+        # one-group split at 0.5 (which stalled the engine)
+        tg = np.array([[0.5], [0.0], [0.0], [0.5]])
+        res = et.evolution_tree(np.array([1.0]), tg, 2)
+        tree = res.tree
+        assert res.edges == ((tree, 0, 1),)
+        ahead = et.follow_edge(res.edges[0], np.array([0.5]), tg[[1, 2]])
+        assert ahead.partition == ((0, 1),)
+        assert np.array_equal(ahead.beta_meta, [0.0])
+        # from vertex 4, the zero-length edge to vertex 1 is looked past
+        past = et._meta_at(tree, 4, None, np.array([0.5]), tg[[1, 2]])
+        assert past.partition == ((0, 1),) and np.array_equal(past.beta_meta, [0.0])
+        assert past.edges == ((tree, 1, 2),)
+
 
 class TestGreedyConsistency:
     def test_tree_length_monotone_along_trunk(self):

@@ -3,10 +3,11 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
@@ -366,26 +367,36 @@ class TestSteinerL1:
         assert built == []
 
     def test_l1_in_bounded_memory(self):
-        # 3 terminals in D=8: 6561 grid nodes pass the op budget, but the
-        # exact DP's (v, v, D) float64 temporary would take 2.6 GiB. 11
-        # terminals in D=8 span a 2.1e8-node grid (13.7 GB). Under a 1.5 GiB
-        # address-space limit of its own, the child process must refuse the
-        # exact solve before allocating, and the heuristic must answer both
-        # without building the grid.
+        # Under a 1.5 GiB address-space limit of its own, a child process
+        # answers three terminals in D=8 (6561 grid nodes) exactly in closed
+        # form, with no grid; refuses 4 terminals in D=8 (65536 grid nodes, a
+        # 32 GiB distance matrix) before allocating; and answers 11 terminals
+        # in D=8 (a 2.1e8-node grid, 13.7 GB) by the heuristic without
+        # building the grid.
         code = (
-            "import resource\n"
+            "import resource, time\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))\n"
             "import numpy as np\n"
             "from evotree.errors import BudgetExceededError\n"
             "from evotree.geometry import steiner_tree\n"
             "pts = np.random.default_rng(0).random((3, 8))\n"
+            "steiner_tree(pts, 1, 'exact-small')  # warm-up\n"
+            "start = time.perf_counter()\n"
+            "tree = steiner_tree(pts, 1, 'exact-small')\n"
+            "took = time.perf_counter() - start\n"
+            "assert took < 0.01, took\n"
+            "assert tree.exact and len(tree.terminal_ids) == 3\n"
+            "assert abs(tree.length - np.sum(np.ptp(pts, axis=0))) <= 1e-12, tree.length\n"
+            "auto = steiner_tree(pts, 1, 'auto')\n"
+            "assert auto.edges == tree.edges and np.array_equal(auto.vertices, tree.vertices)\n"
+            "pts = np.random.default_rng(2).random((4, 8))\n"
             "try:\n"
             "    steiner_tree(pts, 1, 'exact-small')\n"
             "    raise SystemExit('exact-small did not refuse')\n"
             "except BudgetExceededError:\n"
             "    pass\n"
             "tree = steiner_tree(pts, 1, 'auto')\n"
-            "assert len(tree.terminal_ids) == 3\n"
+            "assert len(tree.terminal_ids) == 4 and not tree.exact\n"
             "pts = np.random.default_rng(1).random((11, 8))\n"
             "tree = steiner_tree(pts, 1, 'auto')\n"
             "assert len(tree.terminal_ids) == 11\n"
@@ -463,6 +474,109 @@ class TestL1Insertion:
         assert got.terminal_ids == want.terminal_ids
         assert got.edges == want.edges
         assert got.length == want.length
+
+
+def reference_pairwise(points, p):
+    """One-shot (v, v, D) distance build: the reference the blocked one must equal."""
+    diff = points[:, None, :] - points[None, :, :]
+    if p == 1:
+        return np.sum(np.abs(diff), axis=2)
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def reference_l1_exact(terminals):
+    """The dense subset DP on the Hanan grid for every terminal count: one
+    (v, v) relay sum per subset over a one-shot metric closure."""
+    nodes = geo._hanan_grid(terminals)
+    v = len(nodes)
+    dist = reference_pairwise(nodes, 1)
+    node_of = [int(np.where(np.all(nodes == t, axis=1))[0][0]) for t in terminals]
+    others = node_of[1:]
+    k = len(others)
+    full = (1 << k) - 1
+    dp = {1 << i: dist[others[i]] for i in range(k)}
+    split_at, relay = {}, {}
+    for mask in range(1, full + 1):
+        if mask.bit_count() == 1:
+            continue
+        low = mask & (-mask)
+        best = best_split = None
+        sub = (mask - 1) & mask
+        while sub > 0:
+            if sub & low:
+                cand = dp[sub] + dp[mask ^ sub]
+                if best is None:
+                    best, best_split = cand, np.full(v, sub, dtype=np.int64)
+                else:
+                    better = cand < best
+                    best = np.where(better, cand, best)
+                    best_split[better] = sub
+            sub = (sub - 1) & mask
+        total = best[:, None] + dist
+        arg = np.argmin(total, axis=0)
+        dp[mask], relay[mask], split_at[mask] = total[arg, np.arange(v)], arg, best_split
+    edges = set()
+
+    def backtrack(mask, node):
+        if mask.bit_count() == 1:
+            i = mask.bit_length() - 1
+            if others[i] != node:
+                edges.add(geo._edge(others[i], node))
+            return
+        u = int(relay[mask][node])
+        if u != node:
+            edges.add(geo._edge(u, node))
+        sub = int(split_at[mask][u])
+        backtrack(sub, u)
+        backtrack(mask ^ sub, u)
+
+    backtrack(full, node_of[0])
+    used = sorted({i for e in edges for i in e} | set(node_of))
+    remap = {old: new for new, old in enumerate(used)}
+    verts = nodes[used]
+    sub_dist = reference_pairwise(verts, 1)
+    weighted = {(sub_dist[remap[i], remap[j]], remap[i], remap[j]) for i, j in edges}
+    kept = [(i, j) for _, i, j in geo._kruskal(len(verts), weighted)]
+    return geo._finalize_steiner(verts, [remap[i] for i in node_of], kept, 1)
+
+
+class TestL1ExactOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        point_sets(st.integers(3, 6), st.integers(1, 6), L1_KINDS),
+        st.sampled_from([None, 64, 4096]),
+    )
+    def test_exact_equals_the_dense_dp(self, pts, block_bytes):
+        n, d = pts.shape
+        v = geo._hanan_size(pts)
+        # within the parent's caps (ops, and (v, v, D) float64 bytes), and a
+        # test-time limit on the dense reference's work
+        assume(2 ** (n - 1) * v * v <= min(geo._L1_EXACT_BUDGET, 2e7))
+        assume(8 * v * v * d <= 256 * 2**20)
+        want = reference_l1_exact(pts)
+        # small blocks split the distance rows and relay columns of small grids
+        with mock.patch.object(geo, "_BLOCK_BYTES", block_bytes or geo._BLOCK_BYTES):
+            got = geo._steiner_l1_exact(pts)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert got.terminal_ids == want.terminal_ids
+        assert got.edges == want.edges
+        assert got.norm == want.norm == 1
+        assert got.length == want.length
+        assert got.exact == want.exact
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_pairwise_equals_the_one_shot_build(self, p, dim):
+        rng = np.random.default_rng([p, dim])
+        # row counts around and off the block's row count, which is
+        # _BLOCK_BYTES // (8 * v * D)
+        for v in (1, 2, 7, 1000, 1031):
+            pts = rng.random((v, dim))
+            for block_bytes in (geo._BLOCK_BYTES, 8 * v * dim * 3 - 1):
+                with mock.patch.object(geo, "_BLOCK_BYTES", block_bytes):
+                    got = geo._pairwise(pts, p)
+                assert got.shape == (v, v)
+                assert np.array_equal(got, reference_pairwise(pts, p))
 
 
 class TestSteinerL2:

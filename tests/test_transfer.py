@@ -1,12 +1,13 @@
 import gc
 import math
 import os
+import sys
 import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -133,6 +134,90 @@ class TestEvolutionStep:
         end = engine.endpoint(alpha, beta, grad)
         assert np.array_equal(end, alpha + tx.evolution_step(alpha, beta, np.zeros(2), cfg))
         assert np.allclose(end, (0.23, 0.2), rtol=0, atol=1e-12)
+
+
+@dataclass(frozen=True)
+class CappedCostTrainer(CostModelTrainer):
+    """CostModelTrainer that refuses its train step past `cap` calls, so a
+    walk that makes no progress fails at once, not at the engine's guard."""
+
+    cap: int = 0
+    calls: list = field(default_factory=list)
+
+    def train_step(self, policy, alpha, seed):
+        self.calls.append(None)
+        if len(self.calls) > self.cap:
+            raise AssertionError(f"more than {self.cap} train steps")
+        return super().train_step(policy, alpha, seed)
+
+
+@st.composite
+def accepted_problems(draw):
+    """(source, targets, cfg): a source and 1-4 targets in [0, 1]^D, spread
+    over a box of side 1e-5 to 1, and an accepted TransferConfig. lambda runs
+    up to the float maximum; xi from the engine's phase-guard floor, through
+    below the gaps between the points, to above the set's diameter."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    side = 10.0 ** draw(st.floats(-5.0, 0.0))
+    corner = np.array(draw(st.lists(st.floats(0.0, 1.0 - side), min_size=d, max_size=d)))
+    unit = st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)
+    pts = corner + side * np.array(draw(st.lists(unit, min_size=n + 1, max_size=n + 1)))
+    pts = np.clip(pts, 0.0, 1.0)
+    p_norm = draw(st.sampled_from([1, 2]))
+    diam = max(tx._lp(a, b, p_norm) for a in pts for b in pts)
+    floor = 4 * (n + 1) * d / tx.MAX_PHASE_GUARD
+    xi = max(diam * 2.0 ** draw(st.floats(-6.0, 1.0)), floor * (1 + 1e-9))
+    cfg = tx.TransferConfig(
+        xi=xi,
+        lambda_=draw(st.one_of(st.floats(1.0, 10.0), st.floats(1.0, sys.float_info.max))),
+        p_norm=p_norm,
+        penalty_norm=draw(st.sampled_from([1, 2])),
+        shrink_ratio=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        gradient_samples=draw(st.sampled_from([0, d + 1])),
+    )
+    return pts[0], pts[1:], cfg
+
+
+class TestAcceptedConfigs:
+    """Every accepted config makes progress: each target is reached in
+    phases of length in (0, xi], however large lambda is."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(accepted_problems())
+    # the attraction's L2 norm overflows: zero-length steps
+    @example((np.zeros(1), np.ones((1, 1)), tx.TransferConfig(xi=0.125, lambda_=1e300, p_norm=2)))
+    # lambda * sum|gap| overflows: a NaN pull on the axis with no gap
+    @example(
+        (
+            np.array([0.0, 0.5, 0.0]),
+            np.array([[1.0, 0.5, 1.0]]),
+            tx.TransferConfig(xi=1.5, lambda_=sys.float_info.max, penalty_norm=1),
+        )
+    )
+    def test_every_method_reaches_every_target(self, problem):
+        src, tgts, cfg = problem
+        p, xi = cfg.p_norm, cfg.xi
+        diam = max(tx._lp(a, b, p) for a in [src, *tgts] for b in [src, *tgts])
+        # a generous bound on a run's phases; the parent's overflowed step
+        # made zero-length phases until the engine's guard of up to 1e7
+        cap = 16 * (len(tgts) + 1) * (math.ceil(diam / xi) + 2)
+        for method, run in METHODS.items():
+            reports = run(src, tgts, object(), CappedCostTrainer(cap=cap), cfg)
+            for rep in reports:
+                assert rep.outcome == "success", (method, rep.target_index)
+                at = src
+                for ph in rep.phases:
+                    assert np.array_equal(ph.alpha_from, at)
+                    length = tx._lp(np.asarray(ph.alpha_from), np.asarray(ph.alpha_to), p)
+                    assert 0.0 < length <= xi * (1 + 1e-12) + 1e-15 * len(src), (method, length)
+                    at = ph.alpha_to
+                assert tx._lp(np.asarray(at), np.asarray(rep.target), p) <= tx.ARRIVAL_TOL
+                if method == "herd" and p == 1 and not cfg.gradient_samples:
+                    d = tx._lp(src, np.asarray(rep.target), 1)
+                    # ceil(d / xi), but a remainder within the arrival
+                    # tolerance of the target arrives a phase early
+                    low = math.ceil((d - tx.ARRIVAL_TOL) / xi)
+                    assert low <= len(rep.phases) <= math.ceil(d / xi), (d, xi)
 
 
 class TestWindow:
