@@ -409,18 +409,15 @@ def _hanan_grid(terminals: np.ndarray) -> np.ndarray:
 
 
 def _median_nodes(terminals: np.ndarray) -> np.ndarray:
-    """The Hanan grid nodes the grid DP can relay three terminals through,
-    with the terminals' own nodes, in grid order.
+    """Three terminals' Hanan grid nodes, and the grid nodes within
+    4 (D + 2) eps S of their coordinate-wise median on every axis (S: the
+    summed axis spans), in grid order: the nodes the grid DP can relay through.
 
-    A node's summed L1 distance to three terminals exceeds that of their
-    coordinate-wise median by its L1 distance to the median (on each axis,
-    the median of three values is the one minimum of their summed distance).
-    A float sum of D + 2 roundings of terms below 2 S (S: the summed axis
-    spans) is off by less than (D + 2) eps S, so only nodes within
-    4 (D + 2) eps S of the median on every axis can tie with it, and the DP
-    over them relays as it would over the whole grid. On general input that
-    is the median alone; where too many nodes are that close (a grid the
-    byte cap would refuse), the median alone stands for them.
+    A node's summed L1 distance to the terminals exceeds the median's by its
+    distance to the median, and a float sum of D + 2 roundings of terms
+    below 2 S is off by less than (D + 2) eps S, so no node farther out ties
+    with the median. That leaves the median alone on general input, and it
+    stands alone where the byte cap would refuse the nodes that close.
     """
     axes = [np.unique(col) for col in terminals.T]
     # the grid's own coordinates, which hold one zero for 0.0 and -0.0

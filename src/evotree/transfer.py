@@ -171,14 +171,13 @@ def evolution_step(alpha, beta_meta, grad, cfg: TransferConfig) -> np.ndarray:
         raise InvalidInputError("alpha, beta_meta and grad must share dimension")
     gap = bm - al
     pull = gap if cfg.penalty_norm == 2 else float(np.sum(np.abs(gap))) * np.sign(gap)
-    with np.errstate(over="ignore"):  # an overflow is rescaled below
-        combined = g + cfg.lambda_ * pull
-        norm = float(np.linalg.norm(combined))
+    combined = g + cfg.lambda_ * pull
+    norm = float(np.linalg.norm(combined))
     if norm < 1e-15:
         raise DegenerateDirectionError("combined step direction vanished")
     if not math.isfinite(norm):
-        # a large lambda overflows the attraction or its norm: the same
-        # direction, divided by lambda and by the largest gradient entry
+        # a large lambda overflows the attraction or its norm (numpy warns):
+        # the same direction, divided by lambda and the largest gradient entry
         scale = max(cfg.lambda_, float(np.max(np.abs(g))))
         combined = g / scale + (cfg.lambda_ / scale) * pull
         norm = float(np.linalg.norm(combined))
