@@ -156,12 +156,11 @@ def _meta_at(
     With one neighbor ahead, or several but every target behind one, that
     neighbor is the meta point and all targets stay grouped, unless it is a
     Steiner vertex within SPLIT_TOL of al that splits them: then the split is
-    at al. A neighbor on al is looked past. With targets behind several,
-    al itself is the meta point and the targets partition by the subtree
-    behind each; with no neighbor ahead, every target is on al and each is
-    a group alone. Groups get the
-    edge they walk next only on exact L2 trees: L1 optimal trees tie, and a
-    heuristic tree's branches need not be optimal.
+    at al. A neighbor on al is looked past. With targets behind several, al
+    itself is the meta point and the targets partition by the subtree behind
+    each; with no neighbor ahead, every target is on al and each is a group
+    alone. Groups get the edge they walk next only on exact L2 trees: L1
+    optimal trees tie, and a heuristic tree's branches need not be optimal.
     """
     walk = tree.exact and tree.norm == 2
     ahead = [nb for nb in tree.neighbors(vertex) if nb != came_from]

@@ -100,13 +100,16 @@ def _lp(a: np.ndarray, b: np.ndarray, p: int) -> float:
 
 
 def _pairwise(points: np.ndarray, p: int) -> np.ndarray:
-    """(v, v) Lp distances, built a block of rows at a time: each entry is
-    one reduction over its D contiguous differences, as in a one-shot build."""
+    """(v, v) Lp distances, built a block of rows at a time in one buffer:
+    each entry is one reduction over its D contiguous differences, as in a
+    one-shot build."""
     v, dim = points.shape
     out = np.empty((v, v))
-    rows = max(1, _BLOCK_BYTES // (8 * v * dim))
+    rows = min(v, max(1, _BLOCK_BYTES // (8 * v * dim)))
+    block = np.empty((rows, v, dim))
     for lo in range(0, v, rows):
-        diff = points[lo : lo + rows, None, :] - points[None, :, :]
+        diff = block[: min(rows, v - lo)]
+        np.subtract(points[lo : lo + rows, None, :], points[None, :, :], out=diff)
         if p == 1:
             np.sum(np.abs(diff, out=diff), axis=2, out=out[lo : lo + rows])
         else:
@@ -456,7 +459,8 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
     others = node_of[1:]
     k = len(others)
     full = (1 << k) - 1
-    cols = max(1, _BLOCK_BYTES // (8 * v))
+    rows = min(v, max(1, _BLOCK_BYTES // (8 * v)))
+    block = np.empty((rows, v))
     dp = {1 << i: dist[others[i]] for i in range(k)}
     split_at = {}
     relay = {}
@@ -478,13 +482,15 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
                     best = np.where(better, cand, best)
                     best_split[better] = sub
             sub = (sub - 1) & mask
-        # relay through the metric closure: one min-plus pass suffices,
-        # made a block of columns at a time
+        # relay through the metric closure: one min-plus pass suffices, made
+        # a block of the (symmetric) closure's rows at a time, so argmin runs
+        # along contiguous rows and copies nothing
         dp[mask], relay[mask] = np.empty(v), np.empty(v, dtype=np.intp)
-        for lo in range(0, v, cols):
-            total = best[:, None] + dist[:, lo : lo + cols]
-            arg = relay[mask][lo : lo + cols] = np.argmin(total, axis=0)
-            dp[mask][lo : lo + cols] = total[arg, np.arange(len(arg))]
+        for lo in range(0, v, rows):
+            total = block[: min(rows, v - lo)]
+            np.add(dist[lo : lo + rows], best, out=total)
+            arg = relay[mask][lo : lo + rows] = np.argmin(total, axis=1)
+            dp[mask][lo : lo + rows] = total[np.arange(len(arg)), arg]
         split_at[mask] = best_split
 
     edges_out: set[tuple[int, int]] = set()

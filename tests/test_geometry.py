@@ -549,8 +549,8 @@ class TestL1ExactOracle:
     def test_exact_equals_the_dense_dp(self, pts, block_bytes):
         n, d = pts.shape
         v = geo._hanan_size(pts)
-        # within the parent's caps (ops, and (v, v, D) float64 bytes), and a
-        # test-time limit on the dense reference's work
+        # grids the dense reference holds (the op budget, and 256 MiB of
+        # (v, v, D) float64), with a test-time limit on its work
         assume(2 ** (n - 1) * v * v <= min(geo._L1_EXACT_BUDGET, 2e7))
         assume(8 * v * v * d <= 256 * 2**20)
         want = reference_l1_exact(pts)

@@ -184,9 +184,9 @@ class TestAcceptedConfigs:
 
     @settings(max_examples=120, deadline=None)
     @given(accepted_problems())
-    # the attraction's L2 norm overflows: zero-length steps
+    # lambda so large that the attraction's L2 norm overflows
     @example((np.zeros(1), np.ones((1, 1)), tx.TransferConfig(xi=0.125, lambda_=1e300, p_norm=2)))
-    # lambda * sum|gap| overflows: a NaN pull on the axis with no gap
+    # lambda * sum|gap| overflows, and the axis with no gap multiplies it by 0
     @example(
         (
             np.array([0.0, 0.5, 0.0]),
@@ -198,8 +198,8 @@ class TestAcceptedConfigs:
         src, tgts, cfg = problem
         p, xi = cfg.p_norm, cfg.xi
         diam = max(tx._lp(a, b, p) for a in [src, *tgts] for b in [src, *tgts])
-        # a generous bound on a run's phases; the parent's overflowed step
-        # made zero-length phases until the engine's guard of up to 1e7
+        # a generous bound on a run's phases, so that a walk of zero-length
+        # steps fails here, not at the engine's guard of up to 1e7 phases
         cap = 16 * (len(tgts) + 1) * (math.ceil(diam / xi) + 2)
         for method, run in METHODS.items():
             reports = run(src, tgts, object(), CappedCostTrainer(cap=cap), cfg)
