@@ -47,7 +47,7 @@ MERGE_TOL = 1e-9
 _L1_EXACT_BUDGET = 3e8
 # Bytes of one block of `_pairwise`'s coordinate differences and of the L1
 # grid DP's relay sums: whatever the point count, a block spans as many rows
-# (or columns) as fit, and at least one.
+# as fit, and at least one.
 _BLOCK_BYTES = 8 * 2**20
 # Byte cap on what the exact L1 grid DP holds at its peak: the (v, v) float64
 # metric closure of its grid plus one block.
