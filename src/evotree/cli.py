@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import math
 import os
@@ -190,10 +189,72 @@ def _check_out(path: str) -> None:
         )
 
 
+_FLOAT_TEXTS = 1024  # float texts a write keeps before it forgets them all
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_chunks(payload):
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n", one chunk per
+    item of each container in the top two levels. A non-str key or a value
+    json cannot encode raises TypeError.
+
+    Float texts are float.__repr__'s, kept in a memo: an L1 phase moves one
+    or two coordinates, so most repeat. A zero is never kept (0.0 == -0.0,
+    their texts differ), nor a non-finite float."""
+    memo, string = {}, json.encoder.encode_basestring_ascii
+
+    def number(x):
+        text = memo.get(x)
+        if text is None:
+            text = float.__repr__(x)
+            if not math.isfinite(x):
+                return _NONFINITE[text]
+            if x:
+                if len(memo) >= _FLOAT_TEXTS:
+                    memo.clear()
+                memo[x] = text
+        return text
+
+    def value(o, nl):
+        if o is None or type(o) is bool:
+            return _JSON_WORDS[o]
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):  # numpy.float64 too, as json
+            return number(o)
+        if isinstance(o, str):
+            return string(o)
+        if not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        if isinstance(o, dict):
+            items = sep.join([f"{string(k)}: {value(v, inner)}" for k, v in sorted(o.items())])
+            return f"{{{inner}{items}{nl}}}"
+        if all(map(float.__instancecheck__, o)):
+            return f"[{inner}{sep.join(map(number, o))}{nl}]"
+        return f"[{inner}{sep.join([value(v, inner) for v in o])}{nl}]"
+
+    def chunks(o, nl, head, depth):
+        if depth == 2 or not (o and isinstance(o, (list, tuple, dict))):
+            yield head + value(o, nl)
+            return
+        inner, is_dict = nl + "  ", isinstance(o, dict)
+        yield head + ("{" if is_dict else "[")
+        for i, (k, v) in enumerate(sorted(o.items()) if is_dict else enumerate(o)):
+            key = f"{string(k)}: " if is_dict else ""
+            yield from chunks(v, inner, ("," if i else "") + inner + key, depth + 1)
+        yield nl + ("}" if is_dict else "]")
+
+    yield from chunks(payload, "\n", "", 0)
+    yield "\n"
+
+
 def write_json(path: str, payload: dict) -> None:
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    batches = iter(lambda: "".join(itertools.islice(chunks, 4096)), "")  # one write each
-    _atomic_write(path, itertools.chain(batches, ["\n"]))
+    _atomic_write(path, _json_chunks(payload))
 
 
 def write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -289,12 +350,9 @@ def report_payload(
             "name": problem.source_name,
             "alpha": [float(x) for x in problem.source_alpha],
         },
-        # a shallow copy of each record's fields; dataclasses.asdict would
-        # deep-copy every float
-        "phases": [
-            {f.name: getattr(ph, f.name) for f in dataclasses.fields(ph)}
-            for _, ph in sorted(phases.items())
-        ],
+        # a shallow copy of each record's instance dict, which holds exactly
+        # its fields (dataclasses.asdict would rebuild every tuple, float by float)
+        "phases": [dict(vars(ph)) for _, ph in sorted(phases.items())],
         "paths": [
             {
                 "target_index": rep.target_index,

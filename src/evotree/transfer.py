@@ -171,13 +171,20 @@ def evolution_step(alpha, beta_meta, grad, cfg: TransferConfig) -> np.ndarray:
         raise InvalidInputError("alpha, beta_meta and grad must share dimension")
     gap = bm - al
     pull = gap if cfg.penalty_norm == 2 else float(np.sum(np.abs(gap))) * np.sign(gap)
-    combined = g + cfg.lambda_ * pull
-    norm = float(np.linalg.norm(combined))
+    # |pull_i| <= D, as both points lie in [0, 1]^D: below this lambda the
+    # plain arithmetic cannot overflow unless a gradient entry nears 1e150
+    if cfg.lambda_ * len(al) ** 2 < 1e100:
+        combined = g + cfg.lambda_ * pull
+        norm = float(np.linalg.norm(combined))
+    else:  # the same arithmetic, which may overflow, without numpy's warning
+        with np.errstate(over="ignore"):
+            combined = g + cfg.lambda_ * pull
+            norm = float(np.linalg.norm(combined))
     if norm < 1e-15:
         raise DegenerateDirectionError("combined step direction vanished")
     if not math.isfinite(norm):
-        # a large lambda overflows the attraction or its norm (numpy warns):
-        # the same direction, divided by lambda and the largest gradient entry
+        # the attraction or its norm overflowed: the same direction, divided
+        # by lambda and the largest gradient entry
         scale = max(cfg.lambda_, float(np.max(np.abs(g))))
         combined = g / scale + (cfg.lambda_ / scale) * pull
         norm = float(np.linalg.norm(combined))
@@ -538,8 +545,8 @@ class _Engine:
                     phase_id=-1,  # numbered once every stream is done
                     segment=s.segment,
                     phase_index=s.phase_index,
-                    alpha_from=tuple(float(x) for x in s.alpha),
-                    alpha_to=tuple(float(x) for x in end),
+                    alpha_from=tuple(s.alpha.tolist()),
+                    alpha_to=tuple(end.tolist()),
                     train_iterations=out.train_iterations,
                     sim_episodes=probe_episodes + out.sim_episodes,
                     final_success_rate=out.final_success_rate,
@@ -579,7 +586,7 @@ class _Engine:
             phases = tuple(s.prefix)
             self.reports[i] = TransferReport(
                 target_index=i,
-                target=tuple(float(x) for x in self.targets[i]),
+                target=tuple(self.targets[i].tolist()),
                 phases=phases,
                 outcome=outcome,
                 train_iterations=sum(p.train_iterations for p in phases),

@@ -5,10 +5,12 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1072,6 +1074,103 @@ class TestReport:
         code = run("report", "--report", str(bad), "--out", str(tmp_path))
         assert code == 2
 
+
+
+def json_text(value) -> str:
+    """The text the report writer makes of value."""
+    return "".join(cli._json_chunks(value))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e-310]
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**80), max_value=10**80)
+    | st.floats(allow_subnormal=True)
+    | st.sampled_from(SPECIAL_FLOATS)
+    | st.floats().map(np.float64)
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS))
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+MANY_FLOATS = [i / 7 for i in range(2500)]  # distinct, more than the memo keeps
+
+
+class TestWriteJson:
+    """The report writer's text is json.dumps(value, indent=2, sort_keys=True)
+    and a newline, whatever it is given; the writer streams it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    @example([0.0, -0.0, 1.5, -0.0, 0.0])
+    @example({"a": [-0.0, 0.0], "b": {"c": 0.0, "d": -0.0}, "e": (0.0,), "f": [-0.0]})
+    @example([math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, np.float64(math.nan)])
+    @example([*MANY_FLOATS, 0.0, -0.0, *MANY_FLOATS[::-1], {"x": MANY_FLOATS[:3]}])
+    @example([np.float64(0.1), 0.1, 1, 1.0, True, False, None, 10**70, -(10**70)])
+    @example({"": [], "a": {}, "b": [[], {}, ()], "c": [{"d": [{}]}], "e": ()})
+    @example({"k\u00e9y\n\x00": "v\u2603\x1f\"\\", "\U0001f600": ["\t", "\u00ff"]})
+    @example([])
+    @example({})
+    @example(-0.0)
+    @example("\u0000")
+    def test_text_is_json_dumps_text(self, value):
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_report_file_is_json_dumps_text(self, tmp_path):
+        payload = {
+            "phases": [{"alpha": (i / 3, 0.0, -0.0), "n": i, "ok": i % 2 == 0} for i in range(3000)],
+            "source": {"alpha": MANY_FLOATS, "name": "a \"b\""},
+            "totals": {},
+        }
+        path = tmp_path / "report.json"
+        cli.write_json(str(path), payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "bad", [{1, 2}, np.int64(3), {1: "int key"}, {"a": {2.5: 0}}, np.bool_(True), object()]
+    )
+    def test_unencodable_value_leaves_no_file(self, tmp_path, bad):
+        out = tmp_path / "out"
+        # written after enough phases that some of the text has reached the file
+        payload = {"a": 1, "phases": [{"alpha": [i / 3] * 8} for i in range(2000)] + [bad]}
+        with pytest.raises(TypeError):
+            cli.write_json(str(out / "report.json"), payload)
+        assert os.listdir(out) == []
+
+    def test_writing_streams_the_text(self, tmp_path):
+        """A report of 50,000 D=8 phases (over 10 MiB of text) is written with
+        under 1 MiB allocated above its payload at any time. Its coordinates
+        come from 3,000 floats, so the float memo fills and is cleared."""
+        rng = np.random.default_rng(0)
+        pool = np.array(rng.random(3000).tolist(), dtype=object)
+        payload = {
+            "phases": [
+                {
+                    "alpha_from": tuple(pool[row[:8]]),
+                    "alpha_to": tuple(pool[row[8:]]),
+                    "phase_id": i,
+                    "sim_episodes": 10,
+                }
+                for i, row in enumerate(rng.integers(0, len(pool), (50_000, 16)))
+            ],
+            "totals": {"sim_episodes": 500_000},
+        }
+        path = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            cli.write_json(str(path), payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 10 << 20
+        assert peak < 1 << 20, peak
 
 class TestToyTransferSmoke:
     def test_toymdp_small_run(self, tmp_path):

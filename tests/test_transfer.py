@@ -182,6 +182,9 @@ class TestAcceptedConfigs:
     """Every accepted config makes progress: each target is reached in
     phases of length in (0, xi], however large lambda is."""
 
+    # numpy's overflow warning is an error: the step rule decides before it
+    # computes whether the attraction can overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=120, deadline=None)
     @given(accepted_problems())
     # lambda so large that the attraction's L2 norm overflows
