@@ -1076,11 +1076,6 @@ class TestReport:
 
 
 
-def json_text(value) -> str:
-    """The text the report writer makes of value."""
-    return "".join(cli._json_chunks(value))
-
-
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e-310]
 JSON_SCALARS = (
     st.none()
@@ -1104,8 +1099,9 @@ MANY_FLOATS = [i / 7 for i in range(2500)]  # distinct, more than the memo keeps
 
 
 class TestWriteJson:
-    """The report writer's text is json.dumps(value, indent=2, sort_keys=True)
-    and a newline, whatever it is given; the writer streams it."""
+    """The report writer's text of any value json encodes, keys all str, is
+    json.dumps(value, indent=2, sort_keys=True) and a newline; anything else
+    raises TypeError. The writer streams what it writes."""
 
     @settings(max_examples=400, deadline=None)
     @given(JSON_VALUES)
@@ -1121,7 +1117,8 @@ class TestWriteJson:
     @example(-0.0)
     @example("\u0000")
     def test_text_is_json_dumps_text(self, value):
-        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+        text = "".join(cli._json_chunks(value))
+        assert text == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
     def test_report_file_is_json_dumps_text(self, tmp_path):
         payload = {
@@ -1147,9 +1144,10 @@ class TestWriteJson:
     def test_writing_streams_the_text(self, tmp_path):
         """A report of 50,000 D=8 phases (over 10 MiB of text) is written with
         under 1 MiB allocated above its payload at any time. Its coordinates
-        come from 3,000 floats, so the float memo fills and is cleared."""
+        come from 20,000 floats, whose texts would take more than 1 MiB if
+        the float memo kept them all."""
         rng = np.random.default_rng(0)
-        pool = np.array(rng.random(3000).tolist(), dtype=object)
+        pool = np.array(rng.random(20_000).tolist(), dtype=object)
         payload = {
             "phases": [
                 {
