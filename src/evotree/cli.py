@@ -189,7 +189,6 @@ def _check_out(path: str) -> None:
         )
 
 
-_FLOAT_TEXTS = 1024  # float texts a write keeps before it forgets them all
 _JSON_WORDS = {None: "null", True: "true", False: "false"}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -211,7 +210,7 @@ def _json_chunks(payload):
             if not math.isfinite(x):
                 return _NONFINITE[text]
             if x:
-                if len(memo) >= _FLOAT_TEXTS:
+                if len(memo) >= 1024:  # bounded on a report of any length
                     memo.clear()
                 memo[x] = text
         return text
@@ -229,27 +228,32 @@ def _json_chunks(payload):
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         if not o:
             return "{}" if isinstance(o, dict) else "[]"
-        inner = nl + "  "
-        sep = "," + inner
-        if isinstance(o, dict):
-            items = sep.join([f"{string(k)}: {value(v, inner)}" for k, v in sorted(o.items())])
-            return f"{{{inner}{items}{nl}}}"
-        if all(map(float.__instancecheck__, o)):
-            return f"[{inner}{sep.join(map(number, o))}{nl}]"
-        return f"[{inner}{sep.join([value(v, inner) for v in o])}{nl}]"
+        if not isinstance(o, dict) and all(map(float.__instancecheck__, o)):
+            inner = nl + "  "
+            return f"[{inner}{(',' + inner).join(map(number, o))}{nl}]"
+        return "".join(chunks(o, nl, False))
 
-    def chunks(o, nl, head, depth):
-        if depth == 2 or not (o and isinstance(o, (list, tuple, dict))):
-            yield head + value(o, nl)
+    def chunks(o, nl, stream):
+        """o's text: a non-empty container's item by item, and with stream
+        each item's the same way."""
+        if not (isinstance(o, (list, tuple, dict)) and o):
+            yield value(o, nl)
             return
         inner, is_dict = nl + "  ", isinstance(o, dict)
-        yield head + ("{" if is_dict else "[")
+        sep = "," + inner
+        yield "{" if is_dict else "["
         for i, (k, v) in enumerate(sorted(o.items()) if is_dict else enumerate(o)):
-            key = f"{string(k)}: " if is_dict else ""
-            yield from chunks(v, inner, ("," if i else "") + inner + key, depth + 1)
+            head = sep if i else inner
+            if is_dict:
+                head = f"{head}{string(k)}: "
+            if stream:
+                yield head
+                yield from chunks(v, inner, False)
+            else:
+                yield head + value(v, inner)
         yield nl + ("}" if is_dict else "]")
 
-    yield from chunks(payload, "\n", "", 0)
+    yield from chunks(payload, "\n", True)
     yield "\n"
 
 

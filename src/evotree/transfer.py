@@ -171,15 +171,9 @@ def evolution_step(alpha, beta_meta, grad, cfg: TransferConfig) -> np.ndarray:
         raise InvalidInputError("alpha, beta_meta and grad must share dimension")
     gap = bm - al
     pull = gap if cfg.penalty_norm == 2 else float(np.sum(np.abs(gap))) * np.sign(gap)
-    # |pull_i| <= D, as both points lie in [0, 1]^D: below this lambda the
-    # plain arithmetic cannot overflow unless a gradient entry nears 1e150
-    if cfg.lambda_ * len(al) ** 2 < 1e100:
+    with np.errstate(over="ignore"):  # an overflow is handled below
         combined = g + cfg.lambda_ * pull
         norm = float(np.linalg.norm(combined))
-    else:  # the same arithmetic, which may overflow, without numpy's warning
-        with np.errstate(over="ignore"):
-            combined = g + cfg.lambda_ * pull
-            norm = float(np.linalg.norm(combined))
     if norm < 1e-15:
         raise DegenerateDirectionError("combined step direction vanished")
     if not math.isfinite(norm):

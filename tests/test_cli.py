@@ -1130,13 +1130,17 @@ class TestWriteJson:
         cli.write_json(str(path), payload)
         assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
     @pytest.mark.parametrize(
-        "bad", [{1, 2}, np.int64(3), {1: "int key"}, {"a": {2.5: 0}}, np.bool_(True), object()]
+        "bad",
+        [{1, 2}, np.int64(3), {1: "int key"}, {"a": {2.5: 0}}, np.bool_(True), np.zeros(3), object()],
     )
-    def test_unencodable_value_leaves_no_file(self, tmp_path, bad):
+    def test_unencodable_value_leaves_no_file(self, tmp_path, bad, depth):
         out = tmp_path / "out"
-        # written after enough phases that some of the text has reached the file
-        payload = {"a": 1, "phases": [{"alpha": [i / 3] * 8} for i in range(2000)] + [bad]}
+        # after enough phases that some of the text has reached the file,
+        # the bad value is the payload, one of its values, or a list item
+        phases = [{"alpha": [i / 3] * 8} for i in range(2000)]
+        payload = [bad, {"a": 1, "phases": phases, "z": bad}, {"a": 1, "phases": [*phases, bad]}][depth]
         with pytest.raises(TypeError):
             cli.write_json(str(out / "report.json"), payload)
         assert os.listdir(out) == []
