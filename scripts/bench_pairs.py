@@ -9,13 +9,18 @@ runs PAIRS pairs. Each pair runs
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` once in each
 checkout, one process at a time, with S = seed base + pair index; even pairs
 run the parent first, odd pairs the change. For every end-to-end metric of
-BENCHMARK.json the file records, per workload, the median and quartiles of
-each side and the number of pairs in which the change was better or worse.
+BENCHMARK.json the file records, per workload, the median, quartiles and
+minimum of each side and the number of pairs in which the change was better
+or worse.
 Each --traced workload gets one `--trace 1` run of TRACED_SECONDS per side
 and its per-layer metrics. The `src/` line count of both
 checkouts is recorded too. With --claim WORKLOAD:METRIC the file states
 whether the change is better in at least 9 of 10 pairs and its median
 beats the parent's by more than the parent's quartile spread.
+
+Passing a second copy of the parent commit as --change makes an A/A run:
+both sides run the same code, so its spread between sides and its better
+and worse pair counts are the noise floor a claimed gain must clear.
 """
 
 from __future__ import annotations
@@ -64,9 +69,10 @@ def perfbench(checkout: str, workload: str, seed: int, seconds: float, trace: in
     return json.loads(lines[-1])
 
 
-def quartiles(values: list[float]) -> dict:
+def order_statistics(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": round(float(median), 6), "q1": round(float(q1), 6), "q3": round(float(q3), 6)}
+    return {"median": round(float(median), 6), "q1": round(float(q1), 6), "q3": round(float(q3), 6),
+            "min": round(float(min(values)), 6)}
 
 
 def workload_summary(runs: dict, metrics: dict, pairs: int, seconds: float, seed_base: int) -> dict:
@@ -77,7 +83,7 @@ def workload_summary(runs: dict, metrics: dict, pairs: int, seconds: float, seed
         sign = -1.0 if better == "lower" else 1.0
         deltas = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
         out[name] = {
-            **{side: quartiles(values[side]) for side in SIDES},
+            **{side: order_statistics(values[side]) for side in SIDES},
             "change_better_pairs": sum(d > 0 for d in deltas),
             "change_worse_pairs": sum(d < 0 for d in deltas),
         }

@@ -605,13 +605,11 @@ def cmd_report(args) -> int:
     _check_shape(payload, {}, args.report)
     if payload.get("schema") != SCHEMA_VERSION:
         raise InvalidInputError("unsupported or missing schema version")
-    rows = []
     if "tree" in payload and "phases" not in payload:
         _check_shape(payload, _PLAN_SHAPE, args.report)
         vertices = _coordinates(payload["tree"]["vertices"], "tree vertices")
         ax0, ax1 = _projection_axes(vertices)
-        for v in vertices:
-            rows.append(["vertex", "", "", 1, repr(float(v[ax0])), repr(float(v[ax1]))])
+        phase_rows = []
         totals_header = ["quantity", "value"]
         totals_rows = [
             ["tree_length", repr(float(payload["tree"]["length"]))],
@@ -635,21 +633,18 @@ def cmd_report(args) -> int:
         starts: dict[tuple, tuple] = {}
         for p in sorted(phases, key=lambda p: (p["segment"], p["phase_index"])):
             starts.setdefault(tuple(p["segment"]), tuple(p["alpha_from"]))
-        for pt in dict.fromkeys(starts.values()):
-            rows.append(
-                ["vertex", "", "", 1, repr(float(pt[ax0])), repr(float(pt[ax1]))]
-            )
-        for pid, ph in sorted({p["phase_id"]: p for p in phases}.items()):
-            rows.append(
-                [
-                    "phase",
-                    "|".join(owners.get(pid, [])),
-                    pid,
-                    len(owners.get(pid, [])),
-                    repr(float(ph["alpha_to"][ax0])),
-                    repr(float(ph["alpha_to"][ax1])),
-                ]
-            )
+        vertices = list(dict.fromkeys(starts.values()))
+        phase_rows = [
+            [
+                "phase",
+                "|".join(owners.get(pid, [])),
+                pid,
+                len(owners.get(pid, [])),
+                repr(float(ph["alpha_to"][ax0])),
+                repr(float(ph["alpha_to"][ax1])),
+            ]
+            for pid, ph in sorted({p["phase_id"]: p for p in phases}.items())
+        ]
         totals_header = ["path_id", "target_name", "train_iterations", "sim_episodes", "outcome"]
         totals_rows = [
             [
@@ -672,8 +667,9 @@ def cmd_report(args) -> int:
         )
     else:
         raise InvalidInputError("input is neither a plan nor a transfer report")
+    rows = [["vertex", "", "", 1, repr(float(v[ax0])), repr(float(v[ax1]))] for v in vertices]
     header = ["row_kind", "path_ids", "phase_id", "multiplicity", f"alpha_{ax0}", f"alpha_{ax1}"]
-    write_csv(os.path.join(args.out, "paths.csv"), header, rows)
+    write_csv(os.path.join(args.out, "paths.csv"), header, rows + phase_rows)
     write_csv(os.path.join(args.out, "totals.csv"), totals_header, totals_rows)
     print(f"wrote {os.path.join(args.out, 'paths.csv')}")
     return EXIT_OK

@@ -107,22 +107,19 @@ def evolution_tree(alpha, targets, p, mode: str = "auto") -> EvolutionTreeResult
     target; any other shape raises InvalidInputError.
 
     L1 trees with equal length are common (any monotone staircase ties), so
-    the trunk ahead of the current point is canonicalized: when walking to
-    the clamp point first is verifiably as short as the unconstrained
-    optimum, the clamp point is reported as the meta point. The full tree
-    solve decides splits and partitions.
+    the trunk ahead of the current point is canonicalized: a point off the
+    targets' bounding box walks to its clamp point first, the point the
+    transfer engine walks to. Clamping is 1-Lipschitz on each axis, so it
+    shortens any tree on the point and the targets by at least the trunk's
+    length: some optimal tree starts with that trunk. The full tree solve
+    decides splits and partitions.
     """
     al, tg = _as_targets(alpha, targets)
-    terminals = np.vstack([al[None, :], tg])
-    tree = steiner_tree(terminals, p, mode)
-
+    tree = steiner_tree(np.vstack([al[None, :], tg]), p, mode)
     if p == 1:
         cm = clamp_meta(al, tg)
-        trunk_len = _lp(al, cm, 1)
-        if trunk_len > _COINCIDE_TOL:
-            sub = steiner_tree(np.vstack([cm[None, :], tg]), 1, mode)
-            if trunk_len + sub.length <= tree.length + 1e-9:
-                return EvolutionTreeResult(cm, (tuple(range(len(tg))),), tree, (None,))
+        if _lp(al, cm, 1) > _COINCIDE_TOL:
+            return EvolutionTreeResult(cm, (tuple(range(len(tg))),), tree, (None,))
     return _meta_at(tree, _nearest_vertex(tree, al), None, al, tg)
 
 

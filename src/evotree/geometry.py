@@ -9,12 +9,12 @@ Steiner solvers:
 * L1 exact: dynamic programming over the Hanan grid graph (the grid induced
   by coordinate hyperplanes through the terminals). Optimal rectilinear
   Steiner points can always be chosen on that grid, so the grid DP is exact.
-  Its operation and byte budgets are checked on the grid size, computed from
-  per-axis distinct coordinates, before any grid or distance matrix is built;
-  the distance matrix and the relay are built a block at a time. Three
-  terminals, in any dimension, meet at their coordinate-wise median (the one
-  optimal Steiner point), so their DP runs only on the grid nodes that can
-  tie with it in floating point, usually the median alone.
+  Its byte cap is checked on the grid size, computed from per-axis distinct
+  coordinates, before any grid or distance matrix is built; the distance
+  matrix and the relay are built a block at a time. Three terminals, in any
+  dimension, meet at their coordinate-wise median (the one optimal Steiner
+  point), so their DP runs only on the grid nodes that can tie with it in
+  floating point, usually the median alone.
 * L1 heuristic: iterated single-point insertion. Candidates are Hanan grid
   points (the full grid when it has at most 512 nodes, otherwise
   coordinate-wise medians of vertex triples, which stay on the grid; a
@@ -43,14 +43,13 @@ from .errors import BudgetExceededError, InvalidInputError
 
 # Vertices closer than this are considered coincident and merged.
 MERGE_TOL = 1e-9
-# Array-op budget for the exact L1 grid DP (roughly 2^(N-1) * |grid|^2).
-_L1_EXACT_BUDGET = 3e8
 # Bytes of one block of `_pairwise`'s coordinate differences and of the L1
 # grid DP's relay sums: whatever the point count, a block spans as many rows
 # as fit, and at least one.
 _BLOCK_BYTES = 8 * 2**20
 # Byte cap on what the exact L1 grid DP holds at its peak: the (v, v) float64
-# metric closure of its grid plus one block.
+# metric closure of its grid plus one block. It also bounds the DP's work,
+# 2^(N-1) v^2 array operations, to about 2.35e8 at N = 6 terminals.
 _L1_EXACT_MAX_BYTES = 64 * 2**20
 _L2_EXACT_MAX_TERMINALS = 6
 
@@ -263,12 +262,9 @@ def _mst_edges(dist: np.ndarray) -> list[tuple[int, int]]:
     if n <= 1:
         return []
     in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)
-    best_from = np.zeros(n, dtype=int)
     in_tree[0] = True
-    best[0] = 0.0
-    np.minimum(best, dist[0], out=best)
-    best_from[:] = 0
+    best = dist[0].copy()  # dist[0][0] is 0
+    best_from = np.zeros(n, dtype=int)
     edges = []
     for _ in range(n - 1):
         masked = np.where(in_tree, np.inf, best)
@@ -442,8 +438,7 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
         nodes = _median_nodes(terminals)
     else:
         v = _hanan_size(terminals)
-        budget = (2 ** (n - 1)) * float(v) * float(v)
-        if budget > _L1_EXACT_BUDGET or 8 * v * v + _BLOCK_BYTES > _L1_EXACT_MAX_BYTES:
+        if 8 * v * v + _BLOCK_BYTES > _L1_EXACT_MAX_BYTES:
             raise BudgetExceededError(
                 f"exact L1 grid DP too large ({n} terminals, {v} grid nodes)"
             )
@@ -512,14 +507,11 @@ def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
 
     used = sorted({i for e in edges_out for i in e} | set(node_of))
     remap = {old: new for new, old in enumerate(used)}
-    verts = nodes[used]
-    edge_list = [(remap[i], remap[j]) for i, j in edges_out]
     # drop possible duplicates/cycles from tie backtracks, then normalize
-    sub_dist = _pairwise(verts, 1)
-    weighted = {(sub_dist[i, j], i, j) for i, j in edge_list}
-    edge_list = [(i, j) for _, i, j in _kruskal(len(verts), weighted)]
+    weighted = {(dist[i, j], remap[i], remap[j]) for i, j in edges_out}
+    edge_list = [(i, j) for _, i, j in _kruskal(len(used), weighted)]
     terminal_ids = [remap[node_of_i] for node_of_i in node_of]
-    return _finalize_steiner(verts, terminal_ids, edge_list, 1)
+    return _finalize_steiner(nodes[used], terminal_ids, edge_list, 1)
 
 
 def _triple_medians(points: np.ndarray) -> np.ndarray:
@@ -822,9 +814,9 @@ def steiner_tree(terminals, p, mode: str = "auto") -> Tree:
     heuristics; "auto" uses the exact solver when it fits the budget and
     falls back to the heuristic; `exact` tells which ran (L2 always
     enumerates up to 6 terminals, and L1 solves 3 terminals exactly in any
-    dimension). The L1 budget holds for 4-6 terminals: an operation count
-    and a byte cap on the grid DP's (v, v) distance matrix plus one working
-    block, both checked before anything is allocated.
+    dimension). The L1 budget holds for 4-6 terminals: a byte cap on the
+    grid DP's (v, v) distance matrix plus one working block, checked before
+    anything is allocated.
     """
     p = _check_norm(p)
     if mode not in ("exact-small", "heuristic", "auto"):

@@ -274,8 +274,9 @@ def _reinforce(policy, feats, acts, steps, adv, learning_rate, max_grad_norm):
     Bit for bit the per-episode loop: each episode's products are the same
     BLAS calls (zero rows add nothing to a dot product), its log-std terms
     are summed row by row with the padding masked to 0, and the episodes'
-    terms are added to zeros one at a time, in order. Episodes with zero
-    advantage are skipped, but their steps still count in the normalization.
+    terms are summed from +0.0 over the outer axis, which adds them one at a
+    time, in order. Episodes with zero advantage are skipped, but their
+    steps still count in the normalization.
     """
     if np.all(adv == 0.0):
         return policy
@@ -295,11 +296,8 @@ def _reinforce(policy, feats, acts, steps, adv, learning_rate, max_grad_norm):
     terms = delta * diff - 1.0
     terms[np.arange(horizon) >= live_steps[:, None]] = 0.0
     per_ls = live_adv[:, None] * terms.sum(axis=1)
-    grad_w = np.zeros_like(policy.weights)
-    grad_ls = np.zeros_like(policy.log_std)
-    for gw, gls in zip(per_w, per_ls):
-        grad_w += gw
-        grad_ls += gls
+    grad_w = per_w.sum(axis=0, initial=0.0)
+    grad_ls = per_ls.sum(axis=0, initial=0.0)
     # normalize per timestep, not per episode: keeps one long failure
     # episode from dominating a mostly-successful batch
     scale = max(int(steps.sum()), 1)

@@ -197,8 +197,6 @@ def evolution_step(alpha, beta_meta, grad, cfg: TransferConfig) -> np.ndarray:
             toward_meta = gap[d] * direction > 0
             cap = abs(gap[d]) if toward_meta else budget
             move = min(budget, cap)
-            if move <= 0:
-                continue
             step[d] = direction * move
             budget -= move
     clipped = np.clip(al + step, 0.0, 1.0)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -689,6 +690,21 @@ class TestTransfer:
         assert code == 0
         assert json.loads((tmp_path / "report.json").read_text())["config"] == values
 
+    def test_config_file_blank_lines_and_comments(self, tmp_path):
+        cfg = tmp_path / "commented.cfg"
+        cfg.write_text(
+            "# a comment line\n"
+            "\n"
+            "   \n"
+            "transfer.xi = 0.05  # trailing comment\n"
+            "   # an indented comment line\n"
+            "trainer.sim_episodes_per_step = 7#no space\n"
+        )
+        assert cli.parse_config_file(str(cfg)) == {
+            "transfer.xi": "0.05",
+            "trainer.sim_episodes_per_step": "7",
+        }
+
     def test_unknown_config_section(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("wibble = 1\n")
@@ -1040,7 +1056,7 @@ class TestReport:
 
     def test_report_without_phases(self, tmp_path):
         # a target equal to the source is reached with no phase at all
-        spec = json.loads(open(PLANAR[0]).read())
+        spec = json.loads(pathlib.Path(PLANAR[0]).read_text())
         spec["name"] += "-copy"
         (tmp_path / "copy.json").write_text(json.dumps(spec))
         assert run("transfer", "--robots", PLANAR[0], str(tmp_path / "copy.json"),
@@ -1055,8 +1071,41 @@ class TestReport:
             "TOTAL,,0,0,success",
         ]
 
+    def test_report_of_a_one_dimensional_run(self, tmp_path):
+        # robots that differ in one parameter: both columns show axis 0
+        robots = []
+        for path in PLANAR[:3]:
+            spec = json.loads(pathlib.Path(path).read_text())
+            del spec["params"]["arm.span"]
+            robots.append(tmp_path / os.path.basename(path))
+            robots[-1].write_text(json.dumps(spec))
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text("transfer.xi = 0.25\n")
+        assert run("plan", "--robots", *map(str, robots), "--out", str(tmp_path / "plan")) == 0
+        assert run("transfer", "--robots", *map(str, robots), "--config", str(cfg),
+                   "--out", str(tmp_path / "run")) == 0
+        for out, name in (("plan", "plan.json"), ("run", "report.json")):
+            assert run("report", "--report", str(tmp_path / out / name),
+                       "--out", str(tmp_path / out)) == 0
+        assert (tmp_path / "plan" / "paths.csv").read_text().splitlines() == [
+            "row_kind,path_ids,phase_id,multiplicity,alpha_0,alpha_0",
+            "vertex,,,1,0.0,0.0",
+            "vertex,,,1,0.8,0.8",
+            "vertex,,,1,1.0,1.0",
+        ]
+        # target 0 lies on target 1's way, so one trunk reaches both
+        assert (tmp_path / "run" / "paths.csv").read_text().splitlines() == [
+            "row_kind,path_ids,phase_id,multiplicity,alpha_0,alpha_0",
+            "vertex,,,1,0.0,0.0",
+            "phase,0|1,0,2,0.25,0.25",
+            "phase,0|1,1,2,0.5,0.5",
+            "phase,0|1,2,2,0.75,0.75",
+            "phase,0|1,3,2,0.8,0.8",
+            "phase,1,4,1,1.0,1.0",
+        ]
+
     def test_robot_name_needing_quotes_round_trips(self, tmp_path, fast_config):
-        spec = json.loads(open(PLANAR[1]).read())
+        spec = json.loads(pathlib.Path(PLANAR[1]).read_text())
         spec["name"] = 'arm, "long"'
         (tmp_path / "target.json").write_text(json.dumps(spec))
         assert run("transfer", "--robots", PLANAR[0], str(tmp_path / "target.json"),

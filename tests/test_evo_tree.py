@@ -13,6 +13,26 @@ class TestEvolutionTree:
         assert res.partition == ((0,),)
         assert not res.split
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_single_target_as_one_point(self, p):
+        # a (D,) target is one target, as a (1, D) set
+        res = et.evolution_tree((0.2, 0.2), (0.9, 0.6), p)
+        want = et.evolution_tree((0.2, 0.2), [(0.9, 0.6)], p)
+        assert np.array_equal(res.beta_meta, want.beta_meta)
+        assert res.partition == want.partition == ((0,),)
+        assert np.array_equal(res.tree.vertices, want.tree.vertices)
+
+    def test_heuristic_l1_tree_meta_is_the_clamp_point(self):
+        # 7 terminals: a heuristic tree, whose own trunk from alpha ends at
+        # x = 0.746; the meta point is the clamp point the transfer engine
+        # walks to, at x = 0.762
+        rng = np.random.default_rng(14)
+        al, tg = rng.random(2), rng.random((6, 2))
+        res = et.evolution_tree(al, tg, 1)
+        assert not res.tree.exact
+        assert np.array_equal(res.beta_meta, et.clamp_meta(al, tg))
+        assert res.partition == (tuple(range(6)),)
+
     def test_opposite_targets_split_immediately(self):
         res = et.evolution_tree((0.5, 0.5), [(0.0, 0.5), (1.0, 0.5)], 1)
         assert np.allclose(res.beta_meta, (0.5, 0.5))

@@ -350,6 +350,20 @@ class TestSteinerL1:
         with pytest.raises(BudgetExceededError):
             geo.steiner_tree(pts, 1, "exact-small")
 
+    def test_three_terminals_past_the_byte_cap_meet_at_the_median(self):
+        # D = 9: axis 0 holds 0, 1 and 0.5, and axes 1-8 permute 0.5 and its
+        # next two floats. All three floats of every axis 1-8 tie with the
+        # median, 3^8 grid nodes, whose closure the byte cap refuses: the
+        # DP runs on the median alone
+        close = [0.5, np.nextafter(0.5, 1.0), np.nextafter(np.nextafter(0.5, 1.0), 1.0)]
+        orders = list(itertools.permutations(close))
+        pts = np.column_stack([[0.0, 1.0, 0.5]] + [orders[d % 6] for d in range(1, 9)])
+        assert len(geo._median_nodes(pts)) <= 4  # the terminals and the median
+        t = geo.steiner_tree(pts, 1, "exact-small")
+        assert t.exact
+        geo.validate_tree(t)
+        assert abs(t.length - np.sum(np.ptp(pts, axis=0))) <= 1e-12
+
     def test_hanan_size_counts_distinct_coordinates(self):
         pts = np.array([(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (2.0, 1.0, 1.0)])
         assert geo._hanan_size(pts) == len(geo._hanan_grid(pts)) == 4
@@ -549,9 +563,9 @@ class TestL1ExactOracle:
     def test_exact_equals_the_dense_dp(self, pts, block_bytes):
         n, d = pts.shape
         v = geo._hanan_size(pts)
-        # grids the dense reference holds (the op budget, and 256 MiB of
-        # (v, v, D) float64), with a test-time limit on its work
-        assume(2 ** (n - 1) * v * v <= min(geo._L1_EXACT_BUDGET, 2e7))
+        # grids the dense reference holds (256 MiB of (v, v, D) float64),
+        # with a test-time limit on its work
+        assume(2 ** (n - 1) * v * v <= 2e7)
         assume(8 * v * v * d <= 256 * 2**20)
         want = reference_l1_exact(pts)
         # small blocks split the distance rows and relay columns of small grids
@@ -939,6 +953,16 @@ class TestGeometricMedian:
             oracle = weiszfeld_oracle(pts)
             obj_o = float(np.linalg.norm(pts - oracle, axis=1).sum())
             assert obj <= obj_o + 1e-8
+
+    def test_l2_mean_on_a_non_optimal_datum(self):
+        # no datum is optimal, and the mean is the datum (0, 0): the
+        # iteration is nudged off it
+        pts = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 0.1], [4.0, -0.1], [-12.0, 0.0]])
+        assert np.array_equal(pts.mean(axis=0), pts[0])
+        m = geo.geometric_median(pts, 2)
+        obj = float(np.linalg.norm(pts - m, axis=1).sum())
+        oracle = weiszfeld_oracle(pts)
+        assert obj <= float(np.linalg.norm(pts - oracle, axis=1).sum()) + 1e-8
 
 
 class TestValidateTree:

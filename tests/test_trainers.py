@@ -692,6 +692,32 @@ class TestKernelEqualsMaskedCopy:
         for out, (_, job) in zip(served[0::2], good):
             assert out == t.evaluate(*job)
 
+    def test_a_failing_policy_update_fails_alone(self, monkeypatch):
+        # the update of one train job raises after the shared kernel call:
+        # its slot holds the error, and the requests beside it are served
+        t = make_trainer(batch_size=4)
+        rng = np.random.default_rng(5)
+        bad, good = random_policy(rng, 0.3), random_policy(rng, 0.3)
+        requests = [
+            (tx.TRAIN, (good, box_points(rng, 1, 5, 0.3)[0], [0])),
+            (tx.TRAIN, (bad, box_points(rng, 1, 5, 0.3)[0], [1])),
+            (tx.EVAL, (good, box_points(rng, 1, 5, 0.3)[0], 6, [2])),
+            (tx.PROBE, (good, box_points(rng, 3, 5, 0.3), [3])),
+        ]
+        want = [t.serve([request])[0] for request in requests]
+        update = tr.ToyMdpTrainer._policy_update
+
+        def failing(self, policy, *args):
+            if policy is bad:
+                raise PhaseFailureError("update failed")
+            return update(self, policy, *args)
+
+        monkeypatch.setattr(tr.ToyMdpTrainer, "_policy_update", failing)
+        served = t.serve(requests)
+        assert isinstance(served[1], PhaseFailureError)
+        for i in (0, 2, 3):
+            assert same_result(served[i], want[i])
+
     def test_goal_r2_is_the_exact_square_root_threshold(self):
         r2 = tr.GOAL_R2
         assert math.sqrt(r2) >= tr.GOAL_RADIUS > math.sqrt(math.nextafter(r2, 0.0))
