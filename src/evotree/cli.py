@@ -281,10 +281,6 @@ class Problem:
     target_alphas: np.ndarray
 
     @property
-    def source_name(self) -> str:
-        return self.specs[0].name
-
-    @property
     def target_names(self) -> list[str]:
         return [s.name for s in self.specs[1:]]
 
@@ -351,7 +347,7 @@ def report_payload(
         "norm": {1: "l1", 2: "l2"}[cfg.p_norm],
         "config": cfg_dict,
         "source": {
-            "name": problem.source_name,
+            "name": problem.specs[0].name,
             "alpha": [float(x) for x in problem.source_alpha],
         },
         # a shallow copy of each record's instance dict, which holds exactly

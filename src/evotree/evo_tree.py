@@ -25,12 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Tree, _lp, steiner_tree
+from .geometry import COINCIDE_TOL, Tree, _lp, steiner_tree
 
 # A Steiner vertex this close to the current point (in Lp) counts as a split
 # at the current point itself.
 SPLIT_TOL = 1e-6
-_COINCIDE_TOL = 1e-9
 # The edge a target group walks next: (tree, tail, head), from vertex tail
 # toward vertex head of an exact L2 tree.
 Edge = tuple[Tree, int, int]
@@ -62,7 +61,7 @@ def _as_targets(alpha, targets) -> tuple[np.ndarray, np.ndarray]:
 
 def _nearest_vertex(tree: Tree, point: np.ndarray) -> int | None:
     for v in range(len(tree.vertices)):
-        if _lp(tree.vertices[v], point, tree.norm) <= _COINCIDE_TOL:
+        if _lp(tree.vertices[v], point, tree.norm) <= COINCIDE_TOL:
             return v
     return None
 
@@ -118,7 +117,7 @@ def evolution_tree(alpha, targets, p, mode: str = "auto") -> EvolutionTreeResult
     tree = steiner_tree(np.vstack([al[None, :], tg]), p, mode)
     if p == 1:
         cm = clamp_meta(al, tg)
-        if _lp(al, cm, 1) > _COINCIDE_TOL:
+        if _lp(al, cm, 1) > COINCIDE_TOL:
             return EvolutionTreeResult(cm, (tuple(range(len(tg))),), tree, (None,))
     return _meta_at(tree, _nearest_vertex(tree, al), None, al, tg)
 
@@ -135,11 +134,11 @@ def follow_edge(edge: Edge, alpha, targets) -> Optional[EvolutionTreeResult]:
     tree, tail, head = edge
     al = np.asarray(alpha, dtype=float)
     start, end = tree.vertices[tail], tree.vertices[head]
-    if _lp(al, end, 2) <= _COINCIDE_TOL:
+    if _lp(al, end, 2) <= COINCIDE_TOL:
         return _meta_at(tree, head, tail, al, np.asarray(targets, dtype=float))
     along = end - start
     t = float(np.dot(al - start, along) / np.dot(along, along))
-    if not 0.0 <= t <= 1.0 or _lp(al, start + t * along, 2) > _COINCIDE_TOL:
+    if not 0.0 <= t <= 1.0 or _lp(al, start + t * along, 2) > COINCIDE_TOL:
         return None
     return EvolutionTreeResult(end.copy(), (tuple(range(len(targets))),), tree, (edge,))
 
@@ -168,7 +167,7 @@ def _meta_at(
     if len(ahead) == 1:
         nb, groups = ahead[0], ()
         tip = tree.vertices[nb]
-        if _lp(al, tip, tree.norm) <= _COINCIDE_TOL:
+        if _lp(al, tip, tree.norm) <= COINCIDE_TOL:
             # a zero-length edge, as between duplicate terminals: look past it
             return _meta_at(tree, nb, vertex, al, tg)
         if nb not in tree.terminal_ids and _lp(al, tip, tree.norm) <= SPLIT_TOL:

@@ -41,8 +41,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidInputError
 
-# Vertices closer than this are considered coincident and merged.
-MERGE_TOL = 1e-9
+# Two points closer than this are one: tree vertices merge, and a walk that
+# comes this close to a point stands on it.
+COINCIDE_TOL = 1e-9
 # Bytes of one block of `_pairwise`'s coordinate differences and of the L1
 # grid DP's relay sums: whatever the point count, a block spans as many rows
 # as fit, and at least one.
@@ -336,11 +337,6 @@ def _fermat3(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> np.ndarray:
     return (wa / total) * va + (wb / total) * vb + (wc / total) * vc
 
 
-def _median_lower(values: np.ndarray) -> float:
-    s = np.sort(values)
-    return float(s[(len(s) - 1) // 2])
-
-
 def geometric_median(points, p) -> np.ndarray:
     """Point minimizing the summed Lp distance to a point set.
 
@@ -351,7 +347,7 @@ def geometric_median(points, p) -> np.ndarray:
     p = _check_norm(p)
     pts = _as_points(points, "points")
     if p == 1:
-        return np.array([_median_lower(pts[:, d]) for d in range(pts.shape[1])])
+        return np.sort(pts, axis=0)[(len(pts) - 1) // 2]
     n = len(pts)
     if n == 1:
         return pts[0].copy()
@@ -720,7 +716,7 @@ def _steiner_l2_greedy(terminals: np.ndarray) -> Tree:
                 ea = pts[a] - pts[v]
                 eb = pts[b] - pts[v]
                 la, lb = math.sqrt(ea.dot(ea)), math.sqrt(eb.dot(eb))
-                if la <= MERGE_TOL or lb <= MERGE_TOL:
+                if la <= COINCIDE_TOL or lb <= COINCIDE_TOL:
                     continue
                 cosang = float(np.dot(ea, eb) / (la * lb))
                 if cosang <= cos_limit:
@@ -771,7 +767,7 @@ def _finalize_steiner(
 
     # only edges contract: merging vertices that no edge joins could close a cycle
     for i, j in edges:
-        if _lp(vertices[i], vertices[j], p) <= MERGE_TOL:
+        if _lp(vertices[i], vertices[j], p) <= COINCIDE_TOL:
             ri, rj = _find(parent, i), _find(parent, j)
             # keep terminal representatives so merges fold into terminals
             if ri in terminal_set:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,10 +55,17 @@ class Param:
 
 @dataclass(frozen=True)
 class RobotSpec:
+    """A robot, checked by validate_spec when it is made; `file`, the spec
+    file it was read from, if any, is named in the error."""
+
     name: str
     bodies: tuple[Body, ...]
     params: dict[str, Param]
     correspondence: dict[str, str] = field(default_factory=dict)
+    file: InitVar[Optional[str]] = None
+
+    def __post_init__(self, file):
+        validate_spec(self, file)
 
 
 @dataclass(frozen=True)
@@ -86,9 +93,6 @@ class MatchedSpace:
     @property
     def dimension(self) -> int:
         return len(self.parameter_keys)
-
-    def theta_matrix(self) -> np.ndarray:
-        return np.array([self.thetas[n] for n in self.robot_names])
 
 
 @dataclass(frozen=True)
@@ -262,9 +266,7 @@ def load_robot_spec(path: str) -> RobotSpec:
         raise SpecValidationError(
             "correspondence must map strings to strings", file=path, path="correspondence"
         )
-    spec = RobotSpec(name, tuple(bodies), params, corr)
-    validate_spec(spec, file=path)
-    return spec
+    return RobotSpec(name, tuple(bodies), params, corr, path)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def match_kinematics(specs: Sequence[RobotSpec]) -> MatchedSpace:
 
     Each spec's correspondence maps its local ids to canonical ids; local
     ids missing from the map keep their own name as the canonical id. Each
-    spec passes validate_spec; the checks here are those of agreement
+    spec checked itself when made; the checks here are those of agreement
     between specs: names, parents, joint kinds, units and one root.
     """
     if len(specs) < 2:
@@ -295,7 +297,6 @@ def match_kinematics(specs: Sequence[RobotSpec]) -> MatchedSpace:
     local_params: list[dict[str, str]] = []
     joint_ranges: list[dict[tuple[str, str], tuple[float, float]]] = []
     for spec in specs:
-        validate_spec(spec)
         mapping = spec.correspondence
         ranges: dict[tuple[str, str], tuple[float, float]] = {}
         for b in spec.bodies:
@@ -383,7 +384,7 @@ def compute_bounds(thetas) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_evolution_space(matched: MatchedSpace) -> EvolutionSpace:
-    lower, upper = compute_bounds(matched.theta_matrix())
+    lower, upper = compute_bounds(matched.thetas.values())
     return EvolutionSpace(
         parameter_keys=matched.parameter_keys,
         theta_lower=lower,

@@ -213,22 +213,10 @@ def point_mass_step(state, action, gain, damping, mass, limits, delta):
     state += delta
 
 
-def _smallest_square_reaching(r: float) -> float:
-    """Smallest double x with sqrt(x) >= r.
-
-    sqrt is correctly rounded and monotone, so for every double x,
-    sqrt(x) < r exactly when x < this value.
-    """
-    x = r * r
-    while math.sqrt(x) < r:
-        x = math.nextafter(x, math.inf)
-    while math.sqrt(math.nextafter(x, 0.0)) >= r:
-        x = math.nextafter(x, 0.0)
-    return x
-
-
-# the goal test without a square root; 0.01 here, one ulp below 0.1 * 0.1
-GOAL_R2 = _smallest_square_reaching(GOAL_RADIUS)
+# the goal test without a square root: the smallest double whose sqrt (correctly
+# rounded, monotone) reaches GOAL_RADIUS, so d2 < GOAL_R2 exactly when
+# sqrt(d2) < GOAL_RADIUS; one ulp below 0.1 * 0.1
+GOAL_R2 = 0.01
 
 
 MAX_GRAD_NORM = 25.0

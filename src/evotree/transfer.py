@@ -39,10 +39,8 @@ import numpy as np
 
 from .errors import DegenerateDirectionError, InvalidInputError, PhaseFailureError
 from .evo_tree import Edge, _as_targets, clamp_meta, evolution_tree, follow_edge
-from .geometry import _lp, geometric_median
+from .geometry import COINCIDE_TOL, _lp, geometric_median
 from .trainers import EVAL, PROBE, SIM_MAX_BYTES, TRAIN, Trainer
-
-ARRIVAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,12 +80,6 @@ class TransferConfig:
             raise InvalidInputError("eval_episodes must be >= 1")
         if self.seed < 0:
             raise InvalidInputError("seed must be >= 0")
-
-    @property
-    def target_gate(self) -> float:
-        if self.final_success_threshold is None:
-            return self.success_threshold
-        return self.final_success_threshold
 
 
 # archival hyperparameter table values
@@ -443,7 +435,7 @@ class _Engine:
             return self.targets[indices[0]].copy(), [(indices, None)]
         if self.cfg.p_norm == 1:
             beta = clamp_meta(alpha, tg)
-            if _lp(alpha, beta, 1) > ARRIVAL_TOL:
+            if _lp(alpha, beta, 1) > COINCIDE_TOL:
                 return beta, [(indices, None)]
         res = (edge and follow_edge(edge, alpha, tg)) or evolution_tree(
             alpha, tg, self.cfg.p_norm
@@ -452,12 +444,6 @@ class _Engine:
         return res.beta_meta, list(zip(groups, res.edges))
 
     # -- phases ------------------------------------------------------------
-
-    def step_toward(self, s: _Stream, beta: np.ndarray, probe, first=None):
-        """Endpoint of s's phase toward beta (at least xi away) on its probe's gradient, and
-        the probe's episodes; a generator of the probe's request unless first is its result."""
-        est = yield from reward_gradient(s.policy, probe, first)
-        return self.endpoint(s.alpha, beta, est.gradient), est.sim_episodes
 
     def endpoint(self, alpha: np.ndarray, beta: np.ndarray, grad) -> np.ndarray:
         """Where a phase from alpha toward beta, at least xi away, ends on grad."""
@@ -476,11 +462,11 @@ class _Engine:
         probes on and alpha at least xi from the meta point, and then the
         endpoint and window are None; else (TRAIN, (window sample, seed))."""
         p = self.cfg.p_norm
-        arrived = [i for i in s.indices if _lp(alpha, self.targets[i], p) <= ARRIVAL_TOL]
+        arrived = [i for i in s.indices if _lp(alpha, self.targets[i], p) <= COINCIDE_TOL]
         indices = [i for i in s.indices if i not in arrived]
         beta, partition = plan(alpha, indices, s.edge) if indices else (alpha, None)
         gap = _lp(alpha, beta, p)
-        if gap <= ARRIVAL_TOL:
+        if gap <= COINCIDE_TOL:
             return arrived, indices, None, partition, None, None, None
         seed_material, near = [*s.segment, phase_index], gap < self.cfg.xi
         if self.cfg.gradient_samples and not near:
@@ -499,9 +485,10 @@ class _Engine:
         Each phase's successor is planned once, as soon as the phase's
         endpoint is fixed and before it trains, which fixes its first
         request; every evaluation of the phase carries it as a guess, and a
-        passing phase's guessed result goes to step_toward or phase_train,
-        whichever would make that request."""
+        passing phase's guessed result goes to reward_gradient or
+        phase_train, whichever would make that request."""
         ahead = self.planned(s, s.alpha, s.phase_index, plan)
+        arrival_gate = self.cfg.final_success_threshold or self.cfg.success_threshold
         guessed = None
         while True:
             arrived, s.indices, beta, partition, end, first, window = ahead
@@ -514,8 +501,9 @@ class _Engine:
             self.phases += 1
             s.edge = partition[0][1]
             probe_episodes = 0
-            if end is None:
-                end, probe_episodes = yield from self.step_toward(s, beta, first[1], guessed)
+            if end is None:  # at least xi from beta: the phase ends on its probe's gradient
+                est = yield from reward_gradient(s.policy, first[1], guessed)
+                end, probe_episodes = self.endpoint(s.alpha, beta, est.gradient), est.sim_episodes
                 guessed = None
             ahead = self.planned(s, end, s.phase_index + 1, plan)
             out = yield from phase_train(
@@ -524,7 +512,7 @@ class _Engine:
                 s.policy,
                 self.cfg,
                 # a phase ending on a target robot trains to the arrival gate
-                gate=self.cfg.target_gate if ahead[0] else None,
+                gate=arrival_gate if ahead[0] else None,
                 seed_material=[*s.segment, s.phase_index],
                 window=window,
                 guess=ahead[5],

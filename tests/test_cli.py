@@ -169,6 +169,29 @@ class TestPlan:
         code = run("plan", "--robots", PLANAR[0], "--out", str(tmp_path))
         assert code == 2
 
+    def test_cyclic_parent_exit_code_names_the_file(self, tmp_path, capsys):
+        spec = load_fixture("planar")[1]
+        spec["bodies"] += [{"id": "hand", "parent": "finger"}, {"id": "finger", "parent": "hand"}]
+        bad = tmp_path / "cyclic.json"
+        dump_json(spec, bad)
+        code = run("plan", "--robots", PLANAR[0], str(bad), "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 2 and "cyclic parent references" in err and f"file={bad}" in err
+
+    @pytest.mark.parametrize("robots", [PLANAR, TOY], ids=["planar", "toy"])
+    def test_load_problem_checks_each_spec_once(self, monkeypatch, robots):
+        # a spec is checked when it is made; matching checks only what specs
+        # must agree on
+        checked, validate = [], cli.robot_model.validate_spec
+
+        def counted(spec, file=None):
+            checked.append(file)
+            return validate(spec, file)
+
+        monkeypatch.setattr(cli.robot_model, "validate_spec", counted)
+        problem = cli.load_problem(robots)
+        assert checked == robots and len(problem.specs) == len(robots)
+
     @pytest.mark.parametrize(
         "flag",
         [["--config", "missing.cfg"], ["--preset", "table-defaults"], ["--seed", "1"]],

@@ -669,7 +669,7 @@ def spanning_trees(draw):
     """(vertices, clusters, n_terminals, edges), terminals first.
 
     Vertices sit in clusters around distinct grid points, each on its
-    cluster's point or moved off it by at most MERGE_TOL / 4 in L1.
+    cluster's point or moved off it by at most COINCIDE_TOL / 4 in L1.
     The edges are a random spanning tree in which every cluster is
     connected on its own, as a solver's coincident points are joined
     through each other: two coincident vertices joined only through
@@ -688,7 +688,7 @@ def spanning_trees(draw):
     for c in cluster:
         offset = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
         near = draw(st.booleans())
-        step = near * geo.MERGE_TOL / (4 * dim) * np.array(offset)
+        step = near * geo.COINCIDE_TOL / (4 * dim) * np.array(offset)
         verts.append(np.array(bases[c]) / 9 + step)
     used = sorted(set(cluster))
     members = {c: [i for i in range(n) if cluster[i] == c] for c in used}

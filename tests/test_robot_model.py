@@ -110,10 +110,10 @@ class TestMatchKinematics:
 
     def test_correspondence_conflict(self):
         a = finger_spec("a", 2, [0.5, 0.6])
-        b = finger_spec(
-            "b", 2, [0.5, 0.6], corr={"finger0": "digit", "finger1": "digit"}
-        )
         with pytest.raises(CorrespondenceConflictError):
+            b = finger_spec(
+                "b", 2, [0.5, 0.6], corr={"finger0": "digit", "finger1": "digit"}
+            )
             rm.match_kinematics([a, b])
 
     def test_cyclic_parents_rejected(self):
@@ -122,10 +122,15 @@ class TestMatchKinematics:
             rm.Body(id="y", parent="x"),
             rm.Body(id="root", parent=None),
         )
-        bad = rm.RobotSpec(name="bad", bodies=bodies, params={})
         good = finger_spec("good", 1, [0.5])
         with pytest.raises(SpecValidationError):
+            bad = rm.RobotSpec(name="bad", bodies=bodies, params={})
             rm.match_kinematics([bad, good])
+
+    def test_spec_made_in_code_is_checked_when_made(self):
+        bodies = (rm.Body("root", None), rm.Body("x", "y"), rm.Body("y", "x"))
+        with pytest.raises(SpecValidationError, match="cyclic parent references"):
+            rm.RobotSpec(name="bad", bodies=bodies, params={})
 
     def test_unit_mismatch_rejected(self):
         a = rm.RobotSpec(
@@ -142,17 +147,17 @@ class TestMatchKinematics:
             rm.match_kinematics([a, b])
 
     def test_correspondence_unknown_id(self):
-        a = finger_spec("a", 1, [0.5], corr={"ghost": "finger0"})
         b = finger_spec("b", 1, [0.5])
         with pytest.raises(SpecValidationError):
+            a = finger_spec("a", 1, [0.5], corr={"ghost": "finger0"})
             rm.match_kinematics([a, b])
 
     @pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
     def test_non_finite_joint_range_rejected(self, lo, hi):
         a = finger_spec("a", 1, [0.5])
         bodies = (a.bodies[0], rm.Body("finger0", "palm", (rm.Joint("knuckle0", "revolute", (lo, hi)),)))
-        b = rm.RobotSpec(name="b", bodies=bodies, params=dict(a.params))
         with pytest.raises(SpecValidationError, match="knuckle0"):
+            b = rm.RobotSpec(name="b", bodies=bodies, params=dict(a.params))
             rm.match_kinematics([a, b])
 
 

@@ -214,12 +214,12 @@ class TestAcceptedConfigs:
                     length = tx._lp(np.asarray(ph.alpha_from), np.asarray(ph.alpha_to), p)
                     assert 0.0 < length <= xi * (1 + 1e-12) + 1e-15 * len(src), (method, length)
                     at = ph.alpha_to
-                assert tx._lp(np.asarray(at), np.asarray(rep.target), p) <= tx.ARRIVAL_TOL
+                assert tx._lp(np.asarray(at), np.asarray(rep.target), p) <= tx.COINCIDE_TOL
                 if method == "herd" and p == 1 and not cfg.gradient_samples:
                     d = tx._lp(src, np.asarray(rep.target), 1)
                     # ceil(d / xi), but a remainder within the arrival
                     # tolerance of the target arrives a phase early
-                    low = math.ceil((d - tx.ARRIVAL_TOL) / xi)
+                    low = math.ceil((d - tx.COINCIDE_TOL) / xi)
                     assert low <= len(rep.phases) <= math.ceil(d / xi), (d, xi)
 
 
@@ -1190,8 +1190,8 @@ class TestTreeWalk:
         beta_along, [(_, edge_along)] = engine.plan(along, group, edge)
         assert not calls and edge_along is edge and np.array_equal(beta_along, beta)
         # a gradient step leaves it: the next plan is a fresh solve
-        stream = tx._Stream((), src, object(), group, [])
-        off, _ = drive(engine.trainer, engine.step_toward(stream, beta, tx.probe_points(src, cfg, [0])))
+        est = drive(engine.trainer, tx.reward_gradient(object(), tx.probe_points(src, cfg, [0])))
+        off = engine.endpoint(src, beta, est.gradient)
         assert np.linalg.norm(np.cross(off - src, beta - src)) > 1e-6
         beta_off, partition = engine.plan(off, group, edge)
         assert len(calls) == 1
