@@ -348,13 +348,9 @@ def geometric_median(points, p) -> np.ndarray:
     pts = _as_points(points, "points")
     if p == 1:
         return np.sort(pts, axis=0)[(len(pts) - 1) // 2]
-    n = len(pts)
-    if n == 1:
-        return pts[0].copy()
     span = float(np.max(np.ptp(pts, axis=0))) or 1.0
     # optimality test at each distinct input point
-    for idx in range(n):
-        y = pts[idx]
+    for y in pts:
         d = np.linalg.norm(pts - y, axis=1)
         at = d <= 1e-12 * span
         rest = pts[~at]
@@ -806,13 +802,13 @@ def steiner_tree(terminals, p, mode: str = "auto") -> Tree:
     """Tree of minimum (or near-minimum) total Lp length spanning the terminals.
 
     mode selects the solver: "exact-small" enumerates within a budget and is
-    limited to N <= 6 terminals; "heuristic" always runs the bounded
-    heuristics; "auto" uses the exact solver when it fits the budget and
-    falls back to the heuristic; `exact` tells which ran (L2 always
-    enumerates up to 6 terminals, and L1 solves 3 terminals exactly in any
-    dimension). The L1 budget holds for 4-6 terminals: a byte cap on the
-    grid DP's (v, v) distance matrix plus one working block, checked before
-    anything is allocated.
+    limited to N <= 6 terminals; "heuristic" runs the bounded heuristics,
+    but L2 enumerates up to 6 terminals in every mode; "auto" uses the exact
+    solver when it fits the budget and falls back to the heuristic; `exact`
+    tells which ran (L1 solves 3 terminals exactly in any dimension). The L1
+    budget holds for 4-6 terminals: a byte cap on the grid DP's (v, v)
+    distance matrix plus one working block, checked before anything is
+    allocated.
     """
     p = _check_norm(p)
     if mode not in ("exact-small", "heuristic", "auto"):

@@ -87,12 +87,7 @@ class MatchedSpace:
     joints: tuple[CanonicalJoint, ...]
     parameter_keys: tuple[str, ...]
     units: tuple[Optional[str], ...]
-    robot_names: tuple[str, ...]
     thetas: dict[str, np.ndarray]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.parameter_keys)
 
 
 @dataclass(frozen=True)
@@ -365,7 +360,6 @@ def match_kinematics(specs: Sequence[RobotSpec]) -> MatchedSpace:
         joints=canonical_joints,
         parameter_keys=parameter_keys,
         units=units,
-        robot_names=tuple(names),
         thetas=thetas,
     )
 
@@ -405,7 +399,7 @@ def normalize(theta, space: EvolutionSpace) -> np.ndarray:
     lo, hi = space.theta_lower, space.theta_upper
     span = hi - lo
     tol = _BOUNDS_TOL * np.maximum(1.0, np.abs(span))
-    if np.any(th < lo - tol) or np.any(th > hi + tol):
+    if not np.all((th >= lo - tol) & (th <= hi + tol)):
         bad = int(np.argmax(np.maximum(lo - th, th - hi)))
         raise OutOfHullError(
             f"theta[{bad}] = {th[bad]} outside bounds"
@@ -424,7 +418,7 @@ def denormalize(alpha, space: EvolutionSpace) -> np.ndarray:
         raise InvalidInputError(
             f"alpha has dimension {al.shape}, space expects {space.dimension}"
         )
-    if np.any(al < -_BOUNDS_TOL) or np.any(al > 1.0 + _BOUNDS_TOL):
+    if not np.all((al >= -_BOUNDS_TOL) & (al <= 1.0 + _BOUNDS_TOL)):
         bad = np.unravel_index(np.argmax(np.maximum(-al, al - 1.0)), al.shape)
         where = ", ".join(str(int(i)) for i in bad)
         raise OutOfHullError(f"alpha[{where}] = {al[bad]} outside [0, 1]")

@@ -82,20 +82,10 @@ class TransferConfig:
             raise InvalidInputError("seed must be >= 0")
 
 
-# archival hyperparameter table values
-TABLE_DEFAULTS = TransferConfig(
-    xi=0.03,
-    lambda_=1.0,
-    success_threshold=0.667,
-    shrink_ratio=0.995,
-    gradient_samples=72,
-)
-# alternate tuning from the companion experiment-design writeup
-EXPDESIGN_DEFAULTS = replace(TABLE_DEFAULTS, xi=0.06)
-
+# archival hyperparameter table: the defaults and 72 gradient samples; expdesign doubles xi
 PRESETS = {
-    "table-defaults": TABLE_DEFAULTS,
-    "expdesign-defaults": EXPDESIGN_DEFAULTS,
+    "table-defaults": replace(TransferConfig(), gradient_samples=72),
+    "expdesign-defaults": replace(TransferConfig(), gradient_samples=72, xi=0.06),
 }
 
 
@@ -193,13 +183,6 @@ def evolution_step(alpha, beta_meta, grad, cfg: TransferConfig) -> np.ndarray:
             budget -= move
     clipped = np.clip(al + step, 0.0, 1.0)
     return clipped - al
-
-
-def shrunk_window_start(alpha_from, alpha_to, shrink_ratio: float, iteration: int):
-    """Start of the sampling window after `iteration` shrink steps."""
-    a0 = np.asarray(alpha_from, dtype=float)
-    a1 = np.asarray(alpha_to, dtype=float)
-    return a1 + (a0 - a1) * shrink_ratio**iteration
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +287,15 @@ class PhaseOutcome:
 def phase_window(alpha_from, alpha_to, cfg: TransferConfig, seed_material: Sequence[int] = ()):
     """A phase's first train job's window sample and seed, and the phase's
     RNG past that draw."""
-    a0 = np.asarray(alpha_from, dtype=float)
-    a1 = np.asarray(alpha_to, dtype=float)
     seed = [cfg.seed, 0x9A5E, *map(int, seed_material)]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return window_sample(a0, a1, cfg, rng, 0), [*seed, 0, 0], rng
+    return window_sample(alpha_from, alpha_to, cfg, rng, 0), [*seed, 0, 0], rng
 
 
 def window_sample(a0, a1, cfg: TransferConfig, rng, t: int) -> np.ndarray:
-    """Iteration t's robot, drawn uniformly from the window's trailing part."""
-    start = shrunk_window_start(a0, a1, cfg.shrink_ratio, t)
+    """Iteration t's robot, drawn uniformly from the window's trailing part,
+    which starts at a0 and contracts toward a1 by shrink_ratio per iteration."""
+    start = a1 + (a0 - a1) * cfg.shrink_ratio**t
     u = rng.random()
     return a1 + u * (start - a1)
 
@@ -324,7 +306,7 @@ def phase_train(
     policy,
     cfg: TransferConfig,
     *,
-    gate: Optional[float] = None,
+    arrival: bool = False,
     seed_material: Sequence[int] = (),
     window=None,
     guess=None,
@@ -333,9 +315,12 @@ def phase_train(
     """Train on the shrinking window until the end robot clears the gate.
 
     Samples one robot per iteration uniformly from the trailing window,
-    which contracts toward alpha_to by shrink_ratio per iteration. A
-    generator: each iteration yields [(TRAIN, job)], then [(EVAL, job)],
-    and is sent the list of their results. Returns a PhaseOutcome.
+    which contracts toward alpha_to by shrink_ratio per iteration. A phase
+    ending on a target robot (arrival) trains to final_success_threshold,
+    when set, on a triple-size evaluation, so a pass means the target
+    success level actually holds, not a small-sample fluke. A generator:
+    each iteration yields [(TRAIN, job)], then [(EVAL, job)], and is sent
+    the list of their results. Returns a PhaseOutcome.
 
     window is this phase's phase_window, made here when None; first is the
     result of its first train job, if guessed earlier. guess, the next
@@ -346,10 +331,8 @@ def phase_train(
     """
     a0 = np.asarray(alpha_from, dtype=float)
     a1 = np.asarray(alpha_to, dtype=float)
-    threshold = cfg.success_threshold if gate is None else gate
-    # arrival gates use a triple-size evaluation so a pass means the target
-    # success level actually holds, not a small-sample fluke
-    eval_episodes = cfg.eval_episodes if gate is None else 3 * cfg.eval_episodes
+    threshold = (arrival and cfg.final_success_threshold) or cfg.success_threshold
+    eval_episodes = 3 * cfg.eval_episodes if arrival else cfg.eval_episodes
     sample, train_seed, rng = window or phase_window(a0, a1, cfg, seed_material)
     seed = train_seed[:-2]
     iterations = 0
@@ -488,7 +471,6 @@ class _Engine:
         passing phase's guessed result goes to reward_gradient or
         phase_train, whichever would make that request."""
         ahead = self.planned(s, s.alpha, s.phase_index, plan)
-        arrival_gate = self.cfg.final_success_threshold or self.cfg.success_threshold
         guessed = None
         while True:
             arrived, s.indices, beta, partition, end, first, window = ahead
@@ -511,8 +493,7 @@ class _Engine:
                 end,
                 s.policy,
                 self.cfg,
-                # a phase ending on a target robot trains to the arrival gate
-                gate=arrival_gate if ahead[0] else None,
+                arrival=bool(ahead[0]),  # the phase ends on a target robot
                 seed_material=[*s.segment, s.phase_index],
                 window=window,
                 guess=ahead[5],
@@ -553,11 +534,6 @@ class _Engine:
             s.fork(s.segment + (k,), group, branch)
             for k, (group, branch) in enumerate(partition)
         ]
-
-    def run(self, walks: list) -> list[TransferReport]:
-        """Every target's report, in target order, from lockstep on the walks."""
-        lockstep(self.trainer, [(self, walk) for walk in walks])
-        return self.result
 
     # -- reporting ---------------------------------------------------------
 
@@ -647,17 +623,20 @@ def _start(source, targets, expert_policy, trainer, cfg) -> tuple[_Engine, _Stre
     source with the expert policy (not a copy: walks fork from it)."""
     src, tg = _as_targets(source, targets)
     for name, points in (("source", src), ("target", tg)):
-        if np.any(points < -1e-12) or np.any(points > 1.0 + 1e-12):
+        if not np.all((points >= -1e-12) & (points <= 1.0 + 1e-12)):
             raise InvalidInputError(f"{name} must lie in [0, 1]^D")
     engine = _Engine(np.clip(tg, 0.0, 1.0), trainer, cfg)
     return engine, _Stream((), np.clip(src, 0.0, 1.0), expert_policy, list(range(len(tg))), [])
 
 
 def _enrolled(engine: _Engine, walks: list, rounds: Optional[list]) -> list[TransferReport]:
-    """engine.run(walks), or the walks added to rounds for lockstep to run."""
+    """The engine's reports, from lockstep on the walks, or once lockstep
+    has run rounds with the walks added to it."""
+    pairs = [(engine, walk) for walk in walks]
     if rounds is None:
-        return engine.run(walks)
-    rounds += [(engine, walk) for walk in walks]
+        lockstep(engine.trainer, pairs)
+    else:
+        rounds += pairs
     return engine.result
 
 

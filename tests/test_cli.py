@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -1273,3 +1274,14 @@ class TestToyTransferSmoke:
         assert payload["totals"]["sim_episodes"] > 0
         for path in payload["paths"]:
             assert path["outcome"] == "success"
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    """README's library example runs from the repo root and prints the
+    (train iterations, sim episodes) totals."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    monkeypatch.chdir(root)
+    exec(compile(example, "README.md", "exec"), {})
+    assert re.fullmatch(r"\(\d+, \d+\)\n", capsys.readouterr().out)

@@ -57,7 +57,7 @@ class TestMatchKinematics:
         body_ids = {cid for cid, _ in matched.bodies}
         assert body_ids == {"palm", "finger0"}
         # one declared parameter plus (lo, width) for the single shared joint
-        assert matched.dimension == 1 + 2
+        assert len(matched.parameter_keys) == 1 + 2
         assert matched.thetas["a"][0] == 0.5
         assert matched.thetas["b"][0] == 0.7
 
@@ -97,7 +97,7 @@ class TestMatchKinematics:
             loco("t2", [1.15, 1.7, 1.95, 0.26, 0.23]),
         ]
         matched = rm.match_kinematics(specs)
-        assert matched.dimension == 5
+        assert len(matched.parameter_keys) == 5
 
     def test_order_insensitive(self, hand_family):
         base = rm.match_kinematics(hand_family)
@@ -217,6 +217,14 @@ class TestNormalize:
             rm.normalize(np.array([2.0, 0.0, 2.0]), space)
         with pytest.raises(OutOfHullError):
             rm.denormalize(np.array([0.5, 1.5, 0.0]), space)
+
+    def test_nan_is_out_of_hull(self, space):
+        with pytest.raises(OutOfHullError, match=r"theta\[1\] = nan outside"):
+            rm.normalize(np.array([0.5, math.nan, 2.0]), space)
+        batch = np.full((3, 3), 0.5)
+        batch[2, 0] = math.nan
+        with pytest.raises(OutOfHullError, match=r"alpha\[2, 0\] = nan outside"):
+            rm.denormalize(batch, space)
 
     def test_batch_equals_rows(self, space):
         rng = np.random.default_rng(7)

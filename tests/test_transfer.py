@@ -223,12 +223,20 @@ class TestAcceptedConfigs:
                     assert low <= len(rep.phases) <= math.ceil(d / xi), (d, xi)
 
 
+class DrawsOne:
+    """RNG stub whose uniform draw is 1: window_sample returns the window start."""
+
+    def random(self):
+        return 1.0
+
+
 class TestWindow:
     def test_shrink_formula(self):
         a0 = np.array([0.0, 0.0])
         a1 = np.array([0.03, 0.0])
+        cfg = tx.TransferConfig(shrink_ratio=0.995)
         for t in [0, 1, 5, 50]:
-            start = tx.shrunk_window_start(a0, a1, 0.995, t)
+            start = tx.window_sample(a0, a1, cfg, DrawsOne(), t)
             width = float(np.abs(a1 - start).sum())
             assert width == pytest.approx(0.03 * 0.995**t, rel=1e-12)
 
@@ -283,6 +291,16 @@ class TestPhaseTrain:
         out = drive(trainer, tx.phase_train((0.0, 0.0), (0.03, 0.0), object(), cfg))
         assert out.train_iterations == 7 and not out.reached
 
+    def test_arrival_gate_and_evaluation(self):
+        """A phase that ends on a target trains to final_success_threshold
+        on a triple-size evaluation; the phase before it to success_threshold."""
+        trainer = ScheduleTrainer((0.7, 0.7, 0.95))
+        cfg = tx.TransferConfig(xi=0.03, success_threshold=0.6, final_success_threshold=0.9)
+        [rep] = tx.meta_evolve((0.0, 0.5), [(0.05, 0.5)], object(), trainer, cfg)
+        assert rep.outcome == "success"
+        assert [p.train_iterations for p in rep.phases] == [1, 2]
+        assert [p.sim_episodes for p in rep.phases] == [35, 190]
+
     def test_samples_stay_in_window(self):
         trainer = ScheduleTrainer(schedule=(0.0,))
         cfg = tx.TransferConfig(xi=0.03, max_phase_iterations=50)
@@ -290,7 +308,7 @@ class TestPhaseTrain:
         a1 = np.array([0.03, 0.5])
         drive(trainer, tx.phase_train(a0, a1, object(), cfg))
         for t, s in enumerate(trainer.samples):
-            start = tx.shrunk_window_start(a0, a1, cfg.shrink_ratio, t)
+            start = a1 + (a0 - a1) * cfg.shrink_ratio**t
             lo = np.minimum(start, a1) - 1e-12
             hi = np.maximum(start, a1) + 1e-12
             assert np.all(s >= lo) and np.all(s <= hi)
@@ -637,6 +655,17 @@ class TestEngineContract:
     """Phase numbering and segment labels shared by all three methods."""
 
     @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("nan_in", ["source", "target"])
+    def test_nan_coordinate_refused(self, method, nan_in):
+        src, tgts = (0.2, 0.5), [(0.9, 0.5), (0.8, 0.1)]
+        if nan_in == "source":
+            src = (math.nan, 0.5)
+        else:
+            tgts[1] = (0.8, math.nan)
+        with pytest.raises(InvalidInputError, match=rf"{nan_in} must lie in \[0, 1\]\^D"):
+            METHODS[method](src, tgts, object(), CostModelTrainer(), COST_CFG)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
     @pytest.mark.parametrize("p_norm", [1, 2])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ids_follow_segment_order(self, method, p_norm, n):
@@ -696,14 +725,16 @@ class TestEngineContract:
             gc.enable()
 
 
-def sequential_run(self, walks):
-    """Reference for _Engine.run: one walk at a time, depth-first with child
-    0 first, each request through the single trainer calls."""
-    work = walks[::-1]
+def sequential_run(trainer, pairs):
+    """Reference for lockstep on one engine's walks: one walk at a time,
+    depth-first with child 0 first, each request through the single trainer
+    calls; the reports in target order, their phases not numbered."""
+    [engine] = {engine for engine, _ in pairs}
+    work = [walk for _, walk in reversed(pairs)]
     while work:
-        children = drive(self.trainer, work.pop())
-        work.extend(self.subtree(c) for c in reversed(children))
-    return [self.reports[i] for i in range(len(self.targets))]
+        children = drive(trainer, work.pop())
+        work.extend(engine.subtree(c) for c in reversed(children))
+    engine.result[:] = [engine.reports[i] for i in range(len(engine.targets))]
 
 
 def run_sequentially(method, *args):
@@ -720,7 +751,7 @@ def run_sequentially(method, *args):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tx, "phase_train", counted)
-        mp.setattr(tx._Engine, "run", sequential_run)
+        mp.setattr(tx, "lockstep", sequential_run)
         try:
             reports = METHODS[method](*args)
         except EvoTreeError as exc:
@@ -1112,7 +1143,8 @@ def run_meta(src, tgts, trainer, cfg, plan_fn=None):
     engine, start = tx._start(src, tgts, object(), trainer, cfg)
     if plan_fn:
         engine.plan = plan_fn(engine)
-    return engine.run([engine.subtree(start)])
+    tx.lockstep(trainer, [(engine, engine.subtree(start))])
+    return engine.result
 
 
 def segment_counts(reports):
