@@ -7,7 +7,9 @@ Each run writes into its own directory under OUT:
 * `plan` under L1 and L2, on `fixtures/planar` and on `fixtures/toy`;
 * `transfer` and `compare --methods meta,herd,geom-median` with the cost
   trainer, under L1 and L2, at xi 0.02, on both fixture sets;
-* one short `toymdp` transfer on `fixtures/toy`, and a `toymdp`
+* two short `toymdp` transfers on `fixtures/toy`, at `--seed 1` and at
+  `--seed 18446744073709551617` (2**64 + 1, so every RNG seed list holds
+  an entry of three 32-bit words), and a `toymdp`
   `compare --methods meta,herd,geom-median` under L2 on the same config
   with 6 gradient probes per phase, so the three methods' shared run
   loop, probe requests and the geom-median trunk run on the toy kernel;
@@ -56,6 +58,7 @@ TOYMDP_CONFIG = (
     "transfer.final_success_threshold = 0.8\n"
 )
 WORKLOAD_SEED = 7
+BIG_SEED = 2**64 + 1
 # the planar robots' ids -> the local ids of their rooted copies
 ROOTED_IDS = {"base": "root", "arm": "limb", "arm.lift": "limb.lift", "arm.span": "limb.span"}
 
@@ -91,6 +94,10 @@ def runs(out_root: str, workload_inputs: dict):
     out.append(("transfer-toy-toymdp",
                 ["transfer", "--robots", *robots("toy"), "--trainer", "toymdp",
                  "--config", toy, "--seed", "1"],
+                ["report.json", "phases.csv"]))
+    out.append(("transfer-toy-toymdp-bigseed",
+                ["transfer", "--robots", *robots("toy"), "--trainer", "toymdp",
+                 "--config", toy, "--seed", str(BIG_SEED)],
                 ["report.json", "phases.csv"]))
     out.append(("compare-toy-toymdp-l2",
                 ["compare", "--robots", *robots("toy"), "--trainer", "toymdp",

@@ -60,10 +60,8 @@ def _as_targets(alpha, targets) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _nearest_vertex(tree: Tree, point: np.ndarray) -> int | None:
-    for v in range(len(tree.vertices)):
-        if _lp(tree.vertices[v], point, tree.norm) <= COINCIDE_TOL:
-            return v
-    return None
+    on = np.flatnonzero(_lp(tree.vertices, point, tree.norm, axis=-1) <= COINCIDE_TOL)
+    return int(on[0]) if len(on) else None
 
 
 def _partition_by_vertex(

@@ -44,9 +44,9 @@ from .errors import BudgetExceededError, InvalidInputError
 # Two points closer than this are one: tree vertices merge, and a walk that
 # comes this close to a point stands on it.
 COINCIDE_TOL = 1e-9
-# Bytes of one block of `_pairwise`'s coordinate differences and of the L1
-# grid DP's relay sums: whatever the point count, a block spans as many rows
-# as fit, and at least one.
+# Bytes of one block of `_pairwise`'s coordinate differences, the L1 grid DP's
+# relay sums and L1 insertion's candidate gaps: whatever the point count, a
+# block spans as many rows as fit, and at least one.
 _BLOCK_BYTES = 8 * 2**20
 # Byte cap on what the exact L1 grid DP holds at its peak: the (v, v) float64
 # metric closure of its grid plus one block. It also bounds the DP's work,
@@ -91,12 +91,13 @@ def lp_distance(a, b, p) -> float:
     return _lp(va, vb, p)
 
 
-def _lp(a: np.ndarray, b: np.ndarray, p: int) -> float:
-    """lp_distance without input checks, for float arrays the caller built."""
-    d = a - b
-    if p == 1:
-        return float(np.sum(np.abs(d)))
-    return float(np.sqrt(np.sum(d * d)))
+def _lp(a: np.ndarray, b: np.ndarray, p: int, axis=None):
+    """lp_distance without input checks, for float arrays the caller built; with
+    axis=-1, each row's distance, in _lp's bits for that row (np.sum's reduction)."""
+    s = np.add.reduce(np.abs(a - b) if p == 1 else np.square(a - b), axis=axis)
+    if axis is not None:
+        return s if p == 1 else np.sqrt(s)
+    return float(s) if p == 1 else math.sqrt(s)
 
 
 def _pairwise(points: np.ndarray, p: int) -> np.ndarray:
@@ -530,21 +531,23 @@ def _steiner_l1_insertion(terminals: np.ndarray) -> Tree:
             break
         cands = grid if grid is not None else _triple_medians(pts)
         k = len(pts)
-        kept = [(_lp(pts[i], pts[j], 1), i, j) for i, j in edges]
-        best_gain = 1e-12
-        best_cand = None
-        for cand in cands:
-            gaps = np.abs(pts - cand)
-            if np.any(np.all(gaps <= 0.0, axis=1)):
-                continue
-            star = [(float(d), i, k) for i, d in enumerate(np.sum(gaps, axis=1))]
-            new_len = 0.0
-            for w, _, _ in _kruskal(k + 1, kept + star):
-                new_len += w
-            gain = cur_len - new_len
-            if gain > best_gain + 1e-15:
-                best_gain = gain
-                best_cand = cand
+        kept = [(float(dist[i, j]), i, j) for i, j in edges]  # _lp's bits
+        best_gain, best_cand = 1e-12, None
+        rows = max(1, _BLOCK_BYTES // (8 * k * pts.shape[1]))
+        for lo in range(0, len(cands), rows):
+            gaps = pts - cands[lo : lo + rows, None, :]  # (rows, k, D)
+            stars = np.add.reduce(np.abs(gaps, out=gaps), axis=2).tolist()
+            for cand, sums in zip(cands[lo : lo + rows], stars):
+                if 0.0 in sums:  # the candidate is a point: its L1 gap sums to 0
+                    continue
+                star = [(d, i, k) for i, d in enumerate(sums)]
+                new_len = 0.0
+                for w, _, _ in _kruskal(k + 1, kept + star):
+                    new_len += w
+                gain = cur_len - new_len
+                if gain > best_gain + 1e-15:
+                    best_gain = gain
+                    best_cand = cand
         if best_cand is None:
             break
         pts = np.vstack([pts, best_cand])

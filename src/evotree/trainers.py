@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
@@ -86,6 +87,18 @@ class ProbeResult:
 PROBE = "gradient_probe"  # job (policy, alphas, seed)
 TRAIN = "train_step"  # job (policy, alpha, seed)
 EVAL = "evaluate"  # job (policy, alpha, episodes, seed)
+
+
+def seeded_rng(material) -> np.random.Generator:
+    """np.random.default_rng(material)'s generator for an int or a list of ints, from
+    the words SeedSequence makes of them: each entry's 32-bit words, low first."""
+    words, entries = [], [material] if isinstance(material, (int, np.integer)) else material
+    for n in map(operator.index, entries):
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words += ([n] if n <= 0xFFFFFFFF
+                  else [n >> s & 0xFFFFFFFF for s in range(0, n.bit_length(), 32)])
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.uint32(words))))
 
 
 class Trainer(Protocol):
@@ -364,11 +377,11 @@ class ToyMdpTrainer:
         over all n columns. For the goal test a step only stores the goal
         offset: the squared distances and the hits are computed HIT_CHECK
         steps at a time, and the loop stops at the first check after every
-        episode has hit. Each job draws its noise NOISE_BLOCK steps at a
-        time, the same numbers as one draw of all HORIZON steps. An episode
-        keeps integrating after its first hit, since nothing reads it;
-        history is zeroed from step steps[i] on, after the loop. A job's
-        results do not depend on the jobs run beside it.
+        episode has hit. Each job draws np.random.default_rng(seed)'s noise
+        NOISE_BLOCK steps at a time, the numbers one draw of all HORIZON
+        steps gives. An episode keeps integrating after its first hit, since
+        nothing reads it; history is zeroed from step steps[i] on, after the
+        loop. A job's results do not depend on the jobs run beside it.
         """
         # per job: its columns, the columns it reports and its draws' copies
         blocks, n, need = [], 0, 0
@@ -396,7 +409,7 @@ class ToyMdpTrainer:
         for (policy, alpha, episodes, seed), (cols, _, copies) in zip(jobs, blocks):
             theta = self.theta_at(alpha)[:, [0, 0, 1, 2, 3, 3, 4, 4]]
             th[:, cols].reshape(8, copies, episodes)[...] = theta.T[:, :, None]
-            rng = np.random.default_rng(seed)
+            rng = seeded_rng(seed)
             start = rng.uniform(-START_JITTER, START_JITTER, (episodes, 2))
             end = np.asarray(GOAL_CENTER) + rng.uniform(-GOAL_JITTER, GOAL_JITTER, (episodes, 2))
             goal[:, cols].reshape(2, copies, episodes)[...] = end.T[:, None]

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DegenerateDirectionError, InvalidInputError, PhaseFailureError
 from .evo_tree import Edge, _as_targets, clamp_meta, evolution_tree, follow_edge
 from .geometry import COINCIDE_TOL, _lp, geometric_median
-from .trainers import EVAL, PROBE, SIM_MAX_BYTES, TRAIN, Trainer
+from .trainers import EVAL, PROBE, SIM_MAX_BYTES, TRAIN, Trainer, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def evolution_step(alpha, beta_meta, grad, cfg: TransferConfig) -> np.ndarray:
     pull = gap if cfg.penalty_norm == 2 else float(np.sum(np.abs(gap))) * np.sign(gap)
     with np.errstate(over="ignore"):  # an overflow is handled below
         combined = g + cfg.lambda_ * pull
-        norm = float(np.linalg.norm(combined))
+        norm = math.sqrt(combined.dot(combined))  # np.linalg.norm's sum, for 1-D
     if norm < 1e-15:
         raise DegenerateDirectionError("combined step direction vanished")
     if not math.isfinite(norm):
@@ -163,25 +163,21 @@ def evolution_step(alpha, beta_meta, grad, cfg: TransferConfig) -> np.ndarray:
         # by lambda and the largest gradient entry
         scale = max(cfg.lambda_, float(np.max(np.abs(g))))
         combined = g / scale + (cfg.lambda_ / scale) * pull
-        norm = float(np.linalg.norm(combined))
+        norm = math.sqrt(combined.dot(combined))
     if cfg.p_norm == 2:
         step = cfg.xi * combined / norm
     else:
-        step = np.zeros_like(al)
+        c, gp, step = combined.tolist(), gap.tolist(), [0.0] * len(al)
         budget = cfg.xi
-        order = sorted(
-            range(len(al)), key=lambda d: (-abs(combined[d]), d)
-        )
-        for d in order:
-            if budget <= 1e-15 or abs(combined[d]) < 1e-15:
+        for d in sorted(range(len(c)), key=lambda d: (-abs(c[d]), d)):
+            if budget <= 1e-15 or abs(c[d]) < 1e-15:
                 break
-            direction = 1.0 if combined[d] > 0 else -1.0
-            toward_meta = gap[d] * direction > 0
-            cap = abs(gap[d]) if toward_meta else budget
+            direction = 1.0 if c[d] > 0 else -1.0
+            cap = abs(gp[d]) if gp[d] * direction > 0 else budget  # toward the meta point
             move = min(budget, cap)
             step[d] = direction * move
             budget -= move
-    clipped = np.clip(al + step, 0.0, 1.0)
+    clipped = (al + step).clip(0.0, 1.0)  # np.clip's ufunc, without its dispatch
     return clipped - al
 
 
@@ -193,7 +189,8 @@ def evolution_step(alpha, beta_meta, grad, cfg: TransferConfig) -> np.ndarray:
 def probe_points(alpha, cfg: TransferConfig, seed_material: Sequence[int] = ()):
     """A gradient probe at alpha, as (points, seed): gradient_samples
     perturbations of radius xi/2 (projected back into [0, 1]^D) with the base
-    point as row 0, all on one shared seed so common noise cancels. A probe
+    point as row 0, all on one shared seed so common noise cancels. Directions
+    come from np.random.default_rng([cfg.seed, 0x6E5D, *seed_material]). A probe
     whose points alone exceed the probe-size limit (SIM_MAX_BYTES, for every
     trainer) is refused before it is drawn."""
     al = np.asarray(alpha, dtype=float)
@@ -208,9 +205,7 @@ def probe_points(alpha, cfg: TransferConfig, seed_material: Sequence[int] = ()):
             f"gradient_samples = {cfg.gradient_samples}: probe points would need "
             f"{points_bytes / 2**20:.0f} MiB, over the {SIM_MAX_BYTES // 2**20} MiB limit"
         )
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, 0x6E5D, *map(int, seed_material)])
-    )
+    rng = seeded_rng([cfg.seed, 0x6E5D, *map(int, seed_material)])
     directions = rng.standard_normal((cfg.gradient_samples, d))
     # batched matmul takes the same dot product as np.linalg.norm, so each
     # row is scaled by the bits of its own norm
@@ -285,10 +280,10 @@ class PhaseOutcome:
 
 
 def phase_window(alpha_from, alpha_to, cfg: TransferConfig, seed_material: Sequence[int] = ()):
-    """A phase's first train job's window sample and seed, and the phase's
-    RNG past that draw."""
+    """A phase's first train job's window sample and seed, and the phase's RNG,
+    np.random.default_rng([cfg.seed, 0x9A5E, *seed_material]), past that draw."""
     seed = [cfg.seed, 0x9A5E, *map(int, seed_material)]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = seeded_rng(seed)
     return window_sample(alpha_from, alpha_to, cfg, rng, 0), [*seed, 0, 0], rng
 
 
@@ -445,7 +440,8 @@ class _Engine:
         probes on and alpha at least xi from the meta point, and then the
         endpoint and window are None; else (TRAIN, (window sample, seed))."""
         p = self.cfg.p_norm
-        arrived = [i for i in s.indices if _lp(alpha, self.targets[i], p) <= COINCIDE_TOL]
+        dists = _lp(self.targets[s.indices], alpha, p, axis=-1).tolist()
+        arrived = [i for i, d in zip(s.indices, dists) if d <= COINCIDE_TOL]
         indices = [i for i in s.indices if i not in arrived]
         beta, partition = plan(alpha, indices, s.edge) if indices else (alpha, None)
         gap = _lp(alpha, beta, p)

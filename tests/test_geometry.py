@@ -252,6 +252,36 @@ class TestLpDistance:
         with pytest.raises(InvalidInputError):
             geo.lp_distance((0, 0), (1, 1), 3)
 
+    # BLAS dot products and Python sums differ in the last bit on a good
+    # share of short vectors, so each form is pinned to its reference bits
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 6), st.sampled_from([1, 2]), st.data())
+    def test_row_form_is_lp_on_each_row(self, d, k, p, data):
+        coord = st.one_of(unit, st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+        vec = st.lists(coord, min_size=d, max_size=d)
+        rows = np.array(data.draw(st.lists(vec, min_size=k, max_size=k)), dtype=float)
+        b = np.array(data.draw(vec), dtype=float)
+        if data.draw(st.booleans()):
+            rows[0] = b  # a zero row
+        want = np.array([reference_lp(r, b, p) for r in rows])
+        assert np.array([geo._lp(r, b, p) for r in rows]).tobytes() == want.tobytes()
+        assert geo._lp(rows, b, p, axis=-1).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10).flatmap(
+        lambda d: st.lists(st.floats(-1e150, 1e150), min_size=d, max_size=d)))
+    def test_sqrt_of_dot_is_linalg_norm(self, v):
+        v = np.array(v)
+        assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
+
+
+def reference_lp(a, b, p):
+    """_lp as np.sum and np.sqrt calls, the bits its cheaper form must keep."""
+    d = a - b
+    if p == 1:
+        return float(np.sum(np.abs(d)))
+    return float(np.sqrt(np.sum(d * d)))
+
 
 class TestMinimumSpanningTree:
     def test_two_points(self):
@@ -487,6 +517,17 @@ class TestL1Insertion:
         assert np.array_equal(got.vertices, want.vertices)
         assert got.terminal_ids == want.terminal_ids
         assert got.edges == want.edges
+        assert got.length == want.length
+
+    @pytest.mark.parametrize("block_bytes", [1, 4096])
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets(st.integers(3, 8), st.integers(1, 8), L1_KINDS))
+    def test_candidate_blocks_do_not_change_the_tree(self, block_bytes, pts):
+        want = geo._steiner_l1_insertion(pts)
+        with mock.patch.object(geo, "_BLOCK_BYTES", block_bytes):
+            got = geo._steiner_l1_insertion(pts)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert (got.terminal_ids, got.edges) == (want.terminal_ids, want.edges)
         assert got.length == want.length
 
 

@@ -57,6 +57,31 @@ class TestCostModel:
         assert ev.success_rate == 1.0 and ev.sim_episodes == 0
 
 
+seed_entry = st.integers(0, 2**130 - 1)
+
+
+class TestSeededRng:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(seed_entry, st.lists(seed_entry, max_size=8)))
+    @example(0)
+    @example(2**64)
+    @example([0])
+    @example([0, 2**32 - 1, 2**32, 2**64])
+    @example([2**32 - 1, 2**32, 2**40 + 5, 2**64, 2**100 + 3])
+    def test_stream_is_default_rngs(self, material):
+        ours, numpys = tr.seeded_rng(material), np.random.default_rng(material)
+        assert ours.random(8).tobytes() == numpys.random(8).tobytes()
+        normal = ours.standard_normal((32, 5, 2))
+        assert normal.tobytes() == numpys.standard_normal((32, 5, 2)).tobytes()
+
+    @pytest.mark.parametrize("material", [-1, [0, -1], [2**64, -(2**40)]])
+    def test_negative_entry_raises(self, material):
+        with pytest.raises(ValueError):
+            np.random.default_rng(material)
+        with pytest.raises(ValueError):
+            tr.seeded_rng(material)
+
+
 def step(pos, vel, action, theta):
     """One point_mass_step on a single 2-D state with THETA-style parameters;
     returns (position', velocity')."""

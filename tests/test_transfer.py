@@ -62,6 +62,66 @@ def sphere_objective_max(alpha, beta, grad, cfg):
     return l
 
 
+@st.composite
+def step_inputs(draw):
+    """(alpha, beta_meta, grad, cfg) in D 1-10: coordinates in [0, 1] with
+    the faces 0 and 1 and -0.0 drawn often, or (ties) multiples of 1/4 with
+    a zero or quarter-step gradient, so |combined| ties; lambda up to 1e300."""
+    d = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        coord = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0]))
+        slope = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0]))
+    else:
+        coord = st.integers(0, 4).map(lambda q: q / 4)
+        slope = st.integers(-2, 2).map(lambda q: q / 4)
+    alpha, beta, grad = (np.array(draw(st.lists(c, min_size=d, max_size=d)), dtype=float)
+                         for c in (coord, coord, slope))
+    cfg = tx.TransferConfig(
+        xi=draw(st.floats(1e-6, 2.0)),
+        lambda_=draw(st.one_of(st.floats(1.0, 10.0), st.floats(1.0, 1e300))),
+        p_norm=draw(st.sampled_from([1, 2])),
+        penalty_norm=draw(st.sampled_from([1, 2])),
+    )
+    return alpha, beta, grad, cfg
+
+
+def reference_evolution_step(alpha, beta_meta, grad, cfg):
+    """evolution_step in numpy calls throughout (np.linalg.norm, numpy
+    scalars in the L1 budget loop, np.clip): the bits its cheaper form must
+    keep."""
+    al = np.asarray(alpha, dtype=float)
+    bm = np.asarray(beta_meta, dtype=float)
+    g = np.asarray(grad, dtype=float)
+    gap = bm - al
+    pull = gap if cfg.penalty_norm == 2 else float(np.sum(np.abs(gap))) * np.sign(gap)
+    with np.errstate(over="ignore"):
+        combined = g + cfg.lambda_ * pull
+        norm = float(np.linalg.norm(combined))
+    if norm < 1e-15:
+        raise DegenerateDirectionError("combined step direction vanished")
+    if not math.isfinite(norm):
+        scale = max(cfg.lambda_, float(np.max(np.abs(g))))
+        combined = g / scale + (cfg.lambda_ / scale) * pull
+        norm = float(np.linalg.norm(combined))
+    if cfg.p_norm == 2:
+        step = cfg.xi * combined / norm
+    else:
+        step = np.zeros_like(al)
+        budget = cfg.xi
+        order = sorted(range(len(al)), key=lambda d: (-abs(combined[d]), d))
+        for d in order:
+            if budget <= 1e-15 or abs(combined[d]) < 1e-15:
+                break
+            direction = 1.0 if combined[d] > 0 else -1.0
+            toward_meta = gap[d] * direction > 0
+            cap = abs(gap[d]) if toward_meta else budget
+            move = min(budget, cap)
+            step[d] = direction * move
+            budget -= move
+    clipped = np.clip(al + step, 0.0, 1.0)
+    return clipped - al
+
+
 class TestEvolutionStep:
     def test_pure_attraction(self):
         cfg = tx.TransferConfig(xi=0.03, lambda_=1.0, p_norm=2)
@@ -134,6 +194,27 @@ class TestEvolutionStep:
         end = engine.endpoint(alpha, beta, grad)
         assert np.array_equal(end, alpha + tx.evolution_step(alpha, beta, np.zeros(2), cfg))
         assert np.allclose(end, (0.23, 0.2), rtol=0, atol=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(step_inputs())
+    @example((np.array([-0.0, 0.0]), np.array([1.0, -0.0]), np.array([0.0, -0.0]),
+              tx.TransferConfig(xi=0.5, p_norm=1)))
+    @example((np.array([0.0, 1.0, 0.5]), np.array([0.25, 0.75, 0.75]), np.zeros(3),
+              tx.TransferConfig(xi=0.3, p_norm=1, penalty_norm=1)))
+    @example((np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([2.0, -3.0]),
+              tx.TransferConfig(xi=0.1, lambda_=1e300, p_norm=2)))
+    def test_equals_the_numpy_form(self, inputs):
+        alpha, beta, grad, cfg = inputs
+        try:
+            want = reference_evolution_step(alpha, beta, grad, cfg)
+        except DegenerateDirectionError:
+            with pytest.raises(DegenerateDirectionError):
+                tx.evolution_step(alpha, beta, grad, cfg)
+            return
+        got = tx.evolution_step(alpha, beta, grad, cfg)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 
 @dataclass(frozen=True)
