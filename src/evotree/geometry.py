@@ -6,15 +6,15 @@ inputs; no shared mutable state.
 
 Steiner solvers:
 
-* L1 exact: dynamic programming over the Hanan grid graph (the grid induced
-  by coordinate hyperplanes through the terminals). Optimal rectilinear
-  Steiner points can always be chosen on that grid, so the grid DP is exact.
-  Its byte cap is checked on the grid size, computed from per-axis distinct
-  coordinates, before any grid or distance matrix is built; the distance
-  matrix and the relay are built a block at a time. Three terminals, in any
-  dimension, meet at their coordinate-wise median (the one optimal Steiner
-  point), so their DP runs only on the grid nodes that can tie with it in
-  floating point, usually the median alone.
+* L1 exact: three terminals, in any dimension and in every mode, are the
+  star through their coordinate-wise median, the optimal Steiner point
+  (Hwang, SIAM J. Appl. Math. 30, 1976). Four to six terminals: dynamic
+  programming over the Hanan grid graph (the grid induced by coordinate
+  hyperplanes through the terminals). Optimal rectilinear Steiner points can
+  always be chosen on that grid, so the grid DP is exact. Its byte cap is
+  checked on the grid size, computed from per-axis distinct coordinates,
+  before any grid or distance matrix is built; the distance matrix and the
+  relay are built a block at a time.
 * L1 heuristic: iterated single-point insertion. Candidates are Hanan grid
   points (the full grid when it has at most 512 nodes, otherwise
   coordinate-wise medians of vertex triples, which stay on the grid; a
@@ -400,43 +400,15 @@ def _hanan_grid(terminals: np.ndarray) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _median_nodes(terminals: np.ndarray) -> np.ndarray:
-    """Three terminals' Hanan grid nodes, and the grid nodes within
-    4 (D + 2) eps S of their coordinate-wise median on every axis (S: the
-    summed axis spans), in grid order: the nodes the grid DP can relay through.
-
-    A node's summed L1 distance to the terminals exceeds the median's by its
-    distance to the median, and a float sum of D + 2 roundings of terms
-    below 2 S is off by less than (D + 2) eps S, so no node farther out ties
-    with the median. That leaves the median alone on general input, and it
-    stands alone where the byte cap would refuse the nodes that close.
-    """
-    axes = [np.unique(col) for col in terminals.T]
-    # the grid's own coordinates, which hold one zero for 0.0 and -0.0
-    snapped = np.column_stack([a[np.searchsorted(a, c)] for a, c in zip(axes, terminals.T)])
-    mid = np.sort(snapped, axis=0)[1]
-    slack = 4 * (len(axes) + 2) * np.finfo(float).eps * float(np.sum(np.ptp(snapped, axis=0)))
-    near = [a[np.abs(a - m) <= slack] for a, m in zip(axes, mid)]
-    if 8 * math.prod(map(len, near)) ** 2 + _BLOCK_BYTES > _L1_EXACT_MAX_BYTES:
-        near = [mid[d : d + 1] for d in range(len(mid))]
-    grid = np.stack([g.ravel() for g in np.meshgrid(*near, indexing="ij")], axis=1)
-    return np.unique(np.vstack([snapped, grid]), axis=0)
-
-
 def _steiner_l1_exact(terminals: np.ndarray) -> Tree:
-    """Optimal L1 Steiner tree via subset DP on the Hanan grid graph; three
-    terminals need only the few nodes of `_median_nodes`."""
+    """Optimal L1 Steiner tree via subset DP on the Hanan grid graph."""
     n = len(terminals)
-    if n == 3:
-        nodes = _median_nodes(terminals)
-    else:
-        v = _hanan_size(terminals)
-        if 8 * v * v + _BLOCK_BYTES > _L1_EXACT_MAX_BYTES:
-            raise BudgetExceededError(
-                f"exact L1 grid DP too large ({n} terminals, {v} grid nodes)"
-            )
-        nodes = _hanan_grid(terminals)
-    v = len(nodes)
+    v = _hanan_size(terminals)
+    if 8 * v * v + _BLOCK_BYTES > _L1_EXACT_MAX_BYTES:
+        raise BudgetExceededError(
+            f"exact L1 grid DP too large ({n} terminals, {v} grid nodes)"
+        )
+    nodes = _hanan_grid(terminals)
     dist = _pairwise(nodes, 1)
     # map each terminal onto its grid node
     node_of = []
@@ -808,10 +780,10 @@ def steiner_tree(terminals, p, mode: str = "auto") -> Tree:
     limited to N <= 6 terminals; "heuristic" runs the bounded heuristics,
     but L2 enumerates up to 6 terminals in every mode; "auto" uses the exact
     solver when it fits the budget and falls back to the heuristic; `exact`
-    tells which ran (L1 solves 3 terminals exactly in any dimension). The L1
-    budget holds for 4-6 terminals: a byte cap on the grid DP's (v, v)
-    distance matrix plus one working block, checked before anything is
-    allocated.
+    tells which ran. L1 answers 3 terminals in every mode, in any dimension,
+    with the exact star through their coordinate-wise median. The L1 budget
+    holds for 4-6 terminals: a byte cap on the grid DP's (v, v) distance
+    matrix plus one working block, checked before anything is allocated.
     """
     p = _check_norm(p)
     if mode not in ("exact-small", "heuristic", "auto"):
@@ -826,6 +798,11 @@ def steiner_tree(terminals, p, mode: str = "auto") -> Tree:
         )
 
     if p == 1:
+        if n == 3:
+            star = _finalize_steiner(
+                np.vstack([pts, geometric_median(pts, 1)]), [0, 1, 2], [(0, 3), (1, 3), (2, 3)], 1
+            )
+            return replace(star, exact=True)
         if mode == "exact-small" or (mode == "auto" and n <= _L2_EXACT_MAX_TERMINALS):
             try:
                 return replace(_steiner_l1_exact(pts), exact=True)

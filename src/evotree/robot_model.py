@@ -379,6 +379,14 @@ def compute_bounds(thetas) -> tuple[np.ndarray, np.ndarray]:
 
 def build_evolution_space(matched: MatchedSpace) -> EvolutionSpace:
     lower, upper = compute_bounds(matched.thetas.values())
+    with np.errstate(over="ignore"):
+        wide = ~np.isfinite(upper - lower)
+    if np.any(wide):
+        bad = int(np.argmax(wide))
+        raise SpecValidationError(
+            f"parameter range [{lower[bad]}, {upper[bad]}] across the robots has no finite width",
+            key=matched.parameter_keys[bad],
+        )
     return EvolutionSpace(
         parameter_keys=matched.parameter_keys,
         theta_lower=lower,

@@ -250,18 +250,11 @@ def estimate_reward_gradient(
     """reward_gradient's estimate, its probe served alone; zero if gradient_samples is 0."""
     if cfg.gradient_samples == 0:
         return GradientEstimate(np.zeros(len(alpha)), 0)
-    return served(trainer.serve, reward_gradient(policy, probe_points(alpha, cfg, seed_material)))
-
-
-def served(serve, walk):
-    """Run one generator of trainer requests through serve, one list at a
-    time, and return what it returns."""
-    results = None
-    while True:
-        try:
-            results = serve(walk.send(results))
-        except StopIteration as done:
-            return done.value
+    walk = reward_gradient(policy, probe_points(alpha, cfg, seed_material))
+    try:
+        walk.send(trainer.serve(next(walk)))
+    except StopIteration as done:
+        return done.value
 
 
 # ---------------------------------------------------------------------------

@@ -520,6 +520,35 @@ class TestSpecExitCodeContract:
         assert code == 2, (code, err.getvalue())
         assert robots[1] in err.getvalue() and f"key={key})" in err.getvalue()
 
+    @pytest.mark.parametrize(
+        "command,field,key",
+        [("plan", "param", "arm.span"), ("compare", "param", "arm.span"),
+         ("compare", "range", "joint.arm.j.range_width")],
+        ids=["plan-param", "compare-param", "compare-range"],
+    )
+    def test_overflowing_span_names_its_key(self, tmp_path, command, field, key):
+        # finite values whose range across the robots, or a joint range's
+        # own width, overflows a float: refused up front, by key
+        specs = load_fixture("planar")
+        if field == "range":
+            specs[0]["bodies"][1]["joints"] = [
+                {"name": "j", "kind": "revolute", "range": [-1e308, 1e308]}]
+        else:
+            specs[0]["params"][key]["value"] = -1e308
+            specs[1]["params"][key]["value"] = 1e308
+        robots = []
+        for i, spec in enumerate(specs):
+            robots.append(str(tmp_path / f"robot{i}.json"))
+            dump_json(spec, robots[-1])
+        argv = [command, "--robots", *robots, "--out", str(tmp_path)]
+        if command == "compare":
+            argv += ["--trainer", "cost"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, (code, err.getvalue())
+        assert f"key={key})" in err.getvalue() and "no finite width" in err.getvalue()
+
 
 class TestTransfer:
     def test_cost_transfer_totals(self, tmp_path, fast_config):

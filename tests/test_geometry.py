@@ -176,6 +176,38 @@ unit = st.floats(0.0, 1.0, allow_nan=False)
 
 
 @st.composite
+def l1_triples(draw):
+    """(kind, three points in D = 1-6), uniform in [0, 1] from a drawn seed,
+    then by kind: uniform as drawn; grid (rounded to multiples of 1/4); ulps
+    (on some axes, one value, the first point's or 0, 0.5 or 1, and its
+    neighbours up to 2 floats away); signed-zero (some coordinates 0.0 or
+    -0.0); duplicate (two or three points one)."""
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["uniform", "grid", "ulps", "signed-zero", "duplicate"]))
+    pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((3, d))
+    if kind == "grid":
+        pts = np.round(pts * 4.0) / 4.0
+    elif kind == "ulps":
+        for a in range(d):
+            if draw(st.booleans()):
+                base = draw(st.sampled_from([pts[0, a], 0.0, 0.5, 1.0]))
+                for i in range(3):
+                    steps, x = draw(st.integers(-2, 2)), base
+                    for _ in range(abs(steps)):
+                        x = np.nextafter(x, math.copysign(math.inf, steps))
+                    pts[i, a] = x
+    elif kind == "signed-zero":
+        for i, a in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, d - 1)))):
+            pts[i, a] = draw(st.sampled_from([0.0, -0.0]))
+    elif kind == "duplicate":
+        i, j, k = draw(st.permutations(range(3)))
+        pts[j] = pts[i]
+        if draw(st.booleans()):
+            pts[k] = pts[i]
+    return kind, pts
+
+
+@st.composite
 def point_sets(draw, sizes, dims, kinds):
     """Points in [0, 1]^D of one drawn kind.
 
@@ -382,17 +414,42 @@ class TestSteinerL1:
 
     def test_three_terminals_past_the_byte_cap_meet_at_the_median(self):
         # D = 9: axis 0 holds 0, 1 and 0.5, and axes 1-8 permute 0.5 and its
-        # next two floats. All three floats of every axis 1-8 tie with the
-        # median, 3^8 grid nodes, whose closure the byte cap refuses: the
-        # DP runs on the median alone
+        # next two floats. Their Hanan grid has 3^9 nodes, whose closure the
+        # byte cap refuses; three terminals meet at their median in closed
+        # form, with no grid
         close = [0.5, np.nextafter(0.5, 1.0), np.nextafter(np.nextafter(0.5, 1.0), 1.0)]
         orders = list(itertools.permutations(close))
         pts = np.column_stack([[0.0, 1.0, 0.5]] + [orders[d % 6] for d in range(1, 9)])
-        assert len(geo._median_nodes(pts)) <= 4  # the terminals and the median
         t = geo.steiner_tree(pts, 1, "exact-small")
         assert t.exact
         geo.validate_tree(t)
         assert abs(t.length - np.sum(np.ptp(pts, axis=0))) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(l1_triples())
+    def test_three_terminals_are_the_median_star(self, case):
+        # Hwang (1976): the closed form against the grid DP on the full grid
+        kind, pts = case
+        want = geo._steiner_l1_exact(pts)
+        median = np.sort(pts, axis=0)[1]
+        trees = [geo.steiner_tree(pts, 1, mode) for mode in ("exact-small", "heuristic", "auto")]
+        for t in trees:
+            assert t.exact
+            assert t.vertices.tobytes() == trees[0].vertices.tobytes() and t.edges == trees[0].edges
+            assert all(np.array_equal(t.vertices[s], median) for s in t.steiner_ids)
+        got = trees[0]
+        geo.validate_tree(got)
+        if kind == "ulps":
+            # the Steiner point may move by ulps
+            assert abs(got.length - want.length) <= 1e-12
+        else:
+            assert np.array_equal(got.vertices, want.vertices)
+            assert (got.terminal_ids, got.edges, got.length) == (
+                want.terminal_ids, want.edges, want.length)
+            # the grid holds one zero for 0.0 and -0.0, the star each
+            # terminal's own
+            if kind != "signed-zero":
+                assert got.vertices.tobytes() == want.vertices.tobytes()
 
     def test_hanan_size_counts_distinct_coordinates(self):
         pts = np.array([(0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (2.0, 1.0, 1.0)])

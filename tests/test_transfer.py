@@ -348,7 +348,12 @@ class ScheduleTrainer(SerialBatches):
 def drive(trainer, walk):
     """Run one generator of trainer requests through the single calls and
     return what it returns."""
-    return tx.served(lambda requests: SerialBatches.serve(trainer, requests), walk)
+    results = None
+    while True:
+        try:
+            results = SerialBatches.serve(trainer, walk.send(results))
+        except StopIteration as done:
+            return done.value
 
 
 class TestPhaseTrain:
