@@ -28,12 +28,17 @@ Steiner solvers:
 * L2 heuristic: same enumeration for N <= 6; for larger N a greedy pass that
   replaces sharp tree corners (< 120 degrees) with local Fermat points,
   followed by the same polish.
+* L2 scale: the solvers' absolute tolerances are multiplied by the
+  terminals' largest coordinate extent when that exceeds 1, so a tree
+  scales with its terminals; L2 inputs far enough out for a squared
+  distance to overflow are refused.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -78,6 +83,19 @@ def _check_norm(p) -> int:
     if p not in (1, 2):
         raise InvalidInputError(f"unsupported norm selector {p!r}; use 1 or 2")
     return int(p)
+
+
+def _check_l2_extent(pts: np.ndarray, name: str) -> None:
+    """Refuse points too far out for L2: with r the norm of the largest
+    |coordinate| on each axis, a squared distance is at most 4r^2 and a
+    Fermat cosine adds two, so 8r^2 must be finite."""
+    limit = math.sqrt(sys.float_info.max / 8.0)
+    r = math.hypot(*np.max(np.abs(pts), axis=0).tolist())
+    if not r < limit:
+        raise InvalidInputError(
+            f"{name} too far out for L2: the norm of the largest |coordinate| on each "
+            f"axis is {r:.3g}; it must be below {limit:.3g} for squared distances to stay finite"
+        )
 
 
 def lp_distance(a, b, p) -> float:
@@ -284,6 +302,8 @@ def minimum_spanning_tree(terminals, p) -> Tree:
     """Minimum total Lp length spanning tree on the terminals (no Steiner points)."""
     p = _check_norm(p)
     pts = _as_points(terminals, "terminals")
+    if p == 2:
+        _check_l2_extent(pts, "terminals")
     dist = _pairwise(pts, p)
     edges = _mst_edges(dist)
     return _make_tree(pts, range(len(pts)), edges, p)
@@ -294,48 +314,53 @@ def minimum_spanning_tree(terminals, p) -> Tree:
 # ---------------------------------------------------------------------------
 
 
-def _fermat3(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> np.ndarray:
+def _fermat3(va: np.ndarray, vb: np.ndarray, vc: np.ndarray) -> list[float]:
     """Point minimizing the summed L2 distance to three float points of one
-    dimension, unchecked, for inner loops.
+    dimension, as a list of floats, unchecked, for inner loops.
 
     All triangle angles < 120 degrees: the interior point whose incident
     directions meet pairwise at 120 degrees (computed from the isogonic
     center's trilinear coordinates). Any angle >= 120 degrees: that vertex.
     Collinear input: the middle point, by convention. The side lengths keep
     `ndarray.dot` (BLAS sums differ from a Python loop's) and the angles one
-    `np.arccos` and `np.sin` call (numpy's SVML arccos differs from `math.acos`).
+    `np.arccos` and `np.sin` call (numpy's SVML arccos differs from
+    `math.acos`); the rest is Python float arithmetic, which rounds each
+    product and sum as numpy's elementwise operations do.
     """
-    verts = (va, vb, vc)
     # opposite side lengths
     sides = [math.sqrt(d.dot(d)) for d in (vb - vc, vc - va, va - vb)]
+    sa, sb, sc = sides
+    verts = (va, vb, vc)
     scale = max(sides)
     if scale <= 0.0:
-        return va.copy()
+        return va.tolist()
     shortest = min(sides)
     if shortest <= 1e-12 * scale:
         # two points coincide; the duplicated point is optimal
-        dup = sides.index(shortest)
-        return verts[(dup + 1) % 3].copy()
+        return verts[(sides.index(shortest) + 1) % 3].tolist()
     # collinearity: compare longest side against the sum of the others
     longest = sides.index(scale)
-    others = [sides[i] for i in range(3) if i != longest]
-    if abs(others[0] + others[1] - scale) <= 1e-12 * scale:
-        return verts[longest].copy()  # opposite the longest side = middle point
+    rest = sb + sc if longest == 0 else (sa + sc if longest == 1 else sa + sb)
+    if abs(rest - scale) <= 1e-12 * scale:
+        return verts[longest].tolist()  # opposite the longest side = middle point
     # `s ** 2` (C pow) and `s * s` differ in the last bit on some inputs
+    qa, qb, qc = sa**2, sb**2, sc**2
     cosines = [
-        (sides[j] ** 2 + sides[k] ** 2 - sides[i] ** 2) / (2.0 * sides[j] * sides[k])
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        (qb + qc - qa) / (2.0 * sb * sc),
+        (qc + qa - qb) / (2.0 * sc * sa),
+        (qa + qb - qc) / (2.0 * sa * sb),
     ]
     widest = min(cosines)
     if widest <= -0.5 + 1e-15:
-        return verts[cosines.index(widest)].copy()
+        return verts[cosines.index(widest)].tolist()
     # the clip to [-1, 1]: every cosine is above -0.5 here
     angles = np.arccos([1.0 if c > 1.0 else c for c in cosines])
     # barycentric weights of the isogonic center: side_i / sin(angle_i + 60 deg)
-    sines = np.sin(angles + math.pi / 3.0).tolist()
-    wa, wb, wc = [side / sine for side, sine in zip(sides, sines)]
+    sin_a, sin_b, sin_c = np.sin(angles + math.pi / 3.0).tolist()
+    wa, wb, wc = sa / sin_a, sb / sin_b, sc / sin_c
     total = wa + wb + wc
-    return (wa / total) * va + (wb / total) * vb + (wc / total) * vc
+    wa, wb, wc = wa / total, wb / total, wc / total
+    return [wa * x + wb * y + wc * z for x, y, z in zip(va.tolist(), vb.tolist(), vc.tolist())]
 
 
 def geometric_median(points, p) -> np.ndarray:
@@ -349,6 +374,7 @@ def geometric_median(points, p) -> np.ndarray:
     pts = _as_points(points, "points")
     if p == 1:
         return np.sort(pts, axis=0)[(len(pts) - 1) // 2]
+    _check_l2_extent(pts, "points")
     span = float(np.max(np.ptp(pts, axis=0))) or 1.0
     # optimality test at each distinct input point
     for y in pts:
@@ -531,6 +557,13 @@ def _steiner_l1_insertion(terminals: np.ndarray) -> Tree:
 # ---------------------------------------------------------------------------
 
 
+def _scale(terminals: np.ndarray) -> float:
+    """The factor on the L2 solvers' absolute tolerances: the terminals'
+    largest coordinate extent, and 1 when that is smaller, so the tolerances
+    are as written for every span up to 1."""
+    return max(1.0, float(np.max(np.ptp(terminals, axis=0))))
+
+
 def _full_topologies(n: int):
     """All full Steiner topologies on n terminals.
 
@@ -556,19 +589,22 @@ def _full_topologies(n: int):
 
 def _fermat_polish(full: np.ndarray, edges, n_terminals: int, sweeps: int = 4000):
     """Gauss-Seidel sweeps setting each degree-3 Steiner vertex to its neighbors'
-    Fermat point; `_fermat3` keeps the numpy calls (BLAS dot, SVML arccos)."""
+    Fermat point, until a sweep moves no coordinate by 5e-14 times `_scale`."""
     nbrs = _adjacency(edges)
     steps = [
         (full[s], full[ns[0]], full[ns[1]], full[ns[2]])
         for s in range(n_terminals, len(full))
         if len(ns := nbrs.get(s, ())) == 3
     ]
+    tol = 5e-14 * _scale(full[:n_terminals])
     for _ in range(sweeps):
         settled = True
         for row, a, b, c in steps:
             target = _fermat3(a, b, c)
-            if settled:  # one move of 5e-14 or more holds the sweep open; NaN does not
-                settled = not float(abs(target - row).max()) >= 5e-14
+            if settled:  # a move of tol or more holds the sweep open, unless a
+                # move of the same vertex is NaN (their sum is NaN only then)
+                moves = [abs(t - r) for t, r in zip(target, row.tolist())]
+                settled = max(moves) < tol or math.isnan(sum(moves))
             row[...] = target
         if settled:
             break
@@ -584,7 +620,9 @@ def _irls_topologies(
     stationarity system is linear in the Steiner coordinates; re-solving it
     drives the configuration to the global optimum of the (convex) total
     length. A small floor on edge lengths keeps degenerate topologies,
-    whose Steiner points collapse onto terminals, numerically stable.
+    whose Steiner points collapse onto terminals, numerically stable. The
+    floor and the stop on a step's largest move scale with `_scale`, so
+    the weights keep their ratios whatever the terminals' span.
 
     All topologies share the terminals and their edge and Steiner counts, so
     their systems are stacked and solved by one batched call per iteration.
@@ -601,41 +639,46 @@ def _irls_topologies(
     pos[:, :n_t] = terminals
     pos[:, n_t:] = np.mean(terminals, axis=0)
     eu, ev = edges[..., 0], edges[..., 1]
-    u_s = eu >= n_t
-    v_s = ev >= n_t
-    iu = eu - n_t
-    iv = ev - n_t
-    floor = 1e-14
-    active = np.arange(k)
+    scale = _scale(terminals)
+    floor, stop = 1e-14 * scale, 1e-11 * scale
+    # the active topologies' coordinates, copied back into pos when some stop
+    active, p, stale = np.arange(k), pos.copy(), True
     for _ in range(iters):
-        if not active.size:
-            break
-        a = len(active)
-        p = pos[active]
-        e_u, e_v, i_u, i_v = eu[active], ev[active], iu[active], iv[active]
-        m_u, m_v = u_s[active], v_s[active]
-        row = np.broadcast_to(np.arange(a)[:, None], e_u.shape)
+        if stale:  # index arrays of the active set, rebuilt only when it shrinks
+            a = len(active)
+            e_u, e_v = eu[active], ev[active]
+            m_u, m_v = e_u >= n_t, e_v >= n_t
+            i_u, i_v = e_u - n_t, e_v - n_t
+            row = np.broadcast_to(np.arange(a)[:, None], e_u.shape)
+            both, u_only, v_only = m_u & m_v, m_u & ~m_v, m_v & ~m_u
+            at_u, at_v = (row[m_u], i_u[m_u], i_u[m_u]), (row[m_v], i_v[m_v], i_v[m_v])
+            at_uv, at_vu = (row[both], i_u[both], i_v[both]), (row[both], i_v[both], i_u[both])
+            # the far end of a Steiner-terminal edge is a terminal, never moved
+            at_uo, far_uo = (row[u_only], i_u[u_only]), terminals[e_v[u_only]]
+            at_vo, far_vo = (row[v_only], i_v[v_only]), terminals[e_u[v_only]]
+            stale = False
         diff = p[row, e_u] - p[row, e_v]
         lens = np.sqrt(np.sum(diff * diff, axis=2))
         w = 1.0 / np.maximum(lens, floor)
         a_mat = np.zeros((a, n_s, n_s))
         rhs = np.zeros((a, n_s, dim))
-        np.add.at(a_mat, (row[m_u], i_u[m_u], i_u[m_u]), w[m_u])
-        np.add.at(a_mat, (row[m_v], i_v[m_v], i_v[m_v]), w[m_v])
-        both = m_u & m_v
-        np.add.at(a_mat, (row[both], i_u[both], i_v[both]), -w[both])
-        np.add.at(a_mat, (row[both], i_v[both], i_u[both]), -w[both])
-        u_only = m_u & ~m_v
-        v_only = m_v & ~m_u
-        r = row[u_only]
-        np.add.at(rhs, (r, i_u[u_only]), w[u_only, None] * p[r, e_v[u_only]])
-        r = row[v_only]
-        np.add.at(rhs, (r, i_v[v_only]), w[v_only, None] * p[r, e_u[v_only]])
+        np.add.at(a_mat, at_u, w[m_u])
+        np.add.at(a_mat, at_v, w[m_v])
+        np.add.at(a_mat, at_uv, -w[both])
+        np.add.at(a_mat, at_vu, -w[both])
+        np.add.at(rhs, at_uo, w[u_only, None] * far_uo)
+        np.add.at(rhs, at_vo, w[v_only, None] * far_vo)
         new_coords = np.linalg.solve(a_mat, rhs)
         move = np.max(np.abs(new_coords - p[:, n_t:]), axis=(1, 2))
-        pos[active, n_t:] = new_coords
+        p[:, n_t:] = new_coords
         # a NaN move keeps iterating, as in a one-topology loop
-        active = active[~(move < 1e-11)]
+        going = ~(move < stop)
+        if not going.all():
+            pos[active] = p
+            active, p, stale = active[going], p[going], True
+            if not active.size:
+                break
+    pos[active] = p
     row = np.arange(k)[:, None]
     diff = pos[row, eu] - pos[row, ev]
     lengths = np.sum(np.sqrt(np.sum(diff * diff, axis=2)), axis=1)
@@ -650,7 +693,7 @@ def _steiner_l2_enumerate(terminals: np.ndarray) -> Tree:
     topologies = _full_topologies(n)
     if n == 3:
         # one topology, and the polish's first sweep overwrites any start
-        fulls, lengths = [np.vstack([terminals, _fermat3(*terminals)])], [0.0]
+        fulls, lengths = [np.vstack([terminals, [_fermat3(*terminals)]])], [0.0]
     else:
         fulls, lengths = _irls_topologies(terminals, topologies)
     scored = [
@@ -658,8 +701,9 @@ def _steiner_l2_enumerate(terminals: np.ndarray) -> Tree:
         for length, topo, full in zip(lengths, topologies, fulls)
     ]
     scored.sort(key=lambda t: t[0])
-    # IRLS may stop 1e-3 long on the optimal topology; walked trees need it
-    cutoff = scored[0][0] + 1e-2 if scored else 0.0
+    # IRLS may stop 1e-3 long (at unit span) on the optimal topology; walked
+    # trees need it
+    cutoff = scored[0][0] + 1e-2 * _scale(terminals) if scored else 0.0
     leaders = [s for s in scored[:8] if s[0] <= cutoff] or scored[:1]
     for _, topo, full in leaders:
         full = _fermat_polish(full, topo, n)
@@ -692,7 +736,7 @@ def _steiner_l2_greedy(terminals: np.ndarray) -> Tree:
                 cosang = float(np.dot(ea, eb) / (la * lb))
                 if cosang <= cos_limit:
                     continue  # already >= 120 degrees apart
-                f = _fermat3(pts[v], pts[a], pts[b])
+                f = np.array(_fermat3(pts[v], pts[a], pts[b]))
                 gain = la + lb
                 for d in (f - pts[v], f - pts[a], f - pts[b]):
                     gain -= math.sqrt(d.dot(d))
@@ -789,6 +833,8 @@ def steiner_tree(terminals, p, mode: str = "auto") -> Tree:
     if mode not in ("exact-small", "heuristic", "auto"):
         raise InvalidInputError(f"unknown mode {mode!r}")
     pts = _as_points(terminals, "terminals")
+    if p == 2:
+        _check_l2_extent(pts, "terminals")
     n = len(pts)
     if n <= 2:
         return replace(_make_tree(pts, range(n), [(0, 1)][: n - 1], p), exact=True)

@@ -33,6 +33,18 @@ class TestEvolutionTree:
         assert np.array_equal(res.beta_meta, et.clamp_meta(al, tg))
         assert res.partition == (tuple(range(6)),)
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_l2_targets_at_span_1e3_match_the_unit_solve(self, k):
+        # exact L2 trees of 4-6 terminals at span 1e3 used to stop on a
+        # singular IRLS system
+        targets = np.random.default_rng(40 + k).random((k, 3))
+        res = et.evolution_tree(np.zeros(3), targets * 1e3, 2)
+        unit = et.evolution_tree(np.zeros(3), targets, 2)
+        geo.validate_tree(res.tree)
+        assert res.tree.exact
+        assert res.tree.length / 1e3 == pytest.approx(unit.tree.length, rel=1e-9)
+        assert res.partition == unit.partition
+
     def test_opposite_targets_split_immediately(self):
         res = et.evolution_tree((0.5, 0.5), [(0.0, 0.5), (1.0, 0.5)], 1)
         assert np.allclose(res.beta_meta, (0.5, 0.5))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -61,8 +62,11 @@ def weiszfeld_oracle(points, iters=200000, tol=1e-14):
 
 
 def reference_irls_topology(terminals, edges, n_s, iters):
-    """One-topology IRLS loop: the reference the batched solve must equal."""
+    """One-topology IRLS loop: the reference the batched solve must equal. Its
+    floor and stop are 1e-14 and 1e-11 times the terminals' largest coordinate
+    extent, or times 1 when that is smaller."""
     n_t, dim = terminals.shape
+    scale = max(1.0, float(np.max(np.max(terminals, axis=0) - np.min(terminals, axis=0))))
     pos = np.vstack([terminals, np.tile(np.mean(terminals, axis=0), (n_s, 1))])
     eu = np.fromiter((e[0] for e in edges), dtype=int)
     ev = np.fromiter((e[1] for e in edges), dtype=int)
@@ -71,7 +75,7 @@ def reference_irls_topology(terminals, edges, n_s, iters):
     for _ in range(iters):
         diff = pos[eu] - pos[ev]
         lens = np.sqrt(np.sum(diff * diff, axis=1))
-        w = 1.0 / np.maximum(lens, 1e-14)
+        w = 1.0 / np.maximum(lens, 1e-14 * scale)
         a_mat = np.zeros((n_s, n_s))
         rhs = np.zeros((n_s, dim))
         iu = eu - n_t
@@ -88,7 +92,7 @@ def reference_irls_topology(terminals, edges, n_s, iters):
         new_coords = np.linalg.solve(a_mat, rhs)
         move = float(np.max(np.abs(new_coords - pos[n_t:])))
         pos[n_t:] = new_coords
-        if move < 1e-11:
+        if move < 1e-11 * scale:
             break
     diff = pos[eu] - pos[ev]
     length = float(np.sum(np.sqrt(np.sum(diff * diff, axis=1))))
@@ -170,6 +174,13 @@ def reference_fermat_polish(full, edges, n_terminals, sweeps=4000):
         if move < 5e-14:
             break
     return full
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns: signed zeros and NaN
+    payloads count."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
@@ -934,9 +945,28 @@ class TestFermatPoint:
     )
     def test_equals_array_reference(self, pts):
         f = geo._fermat3(*pts)
-        ref = reference_fermat3(*pts)
-        assert f.dtype == ref.dtype
-        assert np.array_equal(f, ref)
+        assert type(f) is list and all(type(x) is float for x in f)
+        assert same_bits(f, reference_fermat3(*pts))
+
+    @pytest.mark.parametrize(
+        "pts, vertex",
+        [
+            ([(-0.0, 0.5), (0.0, 0.5), (-0.0, 0.5)], 0),  # one point: the first's bits
+            ([(0.2, -0.0), (0.2, 0.0), (0.9, 0.4)], 0),  # a coincident pair
+            ([(0.0, 0.0), (2.0, 2.0), (1.0, 1.0)], 2),  # collinear: the middle point
+            ([(0.0, 0.0), (1.0, 0.0), (2.0, 0.4)], 1),  # an angle of 120 degrees or more
+            ([(0.0, 0.0), (1.0, 0.0), (0.5, 0.8)], None),  # interior
+            ([(0.0, -0.0, 0.3), (1.0, -0.0, 0.1), (0.5, -0.0, 0.8)], None),  # an axis of -0.0
+        ],
+    )
+    def test_each_branch_equals_array_reference(self, pts, vertex):
+        pts = np.array(pts)
+        f = geo._fermat3(*pts)
+        assert same_bits(f, reference_fermat3(*pts))
+        if vertex is not None:
+            assert same_bits(f, pts[vertex])
+        else:
+            assert not any(same_bits(f, p) for p in pts)
 
     def test_random_matches_weiszfeld(self):
         rng = np.random.default_rng(321)
@@ -969,7 +999,7 @@ class TestFermatPolish:
         for full, edges, n in calls:
             got = geo._fermat_polish(full.copy(), edges, n)
             want = reference_fermat_polish(full.copy(), edges, n)
-            assert np.array_equal(got, want)
+            assert same_bits(got, want)
 
     def test_greedy_trees_equal_reference(self, monkeypatch):
         steiner = 0
@@ -998,9 +1028,26 @@ class TestFermatPolish:
         )
         edges = [(0, 3), (1, 3), (3, 4), (4, 2)]
         got = geo._fermat_polish(full.copy(), edges, 3)
-        assert np.array_equal(got, reference_fermat_polish(full.copy(), edges, 3))
+        assert same_bits(got, reference_fermat_polish(full.copy(), edges, 3))
         assert np.array_equal(got[[0, 1, 2, 4, 5]], full[[0, 1, 2, 4, 5]])
         assert not np.array_equal(got[3], full[3])
+
+    def test_a_nan_move_in_a_later_coordinate_lets_its_vertex_settle(self):
+        # from a polished tree, Steiner 4 is moved 0.3 on axis 0 and set NaN on
+        # axis 2. The first sweep moves it by (0.3, ~0, NaN), which does not
+        # hold the sweep open, and Steiner 5 by less than 5e-14: the polish
+        # stops after one sweep, where a second would still change bits
+        pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.9, 0.1], [1.0, 0.1, 0.3], [0.9, 1.0, 0.2]])
+        edges = [(0, 4), (1, 4), (4, 5), (2, 5), (3, 5)]
+        start = reference_fermat_polish(np.vstack([pts, [pts.mean(axis=0)] * 2]), edges, 4)
+        assert all(not np.allclose(start[s], p) for s in (4, 5) for p in [*pts, start[9 - s]])
+        start[4, 0] += 0.3
+        start[4, 2] = math.nan
+        got = geo._fermat_polish(start.copy(), edges, 4)
+        once = reference_fermat_polish(start.copy(), edges, 4, sweeps=1)
+        assert same_bits(got, reference_fermat_polish(start.copy(), edges, 4))
+        assert same_bits(got, once)
+        assert not same_bits(got, reference_fermat_polish(once.copy(), edges, 4, sweeps=1))
 
     def test_heuristic_tree_equals_reference_solve(self, monkeypatch):
         pts = np.random.default_rng(77).random((7, 5))
@@ -1013,6 +1060,86 @@ class TestFermatPolish:
             want = geo.steiner_tree(pts, 2, mode="heuristic")
         assert np.array_equal(got.vertices, want.vertices)
         assert got.edges == want.edges
+
+
+class TestL2Scale:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(3, 8),
+        d=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.floats(-3.0, 12.0),
+    )
+    def test_length_over_the_span_is_the_unit_solve(self, n, d, seed, exponent):
+        pts = np.random.default_rng(seed).random((n, d))
+        factor = 10.0**exponent
+        unit = geo.steiner_tree(pts, 2)
+        tree = geo.steiner_tree(pts * factor, 2)
+        geo.validate_tree(tree)
+        assert tree.exact == unit.exact
+        assert abs(tree.length / factor - unit.length) <= 1e-9 * unit.length
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_exact_solves_at_span_1e3(self, n):
+        # the IRLS start puts every Steiner point at the terminals' mean; an
+        # unscaled length floor made their mutual weights swamp the terminals'
+        for seed in range(5):
+            pts = np.random.default_rng(300 + seed).random((n, 3)) * 1e3
+            tree = geo.steiner_tree(pts, 2, "exact-small")
+            geo.validate_tree(tree)
+            assert tree.length <= geo.minimum_spanning_tree(pts, 2).length
+
+    def test_polish_sweeps_do_not_grow_with_the_span(self, monkeypatch):
+        calls = []
+        fermat3 = geo._fermat3
+        monkeypatch.setattr(geo, "_fermat3", lambda *v: calls.append(1) or fermat3(*v))
+        counts = {}
+        for factor in (1.0, 1e12):
+            calls.clear()
+            for seed in range(6):
+                pts = np.random.default_rng(seed).random((7, 4)) * factor
+                geo.steiner_tree(pts, 2)
+            counts[factor] = len(calls)
+        assert counts[1e12] <= 1.05 * counts[1.0]
+
+    def test_leaders_do_not_change_with_the_span(self, monkeypatch):
+        # a 1 x 1.002 rectangle: its two full topologies differ by about 1.5e-3
+        # of the span, inside the leaders' cutoff at every span
+        calls = []
+        polish = geo._fermat_polish
+        monkeypatch.setattr(geo, "_fermat_polish", lambda *a: calls.append(1) or polish(*a))
+        pts = np.array([[0.0, 0.0], [1.002, 0.0], [0.0, 1.0], [1.002, 1.0]])
+        for factor in (1.0, 1e3, 1e6):
+            calls.clear()
+            geo.steiner_tree(pts * factor, 2)
+            assert len(calls) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_overflowing_extent_is_refused(self, n):
+        pts = np.random.default_rng(n).random((n, 3)) * 1e160
+        for solve in (geo.steiner_tree, geo.minimum_spanning_tree, geo.geometric_median):
+            with pytest.raises(InvalidInputError, match=r"must be below 4\.74e\+153"):
+                solve(pts, 2)
+        geo.validate_tree(geo.steiner_tree(pts, 1))  # L1 sums stay finite
+
+    def test_geometric_median_refuses_1e154(self):
+        pts = np.random.default_rng(9).random((5, 3)) * 1e154
+        with pytest.raises(InvalidInputError, match="too far out for L2"):
+            geo.geometric_median(pts, 2)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_extent_just_under_the_limit_solves_without_overflow(self, n):
+        limit = math.sqrt(sys.float_info.max / 8.0)
+        pts = np.random.default_rng(n).random((n, 4)) * 2.0 - 1.0
+        pts *= limit * (1.0 - 1e-12) / math.hypot(*np.max(np.abs(pts), axis=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = geo.steiner_tree(pts, 2)
+            mst = geo.minimum_spanning_tree(pts, 2)
+            median = geo.geometric_median(pts, 2)
+        geo.validate_tree(tree)
+        assert math.isfinite(tree.length) and tree.length <= mst.length
+        assert np.all(np.isfinite(median))
 
 
 class TestGeometricMedian:
